@@ -34,6 +34,7 @@ from conefluct import (
     stationary_measure,
 )
 from conefluct.cli import law_fingerprint, save_law
+from conefluct.transfer_operator import richardson_sigma2
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "conefluct" / "fixtures"
 
@@ -64,9 +65,7 @@ def main() -> None:
     h = 0.05
     lam_h, kappa_power = dominant_eigenvalue(law, grid, h)
     lam_h2, _ = dominant_eigenvalue(law, grid, h / 2.0)
-    s_h = 2.0 * (1.0 - lam_h.real) / h**2
-    s_h2 = 2.0 * (1.0 - lam_h2.real) / (h / 2.0) ** 2
-    sigma2 = (4.0 * s_h2 - s_h) / 3.0
+    sigma2 = richardson_sigma2(lam_h, lam_h2, h)
     poisson = solve_poisson(law, nu)
 
     conv = {n: convolution_contraction(law, n) for n in range(1, 7)}

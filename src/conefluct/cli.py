@@ -11,11 +11,17 @@ round-trip).  A law file looks like::
     }
 
 Subcommands: ``check`` (hypothesis battery, nonzero exit on failure),
-``spectral`` (invariant weights, drift, variance, potential; d = 2 only),
-``simulate`` (survival, killed expectations, conditional endpoints),
-``validate`` (assembled verdict report, nonzero exit on failing verdicts,
+``spectral`` (invariant weights, drift, variance, potential; d = 2 only;
+refuses laws that fail positivity), ``simulate`` (survival, killed
+expectations, conditional endpoints), ``validate`` (assembled verdict report,
 ``--sigma-scale`` for negative-control runs), ``covariance`` (lagged
 increment covariances with the geometric-rate fit).
+
+``validate`` runs the ``check`` battery first and, when it fails, stops with
+exit code 1 and the single verdict ``hypotheses: false``.  Otherwise it reuses
+the ``simulate`` stages, its verdicts are exactly ``ValidationReport.verdicts()``
+and the exit code is nonzero unless all pass.  Malformed laws and configs
+(unknown keys, wrong types) exit with code 2 before ``--out`` is created.
 
 Every run writes ``manifest.json`` with the config hash, seed, worker count
 and library versions; identical (config, seed) runs produce byte-identical
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -41,13 +48,15 @@ import scipy
 
 from . import __version__
 from .matrix_core import SimplexVector
-from .matrix_law import MatrixLaw, convolution_contraction, estimate_lyapunov, hypothesis_report
+from .matrix_law import MatrixLaw, check_P3, convolution_contraction, hypothesis_report
+from .matrix_law import estimate_lyapunov  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from .transfer_operator import (
     ConvergenceError,
     DegenerateLawError,
     SimplexGrid,
     dominant_eigenvalue,
     lyapunov_exact,
+    richardson_sigma2,
     solve_poisson,
     stationary_measure,
 )
@@ -170,13 +179,7 @@ _DEFAULTS: dict = {
         "horizon": 1000000,
     },
     "covariance": {"burn_in": 50, "max_lag": 6, "paths": 200000, "conv_check_n": 4},
-    "validate": {
-        "sigma_scale": 1.0,
-        "martingale_paths": 4000,
-        "martingale_horizon": 512,
-        "harmonicity": False,
-        "harmonicity_paths": 4000,
-    },
+    "validate": {"sigma_scale": 1.0, "martingale_paths": 4000, "martingale_horizon": 512},
     "thresholds": {},
 }
 
@@ -190,8 +193,27 @@ _SALTS = {
     "covariance": 6,
     "martingale": 7,
     "a_grid": 8,
-    "harmonicity": 9,
 }
+
+# Leaves that also accept a second JSON type, shown by an example value of it.
+_LEAF_ALTERNATIVES = {"law": "law.json", "seed": 0, "start.x": [0.5], "simulate.a_grid": [1.0]}
+
+_THRESHOLD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(tval.ValidationThresholds)}
+
+
+def _type_ok(default, value) -> bool:
+    """Whether ``value`` has the JSON type of ``default``: ints pass for floats, tuples are fixed-length lists."""
+    if default is None:
+        return value is None
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, list) or (isinstance(default, tuple) and len(value) != len(default)):
+            return False
+        return all(_type_ok(default[0], v) for v in value)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
@@ -200,11 +222,19 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise LawFormatError(f"config: unknown key {where!r}")
-        if isinstance(defaults[key], dict) and defaults[key] and not key == "thresholds":
+        if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise LawFormatError(f"config: {where!r} must be an object")
-            out[key] = _merge(defaults[key], value, where)
+            if key == "thresholds":
+                # checked against the ValidationThresholds fields; only overrides are kept
+                _merge(_THRESHOLD_DEFAULTS, value, where)
+                out[key] = copy.deepcopy(value)
+            else:
+                out[key] = _merge(defaults[key], value, where)
         else:
+            default = defaults[key]
+            if not (_type_ok(default, value) or _type_ok(_LEAF_ALTERNATIVES.get(where, default), value)):
+                raise LawFormatError(f"config: {where!r} = {value!r} has the wrong type (default {default!r})")
             out[key] = value
     return out
 
@@ -335,25 +365,22 @@ def _manifest(out: Path, command: str, cfg: dict, law: MatrixLaw, artifacts: lis
 # subcommands
 
 
-def cmd_check(cfg: dict, law: MatrixLaw, out: Path) -> int:
-    c = cfg["check"]
+def _battery(cfg: dict, law: MatrixLaw):
+    """Run the standing-hypothesis battery and print one line per failure."""
+    # the ``check`` config keys are the battery's keyword arguments
     report = hypothesis_report(
-        law,
-        _start_point(cfg, law),
-        delta0=c["delta0"],
-        p3_cap=c["p3_cap"],
-        n=c["n"],
-        paths=c["paths"],
-        gamma_tol=c["gamma_tol"],
-        sigma2_threshold=c["sigma2_threshold"],
-        seed=_seed_for(cfg, "check"),
-        workers=cfg["workers"],
+        law, _start_point(cfg, law), **cfg["check"], seed=_seed_for(cfg, "check"), workers=cfg["workers"]
     )
     failures = report.failures()
-    _write_json(out / "hypotheses.json", {"report": report, "failures": failures, "passed": not failures})
-    _manifest(out, "check", cfg, law, ["hypotheses.json"])
     for line in failures:
         print(f"FAIL {line}")
+    return report, failures
+
+
+def cmd_check(cfg: dict, law: MatrixLaw, out: Path) -> int:
+    report, failures = _battery(cfg, law)
+    _write_json(out / "hypotheses.json", {"report": report, "failures": failures, "passed": not failures})
+    _manifest(out, "check", cfg, law, ["hypotheses.json"])
     print(f"hypotheses: {'all pass' if not failures else f'{len(failures)} failing'}")
     return 0 if not failures else 1
 
@@ -367,30 +394,25 @@ def _spectral_pipeline(cfg: dict, law: MatrixLaw):
     sp = cfg["spectral"]
     grid = SimplexGrid(cfg["grid"]["resolution"])
     nu = stationary_measure(law, grid, tol=sp["nu_tol"], max_iter=sp["max_iter"])
-    gamma = lyapunov_exact(law, nu)
     h = sp["sigma2_h"]
     lam_h, kappa_h = dominant_eigenvalue(law, grid, h, tol=sp["eigen_tol"], max_iter=sp["max_iter"])
     lam_h2, _ = dominant_eigenvalue(law, grid, h / 2.0, tol=sp["eigen_tol"], max_iter=sp["max_iter"])
-    s_h = 2.0 * (1.0 - lam_h.real) / h**2
-    s_h2 = 2.0 * (1.0 - lam_h2.real) / (h / 2.0) ** 2
-    sigma2 = (4.0 * s_h2 - s_h) / 3.0
-    if sigma2 < -1e-8:
-        raise DegenerateLawError(f"extrapolated sigma^2 = {sigma2:.3e} < 0; law looks degenerate")
-    sigma2 = max(sigma2, 0.0)
-    poisson = solve_poisson(law, nu, tol=sp["poisson_tol"], max_terms=sp["max_iter"])
     return {
         "grid": grid,
         "nu": nu,
-        "gamma": gamma,
+        "gamma": lyapunov_exact(law, nu),
         "lambda_h": lam_h,
         "lambda_h2": lam_h2,
         "kappa_power": kappa_h,
-        "sigma2": sigma2,
-        "poisson": poisson,
+        "sigma2": richardson_sigma2(lam_h, lam_h2, h),
+        "poisson": solve_poisson(law, nu, tol=sp["poisson_tol"], max_terms=sp["max_iter"]),
     }
 
 
 def cmd_spectral(cfg: dict, law: MatrixLaw, out: Path) -> int:
+    cap = cfg["check"]["p3_cap"]
+    if check_P3(law, cap=cap) is None:
+        raise DegenerateLawError(f"positivity: no product of up to {cap} atoms is strictly positive; see 'check'")
     pipe = _spectral_pipeline(cfg, law)
     grid, nu, poisson = pipe["grid"], pipe["nu"], pipe["poisson"]
     _write_csv(out / "nu.csv", ["param", "weight"], zip(grid.params, nu.values))
@@ -419,44 +441,58 @@ def cmd_spectral(cfg: dict, law: MatrixLaw, out: Path) -> int:
     return 0
 
 
-def cmd_simulate(cfg: dict, law: MatrixLaw, out: Path) -> int:
+def _mc_stages(cfg: dict, law: MatrixLaw, x: SimplexVector, a: float):
+    """Survival curve, Monte Carlo variance, V at the start level, conditioned endpoints."""
     sim = cfg["simulate"]
-    x = _start_point(cfg, law)
-    a = float(cfg["start"]["a"])
+    workers = cfg["workers"]
     curve = fsim.survival_probability(
         law, x, a, sim["n_values"], sim["paths"], _seed_for(cfg, "survival"),
-        workers=cfg["workers"], horizon=sim["horizon"],
+        workers=workers, horizon=sim["horizon"],
     )
+    sigma2_mc, sigma2_se = fsim.mc_sigma2(
+        law, x, sim["sigma2_n"], sim["sigma2_paths"], _seed_for(cfg, "sigma2"), workers=workers
+    )
+    v_start = fsim.estimate_V(
+        law, x, a, sim["v_schedule"], sim["v_paths"], _seed_for(cfg, "v_start"), workers=workers
+    )
+    samples = fsim.conditional_endpoint_samples(
+        law, x, a, sim["conditional_n"], sim["conditional_paths"], _seed_for(cfg, "conditional"),
+        workers=workers,
+    )
+    return curve, sigma2_mc, sigma2_se, v_start, samples
+
+
+def _v_table(cfg: dict, law: MatrixLaw, x: SimplexVector, sigma_hat: float, out: Path):
+    """V over the level grid (``a_grid``, else ``a_grid_sigmas`` times sigma_hat) into v_table.csv."""
+    sim = cfg["simulate"]
+    a_grid = sim["a_grid"]
+    if a_grid is None:
+        a_grid = [round(m * sigma_hat, 12) for m in sim["a_grid_sigmas"]]
+    seeds = _seed_for(cfg, "a_grid").spawn(len(a_grid))
+    estimates = [
+        fsim.estimate_V(law, x, float(level), sim["v_schedule"], sim["a_paths"], ss, workers=cfg["workers"])
+        for level, ss in zip(a_grid, seeds)
+    ]
+    rows = [(level, e.V_hat, e.V_stderr, e.plateau_n or -1, e.converged) for level, e in zip(a_grid, estimates)]
+    _write_csv(out / "v_table.csv", ["a", "V_hat", "V_stderr", "plateau_n", "converged"], rows)
+    return a_grid, estimates
+
+
+def cmd_simulate(cfg: dict, law: MatrixLaw, out: Path) -> int:
+    x = _start_point(cfg, law)
+    a = float(cfg["start"]["a"])
+    curve, sigma2_mc, sigma2_se, v_start, samples = _mc_stages(cfg, law, x, a)
     _write_csv(
         out / "survival.csv",
         ["n", "p_hat", "ci_half_width", "survivors"],
         zip(curve.n_values, curve.p_hat, curve.ci_half_width, curve.survivors),
-    )
-    sigma2_mc, sigma2_se = fsim.mc_sigma2(
-        law, x, sim["sigma2_n"], sim["sigma2_paths"], _seed_for(cfg, "sigma2"), workers=cfg["workers"]
-    )
-    sigma_hat = math.sqrt(sigma2_mc)
-    v_start = fsim.estimate_V(
-        law, x, a, sim["v_schedule"], sim["v_paths"], _seed_for(cfg, "v_start"), workers=cfg["workers"]
     )
     _write_csv(
         out / "v_curve.csv",
         ["n", "estimate", "stderr"],
         zip(v_start.n_schedule, v_start.estimates, v_start.stderrs),
     )
-    a_grid = sim["a_grid"]
-    if a_grid is None:
-        a_grid = [round(m * sigma_hat, 12) for m in sim["a_grid_sigmas"]]
-    seeds = _seed_for(cfg, "a_grid").spawn(len(a_grid))
-    v_rows = []
-    for level, ss in zip(a_grid, seeds):
-        est = fsim.estimate_V(law, x, float(level), sim["v_schedule"], sim["a_paths"], ss, workers=cfg["workers"])
-        v_rows.append((level, est.V_hat, est.V_stderr, est.plateau_n if est.plateau_n else -1, est.converged))
-    _write_csv(out / "v_table.csv", ["a", "V_hat", "V_stderr", "plateau_n", "converged"], v_rows)
-    samples = fsim.conditional_endpoint_samples(
-        law, x, a, sim["conditional_n"], sim["conditional_paths"], _seed_for(cfg, "conditional"),
-        workers=cfg["workers"],
-    )
+    _v_table(cfg, law, x, math.sqrt(sigma2_mc), out)
     cond_rows = [(n, value) for n in sorted(samples) for value in samples[n]]
     _write_csv(out / "conditional.csv", ["n", "scaled_endpoint"], cond_rows)
     _write_json(
@@ -513,34 +549,44 @@ def cmd_covariance(cfg: dict, law: MatrixLaw, out: Path) -> int:
     return 0
 
 
+def _write_report(out: Path, cfg: dict, law: MatrixLaw, report, extra: dict, tables: list) -> int:
+    """Write report.json and the manifest, print the verdicts, and return the exit code."""
+    verdicts = report.verdicts()
+    _write_json(out / "report.json", {"report": report, "verdicts": verdicts, **extra})
+    _manifest(out, "validate", cfg, law, ["report.json", *tables])
+    for name in sorted(verdicts):
+        print(f"{'PASS' if verdicts[name] else 'FAIL'} {name}")
+    return 0 if report.all_pass else 1
+
+
 def cmd_validate(cfg: dict, law: MatrixLaw, out: Path) -> int:
     thresholds = tval.ValidationThresholds(**cfg["thresholds"])
+    hypotheses, failures = _battery(cfg, law)
+    battery = {"hypotheses": {"report": hypotheses, "failures": failures}}
+    if failures:
+        report = tval.ValidationReport(
+            law_fingerprint=law_fingerprint(law),
+            gamma={},
+            sigma2={},
+            exit_section=None,
+            conditional_section=None,
+            negative_control=None,
+            v_section=None,
+            checklist={"hypotheses": False},
+            thresholds=thresholds,
+        )
+        return _write_report(out, cfg, law, report, battery, [])
+
     pipe = _spectral_pipeline(cfg, law)
     poisson = pipe["poisson"]
-    sim = cfg["simulate"]
-    val = cfg["validate"]
-    x = _start_point(cfg, law)
-    a = float(cfg["start"]["a"])
-    sigma_scale = float(val["sigma_scale"])
     sigma2 = pipe["sigma2"]
     if sigma2 <= 0.0:
         raise DegenerateLawError("sigma^2 = 0: the conditioned limit theory does not apply")
     sigma_hat = math.sqrt(sigma2)
+    x = _start_point(cfg, law)
+    a = float(cfg["start"]["a"])
+    curve, sigma2_mc, sigma2_mc_se, v_start, samples = _mc_stages(cfg, law, x, a)
 
-    gamma_hat, gamma_se = estimate_lyapunov(
-        law, x, cfg["check"]["n"], cfg["check"]["paths"], _seed_for(cfg, "check"), workers=cfg["workers"]
-    )
-    sigma2_mc, sigma2_mc_se = fsim.mc_sigma2(
-        law, x, sim["sigma2_n"], sim["sigma2_paths"], _seed_for(cfg, "sigma2"), workers=cfg["workers"]
-    )
-    curve = fsim.survival_probability(
-        law, x, a, sim["n_values"], sim["paths"], _seed_for(cfg, "survival"),
-        workers=cfg["workers"], horizon=sim["horizon"],
-    )
-    v_start = fsim.estimate_V(
-        law, x, a, sim["v_schedule"], sim["v_paths"], _seed_for(cfg, "v_start"),
-        poisson=poisson, workers=cfg["workers"],
-    )
     exit_section = tval.validate_exit_asymptotics(
         curve, v_start.V_hat, v_start.V_stderr, sigma_hat, thresholds
     )
@@ -552,70 +598,35 @@ def cmd_validate(cfg: dict, law: MatrixLaw, out: Path) -> int:
             exit_section.sqrt_n_p_stderr, exit_section.ratio, exit_section.ratio_stderr,
         ),
     )
-    samples = fsim.conditional_endpoint_samples(
-        law, x, a, sim["conditional_n"], sim["conditional_paths"], _seed_for(cfg, "conditional"),
-        workers=cfg["workers"],
-    )
-    conditional_section = None
-    negative_control = None
+    val = cfg["validate"]
+    sigma_scale = float(val["sigma_scale"])
+    section = tval.validate_conditional_law(samples, sigma_hat * sigma_scale, thresholds)
+    ks_rows = zip(section.n_values, section.survivors, section.ks)
+    _write_csv(out / "ks_table.csv", ["n", "survivors", "ks"], ks_rows)
+    conditional_section = negative_control = None
     if sigma_scale == 1.0:
-        conditional_section = tval.validate_conditional_law(samples, sigma_hat, thresholds)
-        ks_rows = zip(conditional_section.n_values, conditional_section.survivors, conditional_section.ks)
+        conditional_section = section
     else:
-        scaled = sigma_hat * sigma_scale
-        section = tval.validate_conditional_law(samples, scaled, thresholds)
         negative_control = {
             "sigma_scale": sigma_scale,
-            "sigma_used": scaled,
+            "sigma_used": section.sigma_used,
             "final_ks": float(section.ks[-1]),
             "pass": bool(section.ks[-1] > thresholds.negative_control_min),
         }
-        ks_rows = zip(section.n_values, section.survivors, section.ks)
-    _write_csv(out / "ks_table.csv", ["n", "survivors", "ks"], ks_rows)
 
-    a_grid = sim["a_grid"]
-    if a_grid is None:
-        a_grid = [round(m * sigma_hat, 12) for m in sim["a_grid_sigmas"]]
-    seeds = _seed_for(cfg, "a_grid").spawn(len(a_grid))
-    v_hats, v_ses, rows = [], [], []
-    for level, ss in zip(a_grid, seeds):
-        est = fsim.estimate_V(law, x, float(level), sim["v_schedule"], sim["a_paths"], ss, workers=cfg["workers"])
-        v_hats.append(est.V_hat)
-        v_ses.append(est.V_stderr)
-        rows.append((level, est.V_hat, est.V_stderr, est.plateau_n if est.plateau_n else -1, est.converged))
-    _write_csv(out / "v_table.csv", ["a", "V_hat", "V_stderr", "plateau_n", "converged"], rows)
-    v_section = tval.check_V_properties(a_grid, v_hats, v_ses, poisson.A, thresholds)
+    a_grid, estimates = _v_table(cfg, law, x, sigma_hat, out)
+    v_section = tval.check_V_properties(
+        a_grid, [e.V_hat for e in estimates], [e.V_stderr for e in estimates], poisson.A, thresholds
+    )
 
     records = fsim.simulate_paths(
         law, x, a, val["martingale_horizon"], val["martingale_paths"], _seed_for(cfg, "martingale"),
         poisson=poisson, workers=cfg["workers"],
     )
     gap, gap_violations = fsim.martingale_gap(records, poisson.A, slack=poisson.interp_slack)
-    ordering_violations = fsim.exit_ordering_violations(records, poisson.A)
-    checklist = {
-        "martingale_bound": gap_violations == 0,
-        "exit_ordering": ordering_violations == 0,
-        "harmonicity": None,
-    }
-    if val["harmonicity"]:
-        evaluator = fsim.build_V_evaluator(
-            law,
-            x_params=[0.1, 0.3, 0.5, 0.7, 0.9],
-            a_values=[m * sigma_hat for m in (0.0, 1.0, 2.0, 4.0, 8.0)],
-            n_schedule=sim["v_schedule"],
-            paths=sim["a_paths"],
-            seed=_seed_for(cfg, "a_grid"),
-            workers=cfg["workers"],
-        )
-        residual, res_se = fsim.harmonicity_residual(
-            law, evaluator, x, a, val["harmonicity_paths"], _seed_for(cfg, "harmonicity"),
-            workers=cfg["workers"],
-        )
-        checklist["harmonicity"] = abs(residual) <= 3.0 * res_se + 0.05 * max(abs(v_start.V_hat), 1.0)
-
     report = tval.ValidationReport(
         law_fingerprint=law_fingerprint(law),
-        gamma={"quadrature": pipe["gamma"], "monte_carlo": [gamma_hat, gamma_se]},
+        gamma={"quadrature": pipe["gamma"], "monte_carlo": [hypotheses.gamma_hat, hypotheses.gamma_stderr]},
         sigma2={
             "spectral": sigma2,
             "monte_carlo": [sigma2_mc, sigma2_mc_se],
@@ -625,38 +636,22 @@ def cmd_validate(cfg: dict, law: MatrixLaw, out: Path) -> int:
         conditional_section=conditional_section,
         negative_control=negative_control,
         v_section=v_section,
-        checklist=checklist,
+        checklist={
+            "hypotheses": True,
+            "martingale_bound": gap_violations == 0,
+            "exit_ordering": fsim.exit_ordering_violations(records, poisson.A) == 0,
+            "sigma2_agreement": tval.sigma2_agreement(sigma2, sigma2_mc, sigma2_mc_se),
+            "gamma_agreement": tval.gamma_agreement(
+                pipe["gamma"], hypotheses.gamma_hat, hypotheses.gamma_stderr, hypotheses.gamma_tol
+            ),
+        },
         thresholds=thresholds,
     )
-    verdicts = {
-        "exit_asymptotics": exit_section.verdict,
-        "v_properties": v_section.verdict,
-        "martingale_bound": gap_violations == 0,
-        "exit_ordering": ordering_violations == 0,
-        "sigma2_agreement": abs(sigma2_mc - sigma2) <= max(0.05 * sigma2, 3.0 * sigma2_mc_se),
-        "gamma_agreement": abs(gamma_hat - pipe["gamma"]) <= max(3.0 * gamma_se, cfg["check"]["gamma_tol"]),
-    }
-    if conditional_section is not None:
-        verdicts["conditional_law"] = conditional_section.verdict
-    if negative_control is not None:
-        verdicts["negative_control"] = negative_control["pass"]
-    if checklist["harmonicity"] is not None:
-        verdicts["harmonicity"] = checklist["harmonicity"]
-    _write_json(
-        out / "report.json",
-        {
-            "report": report,
-            "verdicts": verdicts,
-            "diagnostics": {"martingale_gap": gap, "A": poisson.A, "interp_slack": poisson.interp_slack},
-        },
+    diagnostics = {"martingale_gap": gap, "A": poisson.A, "interp_slack": poisson.interp_slack}
+    return _write_report(
+        out, cfg, law, report, {**battery, "diagnostics": diagnostics},
+        ["ratio_table.csv", "ks_table.csv", "v_table.csv"],
     )
-    _manifest(
-        out, "validate", cfg, law,
-        ["report.json", "ratio_table.csv", "ks_table.csv", "v_table.csv"],
-    )
-    for name in sorted(verdicts):
-        print(f"{'PASS' if verdicts[name] else 'FAIL'} {name}")
-    return 0 if all(verdicts.values()) else 1
 
 
 _COMMANDS = {

@@ -11,8 +11,10 @@ fingerprints, each checked here against simulation:
   and has unit slope at infinity.
 
 The Gaussian closed forms (killed survival and corridor probabilities) serve
-as oracles for the scaling limit and as quadrature cross-checks.  All
-pass/fail bands live in ``ValidationThresholds`` defaults, never in code.
+as oracles for the scaling limit and as quadrature cross-checks.  The
+pass/fail bands of the sections live in ``ValidationThresholds`` defaults;
+the two agreement checks between the spectral and Monte Carlo routes use
+the fixed bands stated in their docstrings.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "validate_exit_asymptotics",
     "validate_conditional_law",
     "check_V_properties",
+    "sigma2_agreement",
+    "gamma_agreement",
 ]
 
 
@@ -153,7 +157,11 @@ class VPropertiesSection:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Assembled verdicts for one law, ready for JSON serialization."""
+    """Assembled verdicts for one law, ready for JSON serialization.
+
+    ``verdicts()`` is the one verdict list: the section verdicts, the
+    negative control, and every ``checklist`` flag that is not None.
+    """
 
     law_fingerprint: str
     gamma: dict
@@ -337,3 +345,13 @@ def check_V_properties(
         upper_envelope=upper_envelope,
         verdict=(monotone_violations == 0) and lower_ok and slope_ok,
     )
+
+
+def sigma2_agreement(spectral: float, monte_carlo: float, mc_stderr: float) -> bool:
+    """The two variance routes agree within 5% or three Monte Carlo stderrs."""
+    return bool(abs(monte_carlo - spectral) <= max(0.05 * spectral, 3.0 * mc_stderr))
+
+
+def gamma_agreement(quadrature: float, monte_carlo: float, mc_stderr: float, tol: float) -> bool:
+    """The two drift routes agree within three Monte Carlo stderrs or ``tol``."""
+    return bool(abs(monte_carlo - quadrature) <= max(3.0 * mc_stderr, tol))

@@ -43,6 +43,7 @@ __all__ = [
     "apply_P",
     "apply_P_t",
     "dominant_eigenvalue",
+    "richardson_sigma2",
     "sigma2_spectral",
     "solve_poisson",
     "evaluate_theta",
@@ -292,6 +293,22 @@ def dominant_eigenvalue(
     return lam_est, kappa_hat
 
 
+def richardson_sigma2(lam_h: complex, lam_h_half: complex, h: float) -> float:
+    """Fluctuation variance from the dominant eigenvalues at ``h`` and ``h/2``.
+
+    Uses ``sigma^2(h) = 2 (1 - Re lambda_h) / h^2`` at both frequencies and
+    Richardson-extrapolates the quadratic truncation error away.  Raises
+    DegenerateLawError when the extrapolated value is negative beyond
+    rounding, which is the degenerate (zero-variance) regime.
+    """
+    s_h = 2.0 * (1.0 - lam_h.real) / h**2
+    s_h2 = 2.0 * (1.0 - lam_h_half.real) / (h / 2.0) ** 2
+    value = (4.0 * s_h2 - s_h) / 3.0
+    if value < -1e-8:
+        raise DegenerateLawError(f"extrapolated sigma^2 = {value:.3e} < 0; the fluctuations look degenerate")
+    return max(value, 0.0)
+
+
 def sigma2_spectral(
     law: MatrixLaw,
     grid: SimplexGrid,
@@ -299,26 +316,12 @@ def sigma2_spectral(
     tol: float = 1e-13,
     max_iter: int = 5000,
 ) -> float:
-    """Fluctuation variance from the eigenvalue curvature at frequency zero.
-
-    Uses ``sigma^2(h) = 2 (1 - Re lambda_h) / h^2`` at ``h`` and ``h/2`` and
-    Richardson-extrapolates the quadratic truncation error away.  Raises
-    DegenerateLawError when the extrapolated value is negative beyond
-    rounding, which is the degenerate (zero-variance) regime.
-    """
+    """Fluctuation variance from the eigenvalue curvature at zero (``richardson_sigma2``)."""
     if h <= 0.0:
         raise ValueError("h must be positive")
     lam_h, _ = dominant_eigenvalue(law, grid, h, tol=tol, max_iter=max_iter)
     lam_h2, _ = dominant_eigenvalue(law, grid, h / 2.0, tol=tol, max_iter=max_iter)
-    s_h = 2.0 * (1.0 - lam_h.real) / h**2
-    s_h2 = 2.0 * (1.0 - lam_h2.real) / (h / 2.0) ** 2
-    value = (4.0 * s_h2 - s_h) / 3.0
-    if value < -1e-8:
-        raise DegenerateLawError(
-            f"extrapolated curvature gives sigma^2 = {value:.3e} < 0; "
-            "the additive fluctuations look degenerate"
-        )
-    return max(value, 0.0)
+    return richardson_sigma2(lam_h, lam_h2, h)
 
 
 @dataclass(frozen=True, eq=False)

@@ -104,11 +104,26 @@ def test_config_requires_seed(tmp_path, law_path):
         load_config(p)
 
 
-def test_config_rejects_unknown_keys(tmp_path, law_path):
+@pytest.mark.parametrize(
+    "override, needle",
+    [
+        ({"simulate": {"pathz": 7}}, "pathz"),
+        ({"thresholds": {"ks_treshold": 0.1}}, "thresholds.ks_treshold"),
+        ({"check": {"paths": "many"}}, "check.paths"),
+        ({"thresholds": {"ratio_band": [0.8, 0.9, 1.2]}}, "thresholds.ratio_band"),
+    ],
+    ids=["unknown-key", "unknown-threshold", "wrong-type", "wrong-length"],
+)
+def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, override, needle):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"law": str(law_path), "seed": 1, "simulate": {"pathz": 7}}), encoding="utf-8")
-    with pytest.raises(LawFormatError, match="pathz"):
+    p.write_text(json.dumps({"law": str(law_path), "seed": 1, **override}), encoding="utf-8")
+    with pytest.raises(LawFormatError, match=needle):
         load_config(p)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_config_precedence(tmp_path, law_path, monkeypatch):
@@ -169,6 +184,28 @@ def test_spectral_artifacts(config_path, tmp_path):
     assert len(rows) - 1 == summary["grid_resolution"]
     weights = np.array([float(r[1]) for r in rows[1:]])
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_hypothesis_failure_stops_spectral_and_validate(tmp_path, capsys):
+    # upper-triangular atoms: no product is ever strictly positive (P3 fails)
+    law = MatrixLaw.from_entries([np.array([[2.0, 1.0], [0.0, 0.5]]), np.array([[0.5, 1.0], [0.0, 1.0]])])
+    law_file = tmp_path / "law.json"
+    save_law(law, law_file)
+    code = main(["spectral", "--law", str(law_file), "--seed", "3", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "positivity" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "spectral.json").exists()
+    cfg = tmp_path / "cfg.json"
+    tiny = {"law": str(law_file), "seed": 3, "check": {"n": 64, "paths": 500}}
+    cfg.write_text(json.dumps(tiny), encoding="utf-8")
+    out = tmp_path / "v"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert "FAIL positivity" in text and "FAIL hypotheses" in text
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["verdicts"] == {"hypotheses": False}
+    assert any("positivity" in f for f in payload["hypotheses"]["failures"])
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
 
 
 def test_spectral_refuses_higher_dimension(tmp_path, capsys):
@@ -235,6 +272,31 @@ def test_validate_passes_and_reports(config_path, tmp_path, capsys):
     for name in ("ratio_table.csv", "ks_table.csv", "v_table.csv"):
         assert (out / name).exists()
     assert "PASS exit_asymptotics" in text
+    assert {"hypotheses", "sigma2_agreement", "gamma_agreement"} <= set(verdicts)
+    assert payload["hypotheses"]["failures"] == []
+    # the verdict list is exactly what the serialized report implies
+    report = payload["report"]
+    rebuilt = {name: flag for name, flag in report["checklist"].items() if flag is not None}
+    for key, name in (
+        ("exit_section", "exit_asymptotics"),
+        ("conditional_section", "conditional_law"),
+        ("v_section", "v_properties"),
+    ):
+        if report[key] is not None:
+            rebuilt[name] = report[key]["verdict"]
+    if report["negative_control"] is not None:
+        rebuilt["negative_control"] = report["negative_control"]["pass"]
+    assert verdicts == rebuilt
+
+
+def test_validate_identical_across_workers(config_path, tmp_path):
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(["validate", "--config", str(config_path), "--out", str(out1)]) == 0
+    assert main(["validate", "--config", str(config_path), "--out", str(out2), "--workers", "2"]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == ["ks_table.csv", "manifest.json", "ratio_table.csv", "report.json", "v_table.csv"]
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_validate_negative_control(config_path, tmp_path):

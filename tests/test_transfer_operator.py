@@ -9,6 +9,7 @@ import pytest
 
 from conefluct import (
     ConvergenceError,
+    DegenerateLawError,
     GridFunction,
     MatrixLaw,
     PositiveMatrix,
@@ -24,6 +25,7 @@ from conefluct import (
     solve_poisson,
     stationary_measure,
 )
+from conefluct.transfer_operator import richardson_sigma2
 from conftest import scalar_law
 
 
@@ -193,6 +195,15 @@ def test_sigma2_scalar_mixture_closed_form(centered_scalar_law):
 def test_sigma2_degenerate_law_is_zero():
     law = scalar_law((1.0, 1.0))
     assert sigma2_spectral(law, SimplexGrid(64)) == 0.0
+
+
+def test_richardson_refuses_negative_extrapolation():
+    with pytest.raises(DegenerateLawError, match="degenerate"):
+        richardson_sigma2(1.0, 1.0 + 1e-6, 0.05)
+    assert richardson_sigma2(1.0, 1.0 + 1e-13, 0.05) == 0.0  # rounding-level negatives clamp to zero
+    h = 0.05
+    gaussian = [cmath.exp(-0.25 * t**2 / 2.0) for t in (h, h / 2.0)]
+    assert richardson_sigma2(*gaussian, h) == pytest.approx(0.25, abs=1e-6)
 
 
 def test_sigma2_matches_manifest(ref_law, grid, ref_manifest):
