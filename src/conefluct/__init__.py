@@ -65,7 +65,6 @@ from .fluctuation_sim import (
     harmonicity_residual,
     martingale_gap,
     mc_sigma2,
-    simulate_path,
     simulate_paths,
     survival_probability,
 )

@@ -1,5 +1,10 @@
 """Vectorized projective-walk kernels shared by the law and simulation layers.
 
+There are two walk kernels, both built on ``draw_indices`` and
+``projective_step``: ``walk_chunk`` runs the free walk over the full horizon
+and records selected steps, and ``survival_chunk`` runs the killed walk,
+dropping each path at its exit.
+
 Paths are processed in fixed-size chunks.  The master seed is expanded with
 ``SeedSequence.spawn`` into one substream per chunk and partial results are
 reduced in chunk order, so outputs are bit-identical for any worker count.
@@ -78,6 +83,8 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, s
     Records ``S_k`` at steps in ``s_steps``, the raw increment ``rho`` at
     steps in ``rho_steps``, and the first simplex coordinate at steps in
     ``x_steps``.  Step indices are 1-based; all three are sorted tuples.
+    Each record has one row per requested step and one column per path; the
+    final simplex points are returned last.
     """
     if x_steps and atom_stack.shape[1] != 2:
         raise ValueError("coordinate recording is only defined for d = 2")
@@ -100,7 +107,7 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, s
             rho_rec[want_rho[step]] = rho
         if step in want_x:
             x_rec[want_x[step]] = X[:, 0]
-    return s_rec, rho_rec, x_rec
+    return s_rec, rho_rec, x_rec, X
 
 
 def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size, ss):
@@ -138,35 +145,3 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
             if pos == len(n_values):
                 break
     return counts, sums, sums2, samples
-
-
-def record_chunk(atom_stack, cum_weights, x0, a, horizon, theta_params, theta_values, size, ss):
-    """Full-horizon walk keeping the whole additive trajectory per path.
-
-    Returns ``S`` of shape (size, horizon + 1) with ``S[:, 0] = a``, the
-    matching compensated trajectory ``M = S + Theta(X_k) - Theta(X_0)`` when
-    a tabulated ``Theta`` is supplied (else None), the first-exit step
-    ``tau`` per path (0 when no exit within the horizon), and the final
-    simplex points.
-    """
-    rng = np.random.default_rng(ss)
-    X = np.tile(np.asarray(x0, dtype=float), (size, 1))
-    S = np.empty((size, horizon + 1))
-    S[:, 0] = float(a)
-    with_theta = theta_params is not None
-    if with_theta and atom_stack.shape[1] != 2:
-        raise ValueError("tabulated Theta evaluation is only defined for d = 2")
-    M = np.empty((size, horizon + 1)) if with_theta else None
-    if with_theta:
-        theta0 = np.interp(X[:, 0], theta_params, theta_values)
-        M[:, 0] = float(a)
-    tau = np.zeros(size, dtype=np.int64)
-    for step in range(1, horizon + 1):
-        idx = draw_indices(cum_weights, rng.random(size))
-        X, rho = projective_step(atom_stack, idx, X)
-        S[:, step] = S[:, step - 1] + rho
-        if with_theta:
-            M[:, step] = S[:, step] + np.interp(X[:, 0], theta_params, theta_values) - theta0
-        newly = (tau == 0) & (S[:, step] <= 0.0)
-        tau[newly] = step
-    return S, M, tau, X

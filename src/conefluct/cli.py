@@ -314,6 +314,7 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -326,6 +327,7 @@ def _fmt(value):
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -339,7 +341,7 @@ def _prepare_out(cfg: dict, force: bool) -> Path:
         force = True
     if out.exists() and any(out.iterdir()) and not force:
         raise LawFormatError(f"output directory {out} is not empty; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
+    # created by the first artifact written, so a refused command leaves nothing behind
     return out
 
 

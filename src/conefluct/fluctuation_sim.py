@@ -9,8 +9,12 @@ fluctuation variance, increment covariances, and the martingale
 approximation ``M_n = S_n + Theta(X_n) - Theta(X_0)`` built from a tabulated
 potential, with ``sup_n |S_n - M_n| <= A = 2 sup |Theta|`` checked pathwise.
 
-Everything is driven by the chunked kernels, so results are reproducible
-bit for bit for a given seed regardless of worker count.
+Everything runs on the two chunked kernels of ``_batch``: the killed walk
+``survival_chunk`` feeds survival, ``V_n`` and the conditional endpoints,
+and the free walk ``walk_chunk`` feeds the variance, the covariances and
+``simulate_paths``, which derives ``M``, ``tau`` and ``T`` from the recorded
+rows after the walk.  Results are reproducible bit for bit for a given seed
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import _batch
 from .matrix_core import SimplexVector
-from .matrix_law import MatrixLaw
+from .matrix_law import MatrixLaw, _endpoint_sums
 from .transfer_operator import PoissonSolution
 
 __all__ = [
@@ -31,7 +35,6 @@ __all__ = [
     "SurvivalCurve",
     "HarmonicEstimate",
     "CovarianceDecay",
-    "simulate_path",
     "simulate_paths",
     "survival_probability",
     "estimate_V",
@@ -120,70 +123,10 @@ def _sorted_steps(values) -> tuple:
     return steps
 
 
-def _theta_table(poisson: PoissonSolution | None):
-    if poisson is None:
-        return None, None
-    return poisson.theta.grid.params, poisson.theta.values
-
-
-def simulate_path(
-    law: MatrixLaw,
-    x: SimplexVector,
-    a: float,
-    horizon: int,
-    rng,
-    poisson: PoissonSolution | None = None,
-    full_horizon: bool = False,
-) -> PathRecord:
-    """Simulate one path, stopping at the exit unless ``full_horizon``.
-
-    ``rng`` may be a seed or a Generator; the same seed reproduces the same
-    record.  With a potential supplied (d = 2 only) the compensated
-    trajectory ``M`` and its crossing time ``T`` are recorded as well.
-    """
-    if poisson is not None and law.dim != 2:
-        raise ValueError("compensated trajectories need the d = 2 tabulated potential")
-    rng = np.random.default_rng(rng)
-    stack = law.atom_stack
-    cumw = law.cum_weights
-    coords = x.coords.copy()
-    S = [float(a)]
-    M = None
-    theta0 = 0.0
-    if poisson is not None:
-        theta0 = float(poisson.theta_at(coords[0]))
-        M = [float(a)]
-    tau = None
-    for step in range(1, horizon + 1):
-        k = int(np.searchsorted(cumw, rng.random(), side="right"))
-        y = stack[k] @ coords
-        mass = y.sum()
-        coords = y / mass
-        S.append(S[-1] + math.log(mass))
-        if poisson is not None:
-            M.append(S[-1] + float(poisson.theta_at(coords[0])) - theta0)
-        if tau is None and S[-1] <= 0.0:
-            tau = step
-            if not full_horizon:
-                break
-    S = np.asarray(S)
-    M = np.asarray(M) if M is not None else None
-    T = None
-    if M is not None:
-        hits = np.nonzero(M[1:] <= 0.0)[0]
-        if hits.size:
-            T = int(hits[0]) + 1
-    return PathRecord(
-        start_x=x.coords,
-        start_a=float(a),
-        S=S,
-        M=M,
-        tau=tau,
-        T=T,
-        horizon=horizon,
-        censored=tau is None,
-        x_final=coords,
-    )
+def _first_step(values: np.ndarray, level: float) -> int | None:
+    """1-based position of the first entry ``<= level`` (None when there is none)."""
+    hits = np.nonzero(values <= level)[0]
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def simulate_paths(
@@ -199,41 +142,48 @@ def simulate_paths(
 ) -> list[PathRecord]:
     """Simulate a batch of full-horizon paths (truncated at tau on request).
 
-    Memory is ``O(paths * horizon)`` because whole trajectories are kept;
-    use the aggregate estimators for large budgets.
+    The free walk records ``S`` and, when a potential is supplied (d = 2
+    only), the first simplex coordinate at every step; ``M``, ``tau`` and
+    ``T`` are derived from those rows after the walk.  Memory is
+    ``O(paths * horizon)`` because whole trajectories are kept; use the
+    aggregate estimators for large budgets.
     """
     if poisson is not None and law.dim != 2:
         raise ValueError("compensated trajectories need the d = 2 tabulated potential")
-    params, values = _theta_table(poisson)
+    steps = tuple(range(1, horizon + 1))
     parts = _batch.run_chunks(
-        _batch.record_chunk,
-        (law.atom_stack, law.cum_weights, x.coords, a, horizon, params, values),
+        _batch.walk_chunk,
+        (law.atom_stack, law.cum_weights, x.coords, a, horizon, steps, (), steps if poisson is not None else ()),
         paths,
         seed,
         workers,
     )
+    a = float(a)
     records = []
-    for S, M, tau, X_final in parts:
-        for p in range(S.shape[0]):
-            t = int(tau[p]) or None
-            end = t if (stop_at_exit and t is not None) else horizon
-            S_row = S[p, : end + 1].copy()
-            M_row = M[p, : end + 1].copy() if M is not None else None
-            T = None
-            if M_row is not None:
-                hits = np.nonzero(M_row[1:] <= 0.0)[0]
-                if hits.size:
-                    T = int(hits[0]) + 1
+    for s_rec, _, m_rec, X_final in parts:
+        if poisson is not None:
+            # M over the coordinate rows in place, one step at a time: a
+            # whole-array pass would hold a second (horizon, paths) buffer
+            theta0 = poisson.theta_at(x.coords[0])
+            for k in range(horizon):
+                m_rec[k] = s_rec[k] + poisson.theta_at(m_rec[k]) - theta0
+        for p in range(s_rec.shape[1]):
+            tau = _first_step(s_rec[:, p], 0.0)
+            end = tau if (stop_at_exit and tau is not None) else horizon
+            M = T = None
+            if poisson is not None:
+                M = np.concatenate(([a], m_rec[:end, p]))
+                T = _first_step(M[1:], 0.0)
             records.append(
                 PathRecord(
                     start_x=x.coords,
-                    start_a=float(a),
-                    S=S_row,
-                    M=M_row,
-                    tau=t,
+                    start_a=a,
+                    S=np.concatenate(([a], s_rec[:end, p])),
+                    M=M,
+                    tau=tau,
                     T=T,
                     horizon=horizon,
-                    censored=t is None,
+                    censored=tau is None,
                     x_final=X_final[p].copy(),
                 )
             )
@@ -389,14 +339,7 @@ def mc_sigma2(
     The stderr comes from the fourth-moment formula for the sample variance,
     so it vanishes for deterministic laws.
     """
-    parts = _batch.run_chunks(
-        _batch.walk_chunk,
-        (law.atom_stack, law.cum_weights, x.coords, 0.0, int(n), (int(n),), (), ()),
-        paths,
-        seed,
-        workers,
-    )
-    S = np.concatenate([s[0] for s, _, _ in parts])
+    S = _endpoint_sums(law, x, int(n), paths, seed, workers)
     v = float(S.var(ddof=1))
     centered = S - S.mean()
     m4 = float(np.mean(centered**4))
@@ -433,7 +376,7 @@ def covariance_decay(
         seed,
         workers,
     )
-    rho = np.concatenate([r for _, r, _ in parts], axis=1)
+    rho = np.concatenate([r for _, r, _, _ in parts], axis=1)
     base = rho[0] - rho[0].mean()
     lags = np.arange(max_lag + 1)
     cov = np.empty(max_lag + 1)
@@ -495,11 +438,9 @@ def exit_ordering_violations(records, A: float) -> int:
     for rec in records:
         if rec.M is None:
             raise ValueError("records carry no compensated trajectory; simulate with a potential")
-        hits = np.nonzero(rec.M[1:] <= -A)[0]
-        if hits.size:
-            t_shift = int(hits[0]) + 1
-            if rec.tau is None or rec.tau > t_shift:
-                bad += 1
+        t_shift = _first_step(rec.M[1:], -A)
+        if t_shift is not None and (rec.tau is None or rec.tau > t_shift):
+            bad += 1
     return bad
 
 
@@ -530,8 +471,8 @@ def harmonicity_residual(
         seed,
         workers,
     )
-    S1 = np.concatenate([s[0] for s, _, _ in parts])
-    P1 = np.concatenate([xr[0] for _, _, xr in parts])
+    S1 = np.concatenate([s[0] for s, _, _, _ in parts])
+    P1 = np.concatenate([xr[0] for _, _, xr, _ in parts])
     if float(S1.max()) == float(S1.min()):
         warnings.warn("law has deterministic one-step increments; exit problem is degenerate", RuntimeWarning)
     vals = np.where(S1 > 0.0, V_evaluator(P1, S1), 0.0)

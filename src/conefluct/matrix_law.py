@@ -156,7 +156,7 @@ def _endpoint_sums(law: MatrixLaw, x: SimplexVector, n: int, paths: int, seed, w
         seed,
         workers,
     )
-    return np.concatenate([s[0] for s, _, _ in parts])
+    return np.concatenate([s[0] for s, _, _, _ in parts])
 
 
 def estimate_lyapunov(law: MatrixLaw, x: SimplexVector, n: int, paths: int, seed, workers: int = 1):

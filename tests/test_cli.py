@@ -194,7 +194,7 @@ def test_hypothesis_failure_stops_spectral_and_validate(tmp_path, capsys):
     code = main(["spectral", "--law", str(law_file), "--seed", "3", "--out", str(tmp_path / "s")])
     assert code == 2
     assert "positivity" in capsys.readouterr().err
-    assert not (tmp_path / "s" / "spectral.json").exists()
+    assert not (tmp_path / "s").exists()
     cfg = tmp_path / "cfg.json"
     tiny = {"law": str(law_file), "seed": 3, "check": {"n": 64, "paths": 500}}
     cfg.write_text(json.dumps(tiny), encoding="utf-8")
@@ -215,6 +215,7 @@ def test_spectral_refuses_higher_dimension(tmp_path, capsys):
     code = main(["spectral", "--law", str(law_file), "--seed", "3", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "Monte Carlo" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_artifacts_and_rerun_identical(config_path, tmp_path):
