@@ -14,6 +14,17 @@ substreams.
 
 Workers are plain module-level functions over (atom stack, cumulative
 weights) arrays so they can be shipped to a process pool.
+
+The walk state has two layouts, chosen by the dimension.  For d = 2 it is a
+pair of contiguous (m,) arrays, one per simplex coordinate, and the step
+reads the four atom entries as (K,) arrays, so no (m, 2, 2) stack is
+gathered per step.  For d >= 3 it is an (m, d) array stepped by ``einsum``.
+Both give the bits of the (m, d) einsum step: in d = 2 each coordinate and
+the mass are one IEEE addition of the same two products, and addition
+commutes.  In d >= 3 the order in which ``einsum`` sums three or more
+products is a numpy implementation detail that no explicit sum reproduces,
+so that path stays on ``einsum``.  Only ``step_table``, ``_start``,
+``_keep``, ``_points`` and ``projective_step`` know the layout.
 """
 
 from __future__ import annotations
@@ -65,31 +76,78 @@ def draw_indices(cum_weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cum_weights, u, side="right")
 
 
-def projective_step(atom_stack: np.ndarray, idx: np.ndarray, X: np.ndarray):
+def step_table(atom_stack: np.ndarray):
+    """What ``projective_step`` reads for a (K, d, d) atom stack.
+
+    For d = 2 the entries ``(g00, g01, g10, g11)`` as contiguous (K,) arrays,
+    for d >= 3 the stack itself.  Kernels build it once per chunk.
+    """
+    if atom_stack.shape[1] == 2:
+        return tuple(np.ascontiguousarray(atom_stack[:, i, j]) for i in (0, 1) for j in (0, 1))
+    return atom_stack
+
+
+def _start(x0, size: int):
+    """``size`` copies of the start point in the layout of its dimension."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape[0] == 2:
+        return np.full(size, x0[0]), np.full(size, x0[1])
+    return np.tile(x0, (size, 1))
+
+
+def _keep(X, alive: np.ndarray):
+    """The paths of ``X`` where ``alive`` holds."""
+    if isinstance(X, tuple):
+        return X[0][alive], X[1][alive]
+    return X[alive]
+
+
+def _points(X) -> np.ndarray:
+    """The state as (m, d) simplex points."""
+    return np.stack(X, axis=1) if isinstance(X, tuple) else X
+
+
+def projective_step(table, idx: np.ndarray, X):
     """One projective step for a batch of paths.
 
-    ``atom_stack`` is (K, d, d), ``idx`` the chosen atom per path, ``X`` the
-    (m, d) simplex points.  Returns the renormalized images and the log-mass
-    increments ``rho(g_idx, x)``.
+    ``table`` comes from ``step_table``, ``idx`` is the chosen atom per path
+    and ``X`` the state: for d = 2 a pair ``(x0, x1)`` of (m,) coordinate
+    arrays, for d >= 3 the (m, d) simplex points.  Returns the renormalized
+    images in the same layout and the log-mass increments ``rho(g_idx, x)``.
+
+    The d = 2 arithmetic is bit-identical to the (m, 2) einsum step: einsum
+    forms ``g_i0*x0 + g_i1*x1`` with one rounding per product and one per
+    addition, the mass ``Y.sum(axis=1)`` over two columns is one addition,
+    and the division and ``log`` are the same ufuncs.  For d >= 3 einsum's
+    summation order is its own, so that path keeps it.
     """
-    Y = np.einsum("pij,pj->pi", atom_stack[idx], X)
+    if isinstance(X, tuple):
+        g00, g01, g10, g11 = table
+        x0, x1 = X
+        y0 = g00.take(idx) * x0 + g01.take(idx) * x1
+        y1 = g10.take(idx) * x0 + g11.take(idx) * x1
+        mass = y0 + y1
+        return (y0 / mass, y1 / mass), np.log(mass)
+    Y = np.einsum("pij,pj->pi", table[idx], X)
     mass = Y.sum(axis=1)
     return Y / mass[:, None], np.log(mass)
 
 
-def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, size, ss):
+def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, want_points, size, ss):
     """Full-horizon walk (no exit filtering) recording selected step data.
 
     Records ``S_k`` at steps in ``s_steps``, the raw increment ``rho`` at
     steps in ``rho_steps``, and the first simplex coordinate at steps in
     ``x_steps``.  Step indices are 1-based; all three are sorted tuples.
-    Each record has one row per requested step and one column per path; the
-    final simplex points are returned last.
+    Each record has one row per requested step and one column per path.
+    With ``want_points`` the final (size, d) simplex points are returned
+    last, otherwise ``None``.
     """
     if x_steps and atom_stack.shape[1] != 2:
         raise ValueError("coordinate recording is only defined for d = 2")
     rng = np.random.default_rng(ss)
-    X = np.tile(np.asarray(x0, dtype=float), (size, 1))
+    table = step_table(atom_stack)
+    X = _start(x0, size)
     S = np.full(size, float(a))
     s_rec = np.empty((len(s_steps), size))
     rho_rec = np.empty((len(rho_steps), size))
@@ -99,15 +157,15 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, s
     want_x = {step: i for i, step in enumerate(x_steps)}
     for step in range(1, n + 1):
         idx = draw_indices(cum_weights, rng.random(size))
-        X, rho = projective_step(atom_stack, idx, X)
+        X, rho = projective_step(table, idx, X)
         S = S + rho
         if step in want_s:
             s_rec[want_s[step]] = S
         if step in want_rho:
             rho_rec[want_rho[step]] = rho
         if step in want_x:
-            x_rec[want_x[step]] = X[:, 0]
-    return s_rec, rho_rec, x_rec, X
+            x_rec[want_x[step]] = X[0]  # d = 2 here, so X is the coordinate pair
+    return s_rec, rho_rec, x_rec, _points(X) if want_points else None
 
 
 def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size, ss):
@@ -120,7 +178,8 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
     With ``want_samples`` the survivor ``S`` values are returned as well.
     """
     rng = np.random.default_rng(ss)
-    X = np.tile(np.asarray(x0, dtype=float), (size, 1))
+    table = step_table(atom_stack)
+    X = _start(x0, size)
     S = np.full(size, float(a))
     counts = np.zeros(len(n_values), dtype=np.int64)
     sums = np.zeros(len(n_values))
@@ -130,10 +189,10 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
     for step in range(1, n_values[-1] + 1):
         if S.shape[0]:
             idx = draw_indices(cum_weights, rng.random(S.shape[0]))
-            X, rho = projective_step(atom_stack, idx, X)
+            X, rho = projective_step(table, idx, X)
             S = S + rho
             alive = S > 0.0
-            X = X[alive]
+            X = _keep(X, alive)
             S = S[alive]
         if step == n_values[pos]:
             counts[pos] = S.shape[0]

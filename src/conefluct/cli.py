@@ -335,13 +335,41 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _listed_artifacts(out: Path) -> set:
+    """File names the manifest in ``out`` lists, itself included; empty if unreadable."""
+    try:
+        names = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+    except (OSError, ValueError, TypeError, KeyError):
+        return set()
+    if not isinstance(names, list) or not all(isinstance(n, str) and Path(n).name == n for n in names):
+        return set()
+    return set(names)
+
+
 def _prepare_out(cfg: dict, force: bool) -> Path:
+    """Check ``--out``; with ``--force`` delete the previous run's artifacts.
+
+    Only files the existing manifest lists are deleted.  Anything else in the
+    directory is refused before a file is touched.
+    """
     out = Path(cfg["out"])
     if os.environ.get("CONEFLUCT_FORCE") == "1":
         force = True
-    if out.exists() and any(out.iterdir()) and not force:
+    if not out.exists() or not any(out.iterdir()):
+        # created by the first artifact written, so a refused command leaves nothing behind
+        return out
+    if not force:
         raise LawFormatError(f"output directory {out} is not empty; pass --force to overwrite")
-    # created by the first artifact written, so a refused command leaves nothing behind
+    listed = _listed_artifacts(out)
+    others = sorted(p.name for p in out.iterdir() if p.name not in listed or not p.is_file())
+    if others:
+        raise LawFormatError(
+            f"output directory {out} holds files no conefluct manifest lists ({', '.join(others)}); "
+            "--force replaces only a previous run's artifacts"
+        )
+    for name in listed:
+        if (out / name).is_file():
+            (out / name).unlink()
     return out
 
 

@@ -153,7 +153,7 @@ def simulate_paths(
     steps = tuple(range(1, horizon + 1))
     parts = _batch.run_chunks(
         _batch.walk_chunk,
-        (law.atom_stack, law.cum_weights, x.coords, a, horizon, steps, (), steps if poisson is not None else ()),
+        (law.atom_stack, law.cum_weights, x.coords, a, horizon, steps, (), steps if poisson is not None else (), True),
         paths,
         seed,
         workers,
@@ -371,7 +371,7 @@ def covariance_decay(
     steps = tuple(burn_in + l for l in range(max_lag + 1))
     parts = _batch.run_chunks(
         _batch.walk_chunk,
-        (law.atom_stack, law.cum_weights, x.coords, 0.0, steps[-1], (), steps, ()),
+        (law.atom_stack, law.cum_weights, x.coords, 0.0, steps[-1], (), steps, (), False),
         paths,
         seed,
         workers,
@@ -466,7 +466,7 @@ def harmonicity_residual(
         raise ValueError("the lattice evaluator protocol is defined for d = 2")
     parts = _batch.run_chunks(
         _batch.walk_chunk,
-        (law.atom_stack, law.cum_weights, x.coords, float(a), 1, (1,), (), (1,)),
+        (law.atom_stack, law.cum_weights, x.coords, float(a), 1, (1,), (), (1,), False),
         paths,
         seed,
         workers,

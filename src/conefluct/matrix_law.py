@@ -151,7 +151,7 @@ def check_P5(law: MatrixLaw) -> float:
 def _endpoint_sums(law: MatrixLaw, x: SimplexVector, n: int, paths: int, seed, workers: int) -> np.ndarray:
     parts = _batch.run_chunks(
         _batch.walk_chunk,
-        (law.atom_stack, law.cum_weights, x.coords, 0.0, n, (n,), (), ()),
+        (law.atom_stack, law.cum_weights, x.coords, 0.0, n, (n,), (), (), False),
         paths,
         seed,
         workers,

@@ -241,9 +241,28 @@ def test_out_dir_protection(config_path, tmp_path, capsys):
     code = main(["covariance", "--config", str(config_path), "--out", str(out)])
     assert code == 2
     assert "--force" in capsys.readouterr().err
+    # --force deletes only what a conefluct manifest lists, so a foreign file is refused
     code = main(["covariance", "--config", str(config_path), "--out", str(out), "--force"])
-    assert code == 0
-    assert (out / "covariance.json").exists()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "keep.txt" in err and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
+
+def test_force_replaces_previous_artifacts(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(config_path), "--out", str(out)]) == 0
+    assert main(["covariance", "--config", str(config_path), "--out", str(out), "--force"]) == 0
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert "hypotheses.json" not in listed
+    assert sorted(p.name for p in out.iterdir()) == listed
+    (out / "stale.csv").write_text("x\n")
+    capsys.readouterr()
+    assert main(["check", "--config", str(config_path), "--out", str(out), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert "stale.csv" in err and err.count("\n") == 1
+    assert (out / "stale.csv").read_text() == "x\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(listed + ["stale.csv"])
 
 
 def test_covariance_artifacts(config_path, tmp_path):
