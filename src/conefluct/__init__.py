@@ -21,9 +21,7 @@ from .matrix_core import (
     hennion_distance,
     left_product,
     matrix_norms,
-    min_ratio,
     random_simplex_point,
-    rho_bound_check,
 )
 from .matrix_law import (
     HypothesisReport,
@@ -43,9 +41,7 @@ from .transfer_operator import (
     PoissonSolution,
     SimplexGrid,
     apply_P,
-    apply_P_t,
     dominant_eigenvalue,
-    evaluate_theta,
     lyapunov_exact,
     sigma2_spectral,
     solve_poisson,
@@ -56,13 +52,10 @@ from .fluctuation_sim import (
     HarmonicEstimate,
     PathRecord,
     SurvivalCurve,
-    build_V_evaluator,
-    conditional_endpoint_sample,
     conditional_endpoint_samples,
     covariance_decay,
     estimate_V,
     exit_ordering_violations,
-    harmonicity_residual,
     martingale_gap,
     mc_sigma2,
     simulate_paths,

@@ -23,11 +23,15 @@ the ``simulate`` stages, its verdicts are exactly ``ValidationReport.verdicts()`
 and the exit code is nonzero unless all pass.  Malformed laws and configs
 (unknown keys, wrong types) exit with code 2 before ``--out`` is created.
 
-Every run writes ``manifest.json`` with the config hash, seed, worker count
-and library versions; identical (config, seed) runs produce byte-identical
-artifacts regardless of worker count.  No timestamps are recorded.
+Every run writes ``manifest.json`` with the config hash, seed, law
+fingerprint and library versions.  The hash takes the law by its fingerprint,
+not its path, and leaves out the worker count and ``--out``, so identical
+(config, law, seed) runs produce byte-identical artifacts wherever the files
+live and whatever the worker count.  No timestamps are recorded.
 Environment overrides: ``CONEFLUCT_SEED``, ``CONEFLUCT_WORKERS``,
-``CONEFLUCT_OUT``, ``CONEFLUCT_FORCE`` (flags still win).
+``CONEFLUCT_OUT``, ``CONEFLUCT_FORCE`` (flags still win); a seed or worker
+count that is not an integer, or a worker count below 1, exits with code 2
+and names its source.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import scipy
 
 from . import __version__
 from .matrix_core import SimplexVector
-from .matrix_law import MatrixLaw, check_P3, convolution_contraction, hypothesis_report
+from .matrix_law import ENUMERATION_BUDGET, MatrixLaw, check_P3, convolution_contraction, hypothesis_report
 from .matrix_law import estimate_lyapunov  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from .transfer_operator import (
     ConvergenceError,
@@ -176,7 +180,6 @@ _DEFAULTS: dict = {
         "conditional_paths": 200000,
         "sigma2_n": 1024,
         "sigma2_paths": 30000,
-        "horizon": 1000000,
     },
     "covariance": {"burn_in": 50, "max_lag": 6, "paths": 200000, "conv_check_n": 4},
     "validate": {"sigma_scale": 1.0, "martingale_paths": 4000, "martingale_horizon": 512},
@@ -239,8 +242,20 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _env_int(name: str) -> int:
+    try:
+        return int(os.environ[name])
+    except ValueError:
+        raise LawFormatError(f"{name} = {os.environ[name]!r} is not an integer") from None
+
+
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Assemble the effective config: defaults < file < env < overrides."""
+    """Assemble the effective config: defaults < file < env < overrides.
+
+    ``overrides`` are the command-line flags (``--law``, ``--seed``,
+    ``--workers``, ``--out``); a worker count below 1 is refused with the
+    name of the key, variable or flag that set it.
+    """
     cfg = copy.deepcopy(_DEFAULTS)
     if path is not None:
         try:
@@ -252,15 +267,19 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         if not isinstance(obj, dict):
             raise LawFormatError(f"config {path}: top level must be an object")
         cfg = _merge(cfg, obj)
+    workers_from = "config key 'workers'"
     if os.environ.get("CONEFLUCT_SEED"):
-        cfg["seed"] = int(os.environ["CONEFLUCT_SEED"])
+        cfg["seed"] = _env_int("CONEFLUCT_SEED")
     if os.environ.get("CONEFLUCT_WORKERS"):
-        cfg["workers"] = int(os.environ["CONEFLUCT_WORKERS"])
+        cfg["workers"] = _env_int("CONEFLUCT_WORKERS")
+        workers_from = "CONEFLUCT_WORKERS"
     if os.environ.get("CONEFLUCT_OUT"):
         cfg["out"] = os.environ["CONEFLUCT_OUT"]
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
+            if key == "workers":
+                workers_from = "--workers"
     if cfg["law"] is None:
         raise LawFormatError("no law file given (config key 'law' or --law)")
     if cfg["seed"] is None:
@@ -268,14 +287,18 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
                              "wall-clock seeding is not supported")
     cfg["seed"] = int(cfg["seed"])
     cfg["workers"] = int(cfg["workers"])
+    if cfg["workers"] < 1:
+        raise LawFormatError(f"{workers_from} = {cfg['workers']}: the worker count must be at least 1")
     return cfg
 
 
-def _config_hash(cfg: dict) -> str:
+def _config_hash(cfg: dict, law: MatrixLaw) -> str:
     # workers and out are execution details, not experiment identity: runs
     # that differ only in parallelism or destination hash (and re-compute)
-    # identically, so their artifacts can be compared byte for byte.
+    # identically, so their artifacts can be compared byte for byte.  The
+    # law enters by content, so a copy of it in another directory does too.
     ident = {k: v for k, v in cfg.items() if k not in ("workers", "out")}
+    ident["law"] = law_fingerprint(law)
     payload = json.dumps(_jsonable(ident), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -378,7 +401,7 @@ def _manifest(out: Path, command: str, cfg: dict, law: MatrixLaw, artifacts: lis
         out / "manifest.json",
         {
             "command": command,
-            "config_sha256": _config_hash(cfg),
+            "config_sha256": _config_hash(cfg, law),
             "seed": cfg["seed"],
             "law_fingerprint": law_fingerprint(law),
             "versions": {
@@ -476,8 +499,7 @@ def _mc_stages(cfg: dict, law: MatrixLaw, x: SimplexVector, a: float):
     sim = cfg["simulate"]
     workers = cfg["workers"]
     curve = fsim.survival_probability(
-        law, x, a, sim["n_values"], sim["paths"], _seed_for(cfg, "survival"),
-        workers=workers, horizon=sim["horizon"],
+        law, x, a, sim["n_values"], sim["paths"], _seed_for(cfg, "survival"), workers=workers
     )
     sigma2_mc, sigma2_se = fsim.mc_sigma2(
         law, x, sim["sigma2_n"], sim["sigma2_paths"], _seed_for(cfg, "sigma2"), workers=workers
@@ -556,7 +578,7 @@ def cmd_covariance(cfg: dict, law: MatrixLaw, out: Path) -> int:
     )
     conv_rate = None
     n_conv = cov["conv_check_n"]
-    if n_conv and law.support_size**n_conv <= 200000:
+    if n_conv and law.support_size**n_conv <= ENUMERATION_BUDGET:
         conv_rate = convolution_contraction(law, n_conv) ** (1.0 / n_conv)
     _write_csv(
         out / "covariance.csv",

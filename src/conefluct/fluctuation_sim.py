@@ -20,8 +20,7 @@ regardless of worker count.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +37,11 @@ __all__ = [
     "simulate_paths",
     "survival_probability",
     "estimate_V",
-    "conditional_endpoint_sample",
     "conditional_endpoint_samples",
     "mc_sigma2",
     "covariance_decay",
     "martingale_gap",
     "exit_ordering_violations",
-    "harmonicity_residual",
-    "build_V_evaluator",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -138,9 +134,8 @@ def simulate_paths(
     seed,
     poisson: PoissonSolution | None = None,
     workers: int = 1,
-    stop_at_exit: bool = False,
 ) -> list[PathRecord]:
-    """Simulate a batch of full-horizon paths (truncated at tau on request).
+    """Simulate a batch of full-horizon paths, continued past the exit.
 
     The free walk records ``S`` and, when a potential is supplied (d = 2
     only), the first simplex coordinate at every step; ``M``, ``tau`` and
@@ -169,16 +164,15 @@ def simulate_paths(
                 m_rec[k] = s_rec[k] + poisson.theta_at(m_rec[k]) - theta0
         for p in range(s_rec.shape[1]):
             tau = _first_step(s_rec[:, p], 0.0)
-            end = tau if (stop_at_exit and tau is not None) else horizon
             M = T = None
             if poisson is not None:
-                M = np.concatenate(([a], m_rec[:end, p]))
+                M = np.concatenate(([a], m_rec[:, p]))
                 T = _first_step(M[1:], 0.0)
             records.append(
                 PathRecord(
                     start_x=x.coords,
                     start_a=a,
-                    S=np.concatenate(([a], s_rec[:end, p])),
+                    S=np.concatenate(([a], s_rec[:, p])),
                     M=M,
                     tau=tau,
                     T=T,
@@ -215,7 +209,6 @@ def survival_probability(
     paths: int,
     seed,
     workers: int = 1,
-    horizon: int = 10**6,
 ) -> SurvivalCurve:
     """Estimate ``P(tau > n)`` at every n in ``n_values`` from one path set.
 
@@ -223,8 +216,6 @@ def survival_probability(
     is monotone by construction.  CI half-widths are 95% normal.
     """
     n_values = _sorted_steps(n_values)
-    if n_values[-1] > horizon:
-        raise ValueError(f"evaluation time {n_values[-1]} exceeds the horizon {horizon}")
     counts, _, _, _ = _survival_reduce(law, x, a, n_values, paths, seed, workers, False)
     p_hat = counts / paths
     ci = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / paths)
@@ -308,22 +299,6 @@ def conditional_endpoint_samples(
     n_values = _sorted_steps(n_values)
     _, _, _, samples = _survival_reduce(law, x, a, n_values, paths, seed, workers, True)
     return {n: samples[i] / math.sqrt(n) for i, n in enumerate(n_values)}
-
-
-def conditional_endpoint_sample(
-    law: MatrixLaw,
-    x: SimplexVector,
-    a: float,
-    n: int,
-    paths: int,
-    seed,
-    workers: int = 1,
-) -> np.ndarray:
-    """Survivor sample of ``S_n / sqrt(n)`` at one time; errors when empty."""
-    out = conditional_endpoint_samples(law, x, a, [n], paths, seed, workers)[int(n)]
-    if out.size == 0:
-        raise RuntimeError(f"no survivors at n = {n} from {paths} paths; lower n or raise the budget")
-    return out
 
 
 def mc_sigma2(
@@ -442,106 +417,3 @@ def exit_ordering_violations(records, A: float) -> int:
         if t_shift is not None and (rec.tau is None or rec.tau > t_shift):
             bad += 1
     return bad
-
-
-def harmonicity_residual(
-    law: MatrixLaw,
-    V_evaluator,
-    x: SimplexVector,
-    a: float,
-    paths: int,
-    seed,
-    workers: int = 1,
-):
-    """One-step harmonicity defect ``E[V(X_1, S_1); tau > 1] - V(x, a)``.
-
-    ``V_evaluator(params, levels)`` must evaluate vectorized on the first
-    simplex coordinate and the level (d = 2).  Returns the residual and the
-    Monte Carlo stderr of the one-step mean; for a harmonic ``V`` the
-    residual is zero up to that noise plus the evaluator's own bias.  A
-    degenerate law (constant one-step increments) triggers a warning since
-    the exit problem is then trivial.
-    """
-    if law.dim != 2:
-        raise ValueError("the lattice evaluator protocol is defined for d = 2")
-    parts = _batch.run_chunks(
-        _batch.walk_chunk,
-        (law.atom_stack, law.cum_weights, x.coords, float(a), 1, (1,), (), (1,), False),
-        paths,
-        seed,
-        workers,
-    )
-    S1 = np.concatenate([s[0] for s, _, _, _ in parts])
-    P1 = np.concatenate([xr[0] for _, _, xr, _ in parts])
-    if float(S1.max()) == float(S1.min()):
-        warnings.warn("law has deterministic one-step increments; exit problem is degenerate", RuntimeWarning)
-    vals = np.where(S1 > 0.0, V_evaluator(P1, S1), 0.0)
-    baseline = float(np.asarray(V_evaluator(np.asarray([x.coords[0]]), np.asarray([a])))[0])
-    residual = float(vals.mean()) - baseline
-    stderr = float(vals.std(ddof=1) / math.sqrt(paths))
-    return residual, stderr
-
-
-@dataclass(frozen=True, eq=False)
-class _LatticeV:
-    """Bilinear interpolant of ``V_hat`` over a (parameter, level) lattice.
-
-    Zero for negative levels, linear continuation ``V(a_max) + (a - a_max)``
-    above the lattice (the harmonic function has unit slope at infinity),
-    and parameter clamping to the lattice range.
-    """
-
-    x_params: np.ndarray
-    a_values: np.ndarray
-    table: np.ndarray
-    stderr_table: np.ndarray = field(repr=False, default=None)
-
-    def __call__(self, params, levels):
-        params = np.asarray(params, dtype=float)
-        levels = np.asarray(levels, dtype=float)
-        p = np.clip(params, self.x_params[0], self.x_params[-1])
-        a_hi = self.a_values[-1]
-        a = np.clip(levels, self.a_values[0], a_hi)
-        ip = np.clip(np.searchsorted(self.x_params, p) - 1, 0, len(self.x_params) - 2)
-        ia = np.clip(np.searchsorted(self.a_values, a) - 1, 0, len(self.a_values) - 2)
-        fp = (p - self.x_params[ip]) / (self.x_params[ip + 1] - self.x_params[ip])
-        fa = (a - self.a_values[ia]) / (self.a_values[ia + 1] - self.a_values[ia])
-        low = (1.0 - fp) * self.table[ip, ia] + fp * self.table[ip + 1, ia]
-        high = (1.0 - fp) * self.table[ip, ia + 1] + fp * self.table[ip + 1, ia + 1]
-        out = (1.0 - fa) * low + fa * high
-        out = out + np.maximum(levels - a_hi, 0.0)
-        return np.where(levels < 0.0, 0.0, out)
-
-
-def build_V_evaluator(
-    law: MatrixLaw,
-    x_params,
-    a_values,
-    n_schedule,
-    paths: int,
-    seed,
-    workers: int = 1,
-) -> _LatticeV:
-    """Estimate ``V`` on a (parameter, level) lattice and wrap it bilinearly.
-
-    One independent substream per lattice cell, spawned deterministically
-    from ``seed``.  d = 2 only (the lattice lives on the first coordinate).
-    """
-    if law.dim != 2:
-        raise ValueError("the V lattice is defined for d = 2")
-    x_params = np.asarray(sorted(float(p) for p in x_params))
-    a_values = np.asarray(sorted(float(v) for v in a_values))
-    if a_values[0] < 0.0:
-        raise ValueError("lattice levels must be >= 0")
-    seeds = _batch.as_seed_sequence(seed).spawn(len(x_params) * len(a_values))
-    table = np.empty((len(x_params), len(a_values)))
-    stderr_table = np.empty_like(table)
-    pos = 0
-    for i, p in enumerate(x_params):
-        x = SimplexVector(np.asarray([p, 1.0 - p]))
-        for j, lvl in enumerate(a_values):
-            est = estimate_V(law, x, lvl, n_schedule, paths, seeds[pos], workers=workers)
-            table[i, j] = est.V_hat
-            stderr_table[i, j] = est.V_stderr
-            pos += 1
-    return _LatticeV(x_params=x_params, a_values=a_values, table=table, stderr_table=stderr_table)

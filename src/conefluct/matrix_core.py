@@ -26,10 +26,8 @@ __all__ = [
     "matrix_norms",
     "act",
     "left_product",
-    "min_ratio",
     "hennion_distance",
     "contraction_coeff",
-    "rho_bound_check",
     "random_simplex_point",
 ]
 
@@ -169,7 +167,7 @@ def left_product(gs, x: SimplexVector, a: float = 0.0) -> tuple[SimplexVector, n
     return x, S
 
 
-def min_ratio(x: SimplexVector, y: SimplexVector) -> float:
+def _min_ratio(x: SimplexVector, y: SimplexVector) -> float:
     """``m(x, y) = min{x_i / y_i : y_i > 0}``, a value in ``[0, 1]``.
 
     The minimum is at most 1 because both points have unit mass, and it
@@ -188,7 +186,7 @@ def hennion_distance(x: SimplexVector, y: SimplexVector) -> float:
     exactly when the supports are not nested either way (``s = 0``), and it
     dominates total variation: ``|x - y|_1 <= 2 d(x, y)``.
     """
-    s = min_ratio(x, y) * min_ratio(y, x)
+    s = _min_ratio(x, y) * _min_ratio(y, x)
     return (1.0 - s) / (1.0 + s)
 
 
@@ -226,21 +224,6 @@ def contraction_coeff(g: PositiveMatrix, check_pairs: int = 0, rng=None) -> floa
             )
             return sampled
     return best
-
-
-def rho_bound_check(g: PositiveMatrix, samples: int = 64, rng=None) -> bool:
-    """Check ``|rho(g, x)| <= 2 log N(g)`` at the vertices and random points.
-
-    Since ``|gx|`` is linear in ``x``, the extremes of ``rho(g, .)`` are
-    attained at vertices; random interior points are thrown in as a guard
-    against that reasoning going stale.
-    """
-    _, _, N = matrix_norms(g)
-    bound = 2.0 * np.log(N) + 1e-12
-    rng = np.random.default_rng(rng)
-    points = [SimplexVector.vertex(g.dim, i) for i in range(g.dim)]
-    points += [random_simplex_point(g.dim, rng) for _ in range(samples)]
-    return all(abs(act(g, x)[1]) <= bound for x in points)
 
 
 def random_simplex_point(dim: int, rng=None) -> SimplexVector:

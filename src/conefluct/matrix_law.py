@@ -29,10 +29,10 @@ from . import _batch
 from .matrix_core import (
     PositiveMatrix,
     SimplexVector,
-    contraction_coeff,
     hennion_distance,
     matrix_norms,
 )
+from .matrix_core import contraction_coeff  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 
 __all__ = [
     "MatrixLaw",
@@ -45,6 +45,9 @@ __all__ = [
     "convolution_contraction",
     "hypothesis_report",
 ]
+
+# most products ``convolution_contraction`` enumerates before refusing
+ENUMERATION_BUDGET = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,56 +184,34 @@ def calibrate(law: MatrixLaw, gamma: float) -> MatrixLaw:
     return MatrixLaw(tuple(g.scaled(factor) for g in law.atoms), law.weights)
 
 
-def convolution_contraction(
-    law: MatrixLaw,
-    n: int,
-    mode: str = "exact",
-    budget: int = 200_000,
-    samples: int = 4096,
-    seed=None,
-) -> float:
+def convolution_contraction(law: MatrixLaw, n: int, budget: int = ENUMERATION_BUDGET) -> float:
     """Contraction coefficient of the n-fold convolution power.
 
-    Exact mode enumerates all ``support^n`` products (refused beyond
-    ``budget``) and maximizes the weighted mean of ``d(h.e_i, h.e_j)`` over
-    vertex pairs, where ``d(e_i, e_j) = 1``.  Sampled mode draws ``samples``
-    products and averages their contraction coefficients, an upper proxy by
-    submultiplicativity.  Both values are non-increasing in n; a value below
-    one certifies eventual contraction of the averaged action.
+    Enumerates all ``support^n`` products (refused beyond ``budget``) and
+    maximizes the weighted mean of ``d(h.e_i, h.e_j)`` over vertex pairs,
+    where ``d(e_i, e_j) = 1``.  The value is non-increasing in n; a value
+    below one certifies eventual contraction of the averaged action.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     K = law.support_size
     d = law.dim
-    if mode == "exact":
-        if K**n > budget:
-            raise ValueError(
-                f"exact enumeration needs {K}^{n} = {K**n} products, over the budget "
-                f"{budget}; raise the budget or use mode='sampled'"
-            )
-        pair_sums = np.zeros((d, d))
-        for seq in itertools.product(range(K), repeat=n):
-            prod = law.atoms[seq[0]].entries
-            for k in seq[1:]:
-                prod = law.atoms[k].entries @ prod
-            weight = float(np.prod(law.weights[list(seq)]))
-            cols = prod / prod.sum(axis=0)
-            pts = [SimplexVector(cols[:, j]) for j in range(d)]
-            for i in range(d):
-                for j in range(i + 1, d):
-                    pair_sums[i, j] += weight * hennion_distance(pts[i], pts[j])
-        return float(pair_sums.max())
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        total = 0.0
-        for _ in range(samples):
-            idx = _batch.draw_indices(law.cum_weights, rng.random(n))
-            prod = law.atoms[idx[0]].entries
-            for k in idx[1:]:
-                prod = law.atoms[k].entries @ prod
-            total += contraction_coeff(PositiveMatrix(prod))
-        return total / samples
-    raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'sampled'")
+    if K**n > budget:
+        raise ValueError(
+            f"exact enumeration needs {K}^{n} = {K**n} products, over the budget {budget}; raise the budget"
+        )
+    pair_sums = np.zeros((d, d))
+    for seq in itertools.product(range(K), repeat=n):
+        prod = law.atoms[seq[0]].entries
+        for k in seq[1:]:
+            prod = law.atoms[k].entries @ prod
+        weight = float(np.prod(law.weights[list(seq)]))
+        cols = prod / prod.sum(axis=0)
+        pts = [SimplexVector(cols[:, j]) for j in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                pair_sums[i, j] += weight * hennion_distance(pts[i], pts[j])
+    return float(pair_sums.max())
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix_core import PositiveMatrix, SimplexVector, act
 from .matrix_law import MatrixLaw
 
 __all__ = [
@@ -41,12 +40,10 @@ __all__ = [
     "stationary_measure",
     "lyapunov_exact",
     "apply_P",
-    "apply_P_t",
     "dominant_eigenvalue",
     "richardson_sigma2",
     "sigma2_spectral",
     "solve_poisson",
-    "evaluate_theta",
 ]
 
 
@@ -88,27 +85,21 @@ class SimplexGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Values tabulated on the nodes of a SimplexGrid (real or complex)."""
+    """Real values tabulated on the nodes of a SimplexGrid."""
 
     grid: SimplexGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.grid.resolution,):
             raise ValueError(f"need one value per node, got shape {v.shape}")
-        if not np.issubdtype(v.dtype, np.complexfloating):
-            v = v.astype(float)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def interp(self, params):
         """Piecewise-linear evaluation at arbitrary parameters in [0, 1]."""
         params = np.asarray(params, dtype=float)
-        if np.issubdtype(self.values.dtype, np.complexfloating):
-            re = np.interp(params, self.grid.params, self.values.real)
-            im = np.interp(params, self.grid.params, self.values.imag)
-            return re + 1j * im
         return np.interp(params, self.grid.params, self.values)
 
 
@@ -186,13 +177,6 @@ def apply_P(law: MatrixLaw, f: GridFunction) -> GridFunction:
     """
     ws = _Workspace(law, f.grid)
     return GridFunction(f.grid, ws.apply(f.values))
-
-
-def apply_P_t(law: MatrixLaw, f: GridFunction, t: float) -> GridFunction:
-    """One application of the frequency-t twisted operator (complex output)."""
-    ws = _Workspace(law, f.grid)
-    phases = np.exp(1j * t * ws.rho)
-    return GridFunction(f.grid, ws.apply(f.values.astype(complex), phases))
 
 
 def stationary_measure(
@@ -406,16 +390,3 @@ def solve_poisson(
         interp_slack=interp_slack,
     )
 
-
-def evaluate_theta(sol: PoissonSolution, g: PositiveMatrix, x: SimplexVector):
-    """Return ``(theta(g, x), Pbar_theta(g, x))`` for one matrix and point.
-
-    ``theta(g, x) = rho(g, x) + Theta(g . x)`` is the martingale increment
-    potential; its conditional mean given the arrival point is
-    ``Pbar_theta(g, x) = Theta(g . x)``, bounded by ``A / 2``.
-    """
-    if g.dim != 2:
-        raise ValueError("tabulated Theta is defined on the d = 2 grid only")
-    y, rho = act(g, x)
-    pbar = float(sol.theta.interp(y.coords[0]))
-    return rho + pbar, pbar

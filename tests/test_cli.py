@@ -105,22 +105,35 @@ def test_config_requires_seed(tmp_path, law_path):
 
 
 @pytest.mark.parametrize(
-    "override, needle",
+    "override, env, flags, needle",
     [
-        ({"simulate": {"pathz": 7}}, "pathz"),
-        ({"thresholds": {"ks_treshold": 0.1}}, "thresholds.ks_treshold"),
-        ({"check": {"paths": "many"}}, "check.paths"),
-        ({"thresholds": {"ratio_band": [0.8, 0.9, 1.2]}}, "thresholds.ratio_band"),
+        ({"simulate": {"pathz": 7}}, {}, {}, "pathz"),
+        ({"thresholds": {"ks_treshold": 0.1}}, {}, {}, "thresholds.ks_treshold"),
+        ({"check": {"paths": "many"}}, {}, {}, "check.paths"),
+        ({"thresholds": {"ratio_band": [0.8, 0.9, 1.2]}}, {}, {}, "thresholds.ratio_band"),
+        ({"simulate": {"horizon": 1000000}}, {}, {}, "simulate.horizon"),
+        ({}, {"CONEFLUCT_SEED": "abc"}, {}, "CONEFLUCT_SEED"),
+        ({}, {"CONEFLUCT_WORKERS": "two"}, {}, "CONEFLUCT_WORKERS"),
+        ({}, {"CONEFLUCT_WORKERS": "0"}, {}, "CONEFLUCT_WORKERS"),
+        ({}, {}, {"workers": -3}, "--workers"),
+        ({"workers": 0}, {}, {}, "config key 'workers'"),
     ],
-    ids=["unknown-key", "unknown-threshold", "wrong-type", "wrong-length"],
+    ids=[
+        "unknown-key", "unknown-threshold", "wrong-type", "wrong-length", "removed-horizon",
+        "env-seed-not-int", "env-workers-not-int", "env-workers-zero", "flag-workers-negative",
+        "config-workers-zero",
+    ],
 )
-def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, override, needle):
+def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, override, env, flags, needle):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"law": str(law_path), "seed": 1, **override}), encoding="utf-8")
     with pytest.raises(LawFormatError, match=needle):
-        load_config(p)
+        load_config(p, overrides=flags)
     out = tmp_path / "out"
-    assert main(["validate", "--config", str(p), "--out", str(out)]) == 2
+    argv = [arg for name, value in flags.items() for arg in (f"--{name}", str(value))]
+    assert main(["validate", "--config", str(p), "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert needle in err and len(err.splitlines()) == 1
     assert not out.exists()
@@ -168,6 +181,22 @@ def test_check_fails_on_drifting_law(tmp_path):
     payload = json.loads((out / "hypotheses.json").read_text())
     assert payload["passed"] is False
     assert any("drift" in f for f in payload["failures"])
+
+
+def test_manifest_independent_of_file_locations(tmp_path):
+    # the same law and config in two directories: the law enters the config
+    # hash by content, so every artifact, manifest.json included, matches
+    outs = []
+    for where in ("a", "b"):
+        d = tmp_path / where
+        d.mkdir()
+        (d / "law.json").write_text(reference_law_text(), encoding="utf-8")
+        cfg = {"law": str(d / "law.json"), "seed": 3, "check": {"n": 64, "paths": 2000}}
+        (d / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        outs.append(d / "out")
+        assert main(["check", "--config", str(d / "cfg.json"), "--out", str(outs[-1])]) == 0
+    for name in ("hypotheses.json", "manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_spectral_artifacts(config_path, tmp_path):

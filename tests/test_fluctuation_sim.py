@@ -9,13 +9,10 @@ import pytest
 from conefluct import (
     SimplexGrid,
     SimplexVector,
-    build_V_evaluator,
-    conditional_endpoint_sample,
     conditional_endpoint_samples,
     covariance_decay,
     estimate_V,
     exit_ordering_violations,
-    harmonicity_residual,
     martingale_gap,
     mc_sigma2,
     simulate_paths,
@@ -47,12 +44,13 @@ def test_single_path_is_reproducible(ref_law, barycenter):
 
 def test_deterministic_exit_time(barycenter):
     law = scalar_law((0.82, 1.0))
-    (path,) = simulate_paths(law, barycenter, 1.0, 100, paths=1, seed=0, stop_at_exit=True)
+    (path,) = simulate_paths(law, barycenter, 1.0, 100, paths=1, seed=0)
     expected_tau = math.ceil(1.0 / abs(math.log(0.82)))
     assert path.tau == expected_tau == 6
     assert not path.censored
-    assert len(path.S) == path.tau + 1
-    for n, s in enumerate(path.S):
+    S = path.S[: path.tau + 1]
+    assert len(S) == path.tau + 1
+    for n, s in enumerate(S):
         assert s == pytest.approx(1.0 + n * math.log(0.82), abs=1e-12)
 
 
@@ -79,14 +77,6 @@ def test_batch_paths_match_shapes(ref_law, barycenter, ref_poisson):
         if rec.tau is not None:
             assert rec.S[rec.tau] <= 0.0
             assert np.all(rec.S[1 : rec.tau] > 0.0)
-
-
-def test_batch_paths_stop_at_exit(ref_law, barycenter):
-    records = simulate_paths(ref_law, barycenter, 0.2, 64, 50, seed=10, stop_at_exit=True)
-    exited = [r for r in records if r.tau is not None]
-    assert exited, "expected at least one exit at this start level"
-    for rec in exited:
-        assert len(rec.S) == rec.tau + 1
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +111,6 @@ def test_conditional_endpoints_match_enumeration(ref_law, barycenter):
         se = s.std(ddof=1) / math.sqrt(s.size)
         assert s.mean() == pytest.approx(oracle["scaled_mean"][n], abs=3.0 * se)
         assert np.all(s > 0.0)
-
-
-def test_conditional_sample_raises_when_extinct(barycenter):
-    law = scalar_law((0.8, 1.0))
-    with pytest.raises(RuntimeError, match="no survivors"):
-        conditional_endpoint_sample(law, barycenter, 0.5, 8, 500, seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -225,42 +209,6 @@ def test_estimate_v_flags_drifting_walk(barycenter):
     est = estimate_V(law, barycenter, 1.0, [4, 8, 16, 32], 2000, seed=62)
     assert not est.converged
     assert np.all(np.diff(est.estimates) > 0.0)
-
-
-def test_v_evaluator_lattice_shape(ref_law):
-    evaluator = build_V_evaluator(
-        ref_law,
-        x_params=[0.2, 0.5, 0.8],
-        a_values=[0.5, 1.0, 2.0],
-        n_schedule=[8, 16, 32],
-        paths=2000,
-        seed=63,
-    )
-    assert evaluator(0.5, -1.0) == 0.0
-    top = float(evaluator(0.5, 2.0))
-    assert float(evaluator(0.5, 7.0)) == pytest.approx(top + 5.0, abs=1e-12)
-    mid = float(evaluator(0.5, 1.0))
-    assert 0.0 < mid < top
-
-
-def test_harmonicity_residual_on_fixture(ref_law, barycenter):
-    evaluator = build_V_evaluator(
-        ref_law,
-        x_params=[0.1, 0.5, 0.9],
-        a_values=[0.25, 1.0, 2.5],
-        n_schedule=[16, 64, 256],
-        paths=8000,
-        seed=64,
-    )
-    residual, se = harmonicity_residual(ref_law, evaluator, barycenter, 1.0, 20000, seed=65)
-    assert abs(residual) <= 3.0 * se + 0.08
-
-
-def test_harmonicity_warns_on_degenerate_increments(barycenter):
-    law = scalar_law((0.9, 1.0))
-    evaluator = lambda params, levels: np.maximum(np.asarray(levels, dtype=float), 0.0)
-    with pytest.warns(RuntimeWarning, match="deterministic"):
-        harmonicity_residual(law, evaluator, barycenter, 1.0, 1000, seed=66)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from conefluct import (
     hennion_distance,
     left_product,
     matrix_norms,
-    min_ratio,
     random_simplex_point,
-    rho_bound_check,
 )
+from conefluct.matrix_core import _min_ratio
 from oracles import dense_walk_log
 
 
@@ -130,7 +129,6 @@ def test_rho_between_log_norms(rng):
         v, norm, _ = matrix_norms(g)
         _, rho = act(g, x)
         assert math.log(v) - 1e-12 <= rho <= math.log(norm) + 1e-12
-        assert rho_bound_check(g, samples=16, rng=rng)
 
 
 def test_scaling_shifts_rho_only(rng):
@@ -170,8 +168,8 @@ def test_left_product_final_point(rng):
 def test_min_ratio_worked_example():
     x = SimplexVector(np.array([0.5, 0.5]))
     y = SimplexVector(np.array([1.0 / 3.0, 2.0 / 3.0]))
-    assert min_ratio(x, y) == pytest.approx(0.75, abs=1e-12)
-    assert min_ratio(y, x) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert _min_ratio(x, y) == pytest.approx(0.75, abs=1e-12)
+    assert _min_ratio(y, x) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_distance_worked_example():

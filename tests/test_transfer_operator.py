@@ -12,14 +12,11 @@ from conefluct import (
     DegenerateLawError,
     GridFunction,
     MatrixLaw,
-    PositiveMatrix,
     SimplexGrid,
     SimplexVector,
     act,
     apply_P,
-    apply_P_t,
     dominant_eigenvalue,
-    evaluate_theta,
     lyapunov_exact,
     sigma2_spectral,
     solve_poisson,
@@ -63,9 +60,6 @@ def test_grid_function_validation_and_interp(grid):
     f = GridFunction(grid, grid.params**2)
     assert np.allclose(f.interp(grid.params), f.values, atol=1e-15)
     assert f.interp(0.5) == pytest.approx(0.25, abs=1e-5)
-    fc = GridFunction(grid, np.exp(1j * math.pi * grid.params))
-    val = fc.interp(0.25)
-    assert val == pytest.approx(cmath.exp(0.25j * math.pi), abs=1e-5)
 
 
 def test_operator_refuses_other_dimensions():
@@ -82,14 +76,6 @@ def test_constants_are_preserved_exactly(ref_law, grid):
     ones = GridFunction(grid, np.ones(grid.resolution))
     out = apply_P(ref_law, ones)
     assert np.array_equal(out.values, np.ones(grid.resolution))
-
-
-def test_twisted_operator_at_zero_matches_plain(ref_law, grid):
-    f = GridFunction(grid, np.cos(grid.params))
-    a = apply_P(ref_law, f).values
-    b = apply_P_t(ref_law, f, 0.0).values
-    assert np.allclose(a, b.real, atol=1e-14)
-    assert np.allclose(b.imag, 0.0, atol=1e-14)
 
 
 def test_operator_is_positive_and_averaging(ref_law, grid):
@@ -261,22 +247,3 @@ def test_poisson_trivial_for_scalar_mixture(centered_scalar_law):
     sol = solve_poisson(centered_scalar_law, nu)
     assert np.allclose(sol.theta.values, 0.0, atol=1e-14)
     assert sol.A <= 1e-14
-
-
-def test_evaluate_theta_identity_on_nodes(ref_law, ref_poisson, grid):
-    sol = ref_poisson
-    for t in grid.params[:: grid.resolution // 8]:
-        x = SimplexVector(np.array([t, 1.0 - t]))
-        mean = 0.0
-        for g, w in zip(ref_law.atoms, ref_law.weights):
-            theta_val, pbar = evaluate_theta(sol, g, x)
-            assert abs(pbar) <= sol.A / 2.0 + 1e-14
-            mean += w * theta_val
-        here = float(sol.theta.interp(t))
-        assert mean - here - sol.drift == pytest.approx(0.0, abs=1e-7)
-
-
-def test_evaluate_theta_refuses_other_dimensions(ref_poisson):
-    g3 = PositiveMatrix(np.eye(3) + 1.0)
-    with pytest.raises(ValueError):
-        evaluate_theta(ref_poisson, g3, SimplexVector.barycenter(3))
