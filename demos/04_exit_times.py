@@ -6,8 +6,6 @@ Run:  python3 demos/04_exit_times.py   (about half a minute)
 
 import math
 
-import numpy as np
-
 from conefluct import (
     SimplexGrid,
     SimplexVector,

@@ -17,7 +17,6 @@ from conefluct import (
     GridFunction,
     MatrixLaw,
     SimplexGrid,
-    SimplexVector,
     act,
     apply_P,
     bm_corridor,

@@ -29,8 +29,45 @@ def _law(name: str) -> MatrixLaw:
     return MatrixLaw.from_entries(spec["atoms"], spec["weights"])
 
 
-CASES = [("reference", 1.0), ("reference", 8.0), ("random-d2k64", 1.0), ("d3k64", 1.0)]
+# at a = 16 many early steps kill nobody, so the survival kernel's skipped
+# compaction is compared as well
+CASES = [("reference", 1.0), ("reference", 8.0), ("reference", 16.0), ("random-d2k64", 1.0), ("d3k64", 1.0)]
 SIZE = 5000
+
+
+def _probes(cum: np.ndarray, rng) -> np.ndarray:
+    """Random uniforms, every bin edge and its predecessor, each cumulative
+    weight and its neighbours one ulp away, and both ends of [0, 1)."""
+    bins = 1 << _batch.GUIDE_BITS
+    edges = np.arange(bins + 1) / bins
+    u = np.concatenate(
+        [
+            rng.random(500_000),
+            edges[:-1],
+            np.nextafter(edges[1:], 0.0),
+            np.nextafter(cum, 0.0),
+            cum,
+            np.nextafter(cum, 2.0),
+            [0.0, 1.0 - 2.0**-53],
+        ]
+    )
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("K", [1, 2, 64, 1000, 20000, "repeat", "over"])
+def test_draw_indices_matches_searchsorted(K):
+    rng = np.random.default_rng(17)
+    if K == "repeat":  # 0.6 + 0.4 rounds to 1.0, so 1.0 appears twice
+        weights = np.array([0.6, 0.4, 1e-14])
+    elif K == "over":  # the running sum passes 1.0 before the closing entry
+        weights = np.array([0.6, 0.4 + 1e-13, 1e-14])
+    else:
+        weights = rng.random(K) + 0.01
+        weights /= weights.sum()
+    cum = MatrixLaw.from_entries([np.ones((2, 2))] * len(weights), weights).cum_weights
+    u = _probes(cum, rng)
+    got = _batch.draw_indices(_batch.guide_table(cum), u)
+    assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
 
 
 @pytest.mark.parametrize("name,a", CASES, ids=[f"{n}-a{a:g}" for n, a in CASES])

@@ -8,7 +8,6 @@ import pytest
 
 from conefluct import (
     SimplexGrid,
-    SimplexVector,
     conditional_endpoint_samples,
     covariance_decay,
     estimate_V,

@@ -8,7 +8,6 @@ import pytest
 from conefluct import (
     MatrixLaw,
     PositiveMatrix,
-    SimplexVector,
     act,
     calibrate,
     check_P1,
