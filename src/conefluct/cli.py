@@ -21,13 +21,17 @@ increment covariances with the geometric-rate fit).
 exit code 1 and the single verdict ``hypotheses: false``.  Otherwise it reuses
 the ``simulate`` stages, its verdicts are exactly ``ValidationReport.verdicts()``
 and the exit code is nonzero unless all pass.  Malformed laws and configs
-(unknown keys, wrong types) exit with code 2 before ``--out`` is created.
+(unknown keys, wrong types) exit with code 2.
 
-Every run writes ``manifest.json`` with the config hash, seed, law
-fingerprint and library versions.  The hash takes the law by its fingerprint,
-not its path, and leaves out the worker count and ``--out``, so identical
-(config, law, seed) runs produce byte-identical artifacts wherever the files
-live and whatever the worker count.  No timestamps are recorded.
+Each command returns its exit code and its artifacts, and ``main`` writes
+them: nothing in ``--out`` is created, deleted or written until the command
+has finished.  A command that fails leaves ``--out`` as it was, so a failing
+``--force`` rerun keeps the previous run.  Every run writes ``manifest.json``
+with the config hash, seed, law fingerprint and library versions.  The hash
+takes the law by its fingerprint, not its path, and leaves out the worker
+count and ``--out``, so identical (config, law, seed) runs produce
+byte-identical artifacts wherever the files live and whatever the worker
+count.  No timestamps are recorded.
 Environment overrides: ``CONEFLUCT_SEED``, ``CONEFLUCT_WORKERS``,
 ``CONEFLUCT_OUT``, ``CONEFLUCT_FORCE`` (flags still win); a seed or worker
 count that is not an integer, or a worker count below 1, exits with code 2
@@ -97,6 +101,8 @@ def load_law(path) -> tuple[MatrixLaw, dict]:
     if unknown:
         raise LawFormatError(f"law file {path}: unknown keys {sorted(unknown)}")
     dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
+        raise LawFormatError(f"law file {path}: 'dim' = {dim!r} must be an integer >= 2")
     atoms = obj["atoms"]
     weights = obj["weights"]
     if not isinstance(atoms, list) or not atoms:
@@ -337,7 +343,6 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -350,7 +355,6 @@ def _fmt(value):
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -369,18 +373,17 @@ def _listed_artifacts(out: Path) -> set:
     return set(names)
 
 
-def _prepare_out(cfg: dict, force: bool) -> Path:
-    """Check ``--out``; with ``--force`` delete the previous run's artifacts.
+def _prepare_out(cfg: dict, force: bool) -> set:
+    """Check ``--out`` and return the previous run's files, which a finished run replaces.
 
-    Only files the existing manifest lists are deleted.  Anything else in the
-    directory is refused before a file is touched.
+    With ``--force`` these are the files the existing manifest lists.  Anything
+    else in the directory is refused.  Nothing is deleted here.
     """
     out = Path(cfg["out"])
     if os.environ.get("CONEFLUCT_FORCE") == "1":
         force = True
     if not out.exists() or not any(out.iterdir()):
-        # created by the first artifact written, so a refused command leaves nothing behind
-        return out
+        return set()
     if not force:
         raise LawFormatError(f"output directory {out} is not empty; pass --force to overwrite")
     listed = _listed_artifacts(out)
@@ -390,13 +393,25 @@ def _prepare_out(cfg: dict, force: bool) -> Path:
             f"output directory {out} holds files no conefluct manifest lists ({', '.join(others)}); "
             "--force replaces only a previous run's artifacts"
         )
-    for name in listed:
+    return listed
+
+
+def _write_run(cfg: dict, law: MatrixLaw, command: str, stale: set, artifacts: dict) -> None:
+    """Replace the previous run's files in ``--out`` with ``artifacts`` and their manifest.
+
+    ``artifacts`` maps a file name to a JSON object (``.json``) or to a
+    ``(header, rows)`` pair (``.csv``).
+    """
+    out = Path(cfg["out"])
+    for name in stale:
         if (out / name).is_file():
             (out / name).unlink()
-    return out
-
-
-def _manifest(out: Path, command: str, cfg: dict, law: MatrixLaw, artifacts: list) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in artifacts.items():
+        if name.endswith(".csv"):
+            _write_csv(out / name, *payload)
+        else:
+            _write_json(out / name, payload)
     _write_json(
         out / "manifest.json",
         {
@@ -409,7 +424,7 @@ def _manifest(out: Path, command: str, cfg: dict, law: MatrixLaw, artifacts: lis
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
             },
-            "artifacts": sorted(artifacts + ["manifest.json"]),
+            "artifacts": sorted([*artifacts, "manifest.json"]),
         },
     )
 
@@ -430,15 +445,16 @@ def _battery(cfg: dict, law: MatrixLaw):
     return report, failures
 
 
-def cmd_check(cfg: dict, law: MatrixLaw, out: Path) -> int:
+def cmd_check(cfg: dict, law: MatrixLaw):
     report, failures = _battery(cfg, law)
-    _write_json(out / "hypotheses.json", {"report": report, "failures": failures, "passed": not failures})
-    _manifest(out, "check", cfg, law, ["hypotheses.json"])
     print(f"hypotheses: {'all pass' if not failures else f'{len(failures)} failing'}")
-    return 0 if not failures else 1
+    return (0 if not failures else 1), {
+        "hypotheses.json": {"report": report, "failures": failures, "passed": not failures}
+    }
 
 
 def _spectral_pipeline(cfg: dict, law: MatrixLaw):
+    """The ``spectral.json`` summary, the invariant weights and the Poisson solution."""
     if law.dim != 2:
         raise DegenerateLawError(
             f"spectral pipeline needs d = 2 (grid-parametrized simplex), got d = {law.dim}; "
@@ -450,34 +466,17 @@ def _spectral_pipeline(cfg: dict, law: MatrixLaw):
     h = sp["sigma2_h"]
     lam_h, kappa_h = dominant_eigenvalue(law, grid, h, tol=sp["eigen_tol"], max_iter=sp["max_iter"])
     lam_h2, _ = dominant_eigenvalue(law, grid, h / 2.0, tol=sp["eigen_tol"], max_iter=sp["max_iter"])
-    return {
-        "grid": grid,
-        "nu": nu,
-        "gamma": lyapunov_exact(law, nu),
-        "lambda_h": lam_h,
-        "lambda_h2": lam_h2,
-        "kappa_power": kappa_h,
-        "sigma2": richardson_sigma2(lam_h, lam_h2, h),
-        "poisson": solve_poisson(law, nu, tol=sp["poisson_tol"], max_terms=sp["max_iter"]),
-    }
-
-
-def cmd_spectral(cfg: dict, law: MatrixLaw, out: Path) -> int:
-    cap = cfg["check"]["p3_cap"]
-    if check_P3(law, cap=cap) is None:
-        raise DegenerateLawError(f"positivity: no product of up to {cap} atoms is strictly positive; see 'check'")
-    pipe = _spectral_pipeline(cfg, law)
-    grid, nu, poisson = pipe["grid"], pipe["nu"], pipe["poisson"]
-    _write_csv(out / "nu.csv", ["param", "weight"], zip(grid.params, nu.values))
-    _write_csv(out / "theta.csv", ["param", "value"], zip(grid.params, poisson.theta.values))
+    gamma = lyapunov_exact(law, nu)
+    sigma2 = richardson_sigma2(lam_h, lam_h2, h)
+    poisson = solve_poisson(law, nu, tol=sp["poisson_tol"], max_terms=sp["max_iter"])
     summary = {
         "grid_resolution": grid.resolution,
-        "gamma": pipe["gamma"],
-        "sigma2": pipe["sigma2"],
-        "sigma2_h": cfg["spectral"]["sigma2_h"],
-        "lambda_h": pipe["lambda_h"],
-        "lambda_h_half": pipe["lambda_h2"],
-        "kappa_power": pipe["kappa_power"],
+        "gamma": gamma,
+        "sigma2": sigma2,
+        "sigma2_h": h,
+        "lambda_h": lam_h,
+        "lambda_h_half": lam_h2,
+        "kappa_power": kappa_h,
         "A": poisson.A,
         "poisson": {
             "drift": poisson.drift,
@@ -488,10 +487,20 @@ def cmd_spectral(cfg: dict, law: MatrixLaw, out: Path) -> int:
             "interp_slack": poisson.interp_slack,
         },
     }
-    _write_json(out / "spectral.json", summary)
-    _manifest(out, "spectral", cfg, law, ["spectral.json", "nu.csv", "theta.csv"])
-    print(f"gamma = {pipe['gamma']:.6g}, sigma^2 = {pipe['sigma2']:.6g}, A = {poisson.A:.6g}")
-    return 0
+    return summary, nu, poisson
+
+
+def cmd_spectral(cfg: dict, law: MatrixLaw):
+    cap = cfg["check"]["p3_cap"]
+    if check_P3(law, cap=cap) is None:
+        raise DegenerateLawError(f"positivity: no product of up to {cap} atoms is strictly positive; see 'check'")
+    summary, nu, poisson = _spectral_pipeline(cfg, law)
+    print(f"gamma = {summary['gamma']:.6g}, sigma^2 = {summary['sigma2']:.6g}, A = {poisson.A:.6g}")
+    return 0, {
+        "spectral.json": summary,
+        "nu.csv": (["param", "weight"], zip(nu.grid.params, nu.values)),
+        "theta.csv": (["param", "value"], zip(nu.grid.params, poisson.theta.values)),
+    }
 
 
 def _mc_stages(cfg: dict, law: MatrixLaw, x: SimplexVector, a: float):
@@ -514,8 +523,8 @@ def _mc_stages(cfg: dict, law: MatrixLaw, x: SimplexVector, a: float):
     return curve, sigma2_mc, sigma2_se, v_start, samples
 
 
-def _v_table(cfg: dict, law: MatrixLaw, x: SimplexVector, sigma_hat: float, out: Path):
-    """V over the level grid (``a_grid``, else ``a_grid_sigmas`` times sigma_hat) into v_table.csv."""
+def _v_table(cfg: dict, law: MatrixLaw, x: SimplexVector, sigma_hat: float):
+    """V over the level grid (``a_grid``, else ``a_grid_sigmas`` times sigma_hat), with its v_table.csv."""
     sim = cfg["simulate"]
     a_grid = sim["a_grid"]
     if a_grid is None:
@@ -526,30 +535,27 @@ def _v_table(cfg: dict, law: MatrixLaw, x: SimplexVector, sigma_hat: float, out:
         for level, ss in zip(a_grid, seeds)
     ]
     rows = [(level, e.V_hat, e.V_stderr, e.plateau_n or -1, e.converged) for level, e in zip(a_grid, estimates)]
-    _write_csv(out / "v_table.csv", ["a", "V_hat", "V_stderr", "plateau_n", "converged"], rows)
-    return a_grid, estimates
+    return a_grid, estimates, (["a", "V_hat", "V_stderr", "plateau_n", "converged"], rows)
 
 
-def cmd_simulate(cfg: dict, law: MatrixLaw, out: Path) -> int:
+def cmd_simulate(cfg: dict, law: MatrixLaw):
     x = _start_point(cfg, law)
     a = float(cfg["start"]["a"])
     curve, sigma2_mc, sigma2_se, v_start, samples = _mc_stages(cfg, law, x, a)
-    _write_csv(
-        out / "survival.csv",
-        ["n", "p_hat", "ci_half_width", "survivors"],
-        zip(curve.n_values, curve.p_hat, curve.ci_half_width, curve.survivors),
+    _, _, v_table = _v_table(cfg, law, x, math.sqrt(sigma2_mc))
+    print(
+        f"survival at n={curve.n_values[-1]}: {curve.p_hat[-1]:.5f} +- {curve.ci_half_width[-1]:.5f}; "
+        f"V_hat({a:g}) = {v_start.V_hat:.5f}"
     )
-    _write_csv(
-        out / "v_curve.csv",
-        ["n", "estimate", "stderr"],
-        zip(v_start.n_schedule, v_start.estimates, v_start.stderrs),
-    )
-    _v_table(cfg, law, x, math.sqrt(sigma2_mc), out)
-    cond_rows = [(n, value) for n in sorted(samples) for value in samples[n]]
-    _write_csv(out / "conditional.csv", ["n", "scaled_endpoint"], cond_rows)
-    _write_json(
-        out / "simulate.json",
-        {
+    return 0, {
+        "survival.csv": (
+            ["n", "p_hat", "ci_half_width", "survivors"],
+            zip(curve.n_values, curve.p_hat, curve.ci_half_width, curve.survivors),
+        ),
+        "v_curve.csv": (["n", "estimate", "stderr"], zip(v_start.n_schedule, v_start.estimates, v_start.stderrs)),
+        "v_table.csv": v_table,
+        "conditional.csv": (["n", "scaled_endpoint"], [(n, value) for n in sorted(samples) for value in samples[n]]),
+        "simulate.json": {
             "start": {"x": x.coords, "a": a},
             "sigma2_mc": sigma2_mc,
             "sigma2_mc_stderr": sigma2_se,
@@ -557,19 +563,10 @@ def cmd_simulate(cfg: dict, law: MatrixLaw, out: Path) -> int:
             "V_start": v_start,
             "conditional_counts": {str(n): samples[n].size for n in samples},
         },
-    )
-    _manifest(
-        out, "simulate", cfg, law,
-        ["survival.csv", "v_curve.csv", "v_table.csv", "conditional.csv", "simulate.json"],
-    )
-    print(
-        f"survival at n={curve.n_values[-1]}: {curve.p_hat[-1]:.5f} +- {curve.ci_half_width[-1]:.5f}; "
-        f"V_hat({a:g}) = {v_start.V_hat:.5f}"
-    )
-    return 0
+    }
 
 
-def cmd_covariance(cfg: dict, law: MatrixLaw, out: Path) -> int:
+def cmd_covariance(cfg: dict, law: MatrixLaw):
     cov = cfg["covariance"]
     x = _start_point(cfg, law)
     table = fsim.covariance_decay(
@@ -580,14 +577,13 @@ def cmd_covariance(cfg: dict, law: MatrixLaw, out: Path) -> int:
     n_conv = cov["conv_check_n"]
     if n_conv and law.support_size**n_conv <= ENUMERATION_BUDGET:
         conv_rate = convolution_contraction(law, n_conv) ** (1.0 / n_conv)
-    _write_csv(
-        out / "covariance.csv",
-        ["lag", "cov", "stderr", "in_fit_window"],
-        ((l, c, s, int(l) in table.fit_lags) for l, c, s in zip(table.lags, table.cov, table.stderr)),
-    )
-    _write_json(
-        out / "covariance.json",
-        {
+    print(f"kappa_fit = {table.kappa_fit}, window = {table.fit_lags}")
+    return 0, {
+        "covariance.csv": (
+            ["lag", "cov", "stderr", "in_fit_window"],
+            ((l, c, s, int(l) in table.fit_lags) for l, c, s in zip(table.lags, table.cov, table.stderr)),
+        ),
+        "covariance.json": {
             "burn_in": table.burn_in,
             "paths": table.paths,
             "kappa_fit": table.kappa_fit,
@@ -595,23 +591,18 @@ def cmd_covariance(cfg: dict, law: MatrixLaw, out: Path) -> int:
             "note": table.note,
             "convolution_rate": {"n": n_conv, "value": conv_rate},
         },
-    )
-    _manifest(out, "covariance", cfg, law, ["covariance.csv", "covariance.json"])
-    print(f"kappa_fit = {table.kappa_fit}, window = {table.fit_lags}")
-    return 0
+    }
 
 
-def _write_report(out: Path, cfg: dict, law: MatrixLaw, report, extra: dict, tables: list) -> int:
-    """Write report.json and the manifest, print the verdicts, and return the exit code."""
+def _report(report, extra: dict, tables: dict):
+    """Print the verdicts; return the exit code with report.json and the tables."""
     verdicts = report.verdicts()
-    _write_json(out / "report.json", {"report": report, "verdicts": verdicts, **extra})
-    _manifest(out, "validate", cfg, law, ["report.json", *tables])
     for name in sorted(verdicts):
         print(f"{'PASS' if verdicts[name] else 'FAIL'} {name}")
-    return 0 if report.all_pass else 1
+    return (0 if report.all_pass else 1), {"report.json": {"report": report, "verdicts": verdicts, **extra}, **tables}
 
 
-def cmd_validate(cfg: dict, law: MatrixLaw, out: Path) -> int:
+def cmd_validate(cfg: dict, law: MatrixLaw):
     thresholds = tval.ValidationThresholds(**cfg["thresholds"])
     hypotheses, failures = _battery(cfg, law)
     battery = {"hypotheses": {"report": hypotheses, "failures": failures}}
@@ -627,11 +618,10 @@ def cmd_validate(cfg: dict, law: MatrixLaw, out: Path) -> int:
             checklist={"hypotheses": False},
             thresholds=thresholds,
         )
-        return _write_report(out, cfg, law, report, battery, [])
+        return _report(report, battery, {})
 
-    pipe = _spectral_pipeline(cfg, law)
-    poisson = pipe["poisson"]
-    sigma2 = pipe["sigma2"]
+    spectral, _, poisson = _spectral_pipeline(cfg, law)
+    sigma2 = spectral["sigma2"]
     if sigma2 <= 0.0:
         raise DegenerateLawError("sigma^2 = 0: the conditioned limit theory does not apply")
     sigma_hat = math.sqrt(sigma2)
@@ -642,19 +632,9 @@ def cmd_validate(cfg: dict, law: MatrixLaw, out: Path) -> int:
     exit_section = tval.validate_exit_asymptotics(
         curve, v_start.V_hat, v_start.V_stderr, sigma_hat, thresholds
     )
-    _write_csv(
-        out / "ratio_table.csv",
-        ["n", "p_hat", "sqrt_n_p", "sqrt_n_p_stderr", "ratio", "ratio_stderr"],
-        zip(
-            exit_section.n_values, exit_section.p_hat, exit_section.sqrt_n_p,
-            exit_section.sqrt_n_p_stderr, exit_section.ratio, exit_section.ratio_stderr,
-        ),
-    )
     val = cfg["validate"]
     sigma_scale = float(val["sigma_scale"])
     section = tval.validate_conditional_law(samples, sigma_hat * sigma_scale, thresholds)
-    ks_rows = zip(section.n_values, section.survivors, section.ks)
-    _write_csv(out / "ks_table.csv", ["n", "survivors", "ks"], ks_rows)
     conditional_section = negative_control = None
     if sigma_scale == 1.0:
         conditional_section = section
@@ -666,7 +646,7 @@ def cmd_validate(cfg: dict, law: MatrixLaw, out: Path) -> int:
             "pass": bool(section.ks[-1] > thresholds.negative_control_min),
         }
 
-    a_grid, estimates = _v_table(cfg, law, x, sigma_hat, out)
+    a_grid, estimates, v_table = _v_table(cfg, law, x, sigma_hat)
     v_section = tval.check_V_properties(
         a_grid, [e.V_hat for e in estimates], [e.V_stderr for e in estimates], poisson.A, thresholds
     )
@@ -678,7 +658,7 @@ def cmd_validate(cfg: dict, law: MatrixLaw, out: Path) -> int:
     gap, gap_violations = fsim.martingale_gap(records, poisson.A, slack=poisson.interp_slack)
     report = tval.ValidationReport(
         law_fingerprint=law_fingerprint(law),
-        gamma={"quadrature": pipe["gamma"], "monte_carlo": [hypotheses.gamma_hat, hypotheses.gamma_stderr]},
+        gamma={"quadrature": spectral["gamma"], "monte_carlo": [hypotheses.gamma_hat, hypotheses.gamma_stderr]},
         sigma2={
             "spectral": sigma2,
             "monte_carlo": [sigma2_mc, sigma2_mc_se],
@@ -694,25 +674,24 @@ def cmd_validate(cfg: dict, law: MatrixLaw, out: Path) -> int:
             "exit_ordering": fsim.exit_ordering_violations(records, poisson.A) == 0,
             "sigma2_agreement": tval.sigma2_agreement(sigma2, sigma2_mc, sigma2_mc_se),
             "gamma_agreement": tval.gamma_agreement(
-                pipe["gamma"], hypotheses.gamma_hat, hypotheses.gamma_stderr, hypotheses.gamma_tol
+                spectral["gamma"], hypotheses.gamma_hat, hypotheses.gamma_stderr, hypotheses.gamma_tol
             ),
         },
         thresholds=thresholds,
     )
     diagnostics = {"martingale_gap": gap, "A": poisson.A, "interp_slack": poisson.interp_slack}
-    return _write_report(
-        out, cfg, law, report, {**battery, "diagnostics": diagnostics},
-        ["ratio_table.csv", "ks_table.csv", "v_table.csv"],
-    )
-
-
-_COMMANDS = {
-    "check": cmd_check,
-    "spectral": cmd_spectral,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
-    "covariance": cmd_covariance,
-}
+    tables = {
+        "ratio_table.csv": (
+            ["n", "p_hat", "sqrt_n_p", "sqrt_n_p_stderr", "ratio", "ratio_stderr"],
+            zip(
+                exit_section.n_values, exit_section.p_hat, exit_section.sqrt_n_p,
+                exit_section.sqrt_n_p_stderr, exit_section.ratio, exit_section.ratio_stderr,
+            ),
+        ),
+        "ks_table.csv": (["n", "survivors", "ks"], zip(section.n_values, section.survivors, section.ks)),
+        "v_table.csv": v_table,
+    }
+    return _report(report, {**battery, "diagnostics": diagnostics}, tables)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -722,14 +701,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "quantities, exit-time simulation, and limit-law validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "run the standing-hypothesis battery (nonzero exit on failure)"),
-        ("spectral", "invariant weights, drift, variance, potential (d = 2)"),
-        ("simulate", "survival curve, killed expectations, conditional endpoints"),
-        ("validate", "assemble the verdict report (nonzero exit on failing verdicts)"),
-        ("covariance", "lagged increment covariances and geometric-rate fit"),
+    for name, run, help_text in (
+        ("check", cmd_check, "run the standing-hypothesis battery (nonzero exit on failure)"),
+        ("spectral", cmd_spectral, "invariant weights, drift, variance, potential (d = 2)"),
+        ("simulate", cmd_simulate, "survival curve, killed expectations, conditional endpoints"),
+        ("validate", cmd_validate, "assemble the verdict report (nonzero exit on failing verdicts)"),
+        ("covariance", cmd_covariance, "lagged increment covariances and geometric-rate fit"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", type=str, default=None, help="experiment config (JSON)")
         p.add_argument("--law", type=str, default=None, help="law file (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
@@ -752,8 +732,10 @@ def main(argv=None) -> int:
         if args.command == "validate" and args.sigma_scale is not None:
             cfg["validate"]["sigma_scale"] = args.sigma_scale
         law, _ = load_law(cfg["law"])
-        out = _prepare_out(cfg, force=args.force)
-        return _COMMANDS[args.command](cfg, law, out)
+        stale = _prepare_out(cfg, force=args.force)
+        code, artifacts = args.run(cfg, law)
+        _write_run(cfg, law, args.command, stale, artifacts)
+        return code
     except (LawFormatError, ConvergenceError, DegenerateLawError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

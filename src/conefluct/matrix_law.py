@@ -100,8 +100,11 @@ class MatrixLaw:
 
     @property
     def cum_weights(self) -> np.ndarray:
-        c = np.cumsum(self.weights)
-        c[-1] = 1.0  # close the partition so uniforms in [0, 1) always land
+        # weights sum to 1 only within 1e-12: clamp so the array stays sorted
+        # when the running sum passes 1.0 early, and close the partition so
+        # uniforms in [0, 1) always land
+        c = np.minimum(np.cumsum(self.weights), 1.0)
+        c[-1] = 1.0
         return c
 
     @property

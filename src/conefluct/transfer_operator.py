@@ -110,7 +110,12 @@ class _Workspace:
     is stored as a lower index and fraction, and ``rho(g_k, x_i)`` as a
     table.  Forward application uses the gather form
     ``f(lo) + frac * (f(hi) - f(lo))`` so that constants are preserved
-    exactly; the adjoint scatters mass with the same stencil.
+    exactly.  The adjoint and the dense matrix scatter mass with the same
+    stencil, built once as ``(K, 2, G)`` arrays of columns and shares: atom
+    by atom, every node's lower neighbour with share ``1 - frac``, then every
+    node's upper neighbour with share ``frac``.  One ``np.bincount`` adds the
+    entries in that order, as per-atom ``np.add.at`` calls would, so the
+    sums are the same bit for bit.
     """
 
     def __init__(self, law: MatrixLaw, grid: SimplexGrid):
@@ -136,6 +141,9 @@ class _Workspace:
         self.frac = np.stack(frac)
         self.rho = np.stack(rho)
         self.weights = law.weights
+        # stencil entries (K, 2, G): atom k, lower then upper neighbour, node i
+        self.cols = np.stack([self.lo, self.lo + 1], axis=1)
+        self.share = np.stack([1.0 - self.frac, self.frac], axis=1)
 
     def rho_bar(self) -> np.ndarray:
         return self.weights @ self.rho
@@ -151,22 +159,13 @@ class _Workspace:
         return out
 
     def apply_adjoint(self, nu: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.grid.resolution)
-        for k, w in enumerate(self.weights):
-            lo, frac = self.lo[k], self.frac[k]
-            np.add.at(out, lo, w * nu * (1.0 - frac))
-            np.add.at(out, lo + 1, w * nu * frac)
-        return out
+        mass = self.weights[:, None, None] * nu * self.share
+        return np.bincount(self.cols.ravel(), mass.ravel(), self.grid.resolution)
 
     def dense(self) -> np.ndarray:
         G = self.grid.resolution
-        B = np.zeros((G, G))
-        rows = np.arange(G)
-        for k, w in enumerate(self.weights):
-            lo, frac = self.lo[k], self.frac[k]
-            np.add.at(B, (rows, lo), w * (1.0 - frac))
-            np.add.at(B, (rows, lo + 1), w * frac)
-        return B
+        flat = np.arange(G) * G + self.cols  # entry (node i, column cols[k, s, i])
+        return np.bincount(flat.ravel(), (self.weights[:, None, None] * self.share).ravel(), G * G).reshape(G, G)
 
 
 def apply_P(law: MatrixLaw, f: GridFunction) -> GridFunction:

@@ -215,3 +215,31 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
             if pos == len(n_values):
                 break
     return counts, sums, sums2, samples
+
+
+# ---------------------------------------------------------------------------
+# reference grid scatters
+#
+# Per-atom ``np.add.at`` loops over a ``transfer_operator._Workspace``.  The
+# library lists the stencil entries once and scatters them with one
+# ``np.bincount``, which must match these bit for bit.
+
+
+def apply_adjoint(ws, nu: np.ndarray) -> np.ndarray:
+    out = np.zeros(ws.grid.resolution)
+    for k, w in enumerate(ws.weights):
+        lo, frac = ws.lo[k], ws.frac[k]
+        np.add.at(out, lo, w * nu * (1.0 - frac))
+        np.add.at(out, lo + 1, w * nu * frac)
+    return out
+
+
+def dense(ws) -> np.ndarray:
+    G = ws.grid.resolution
+    B = np.zeros((G, G))
+    rows = np.arange(G)
+    for k, w in enumerate(ws.weights):
+        lo, frac = ws.lo[k], ws.frac[k]
+        np.add.at(B, (rows, lo), w * (1.0 - frac))
+        np.add.at(B, (rows, lo + 1), w * frac)
+    return B

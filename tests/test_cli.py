@@ -76,6 +76,11 @@ def test_fingerprint_ignores_metadata_but_not_entries(tmp_path, ref_law):
         ('{"atoms": [[[1, 1], [1, 1]]], "weights": [1.0]}', "dim"),
         ('{"dim": 2, "atoms": [[[1, 1], [1, 1]]], "weights": [1.0], "extra": 1}', "unknown"),
         ('{"dim": 3, "atoms": [[[1, 1], [1, 1]]], "weights": [1.0]}', "shape"),
+        ('{"dim": "2", "atoms": [[[1, 1], [1, 1]]], "weights": [1.0]}', "'dim' = '2'"),
+        ('{"dim": 2.0, "atoms": [[[1, 1], [1, 1]]], "weights": [1.0]}', "'dim' = 2.0"),
+        ('{"dim": true, "atoms": [[[1.0]]], "weights": [1.0]}', "'dim' = True"),
+        ('{"dim": [2], "atoms": [[[1, 1], [1, 1]]], "weights": [1.0]}', r"'dim' = \[2\]"),
+        ('{"dim": 1, "atoms": [[[1.0]]], "weights": [1.0]}', "'dim' = 1 must be an integer >= 2"),
         ('{"dim": 2, "atoms": [[[1, 1], [1, 1]]], "weights": [0.5]}', "sum to 1"),
         ('{"dim": 2, "atoms": [[[1, -1], [1, 1]]], "weights": [1.0]}', "negative"),
     ],
@@ -291,6 +296,56 @@ def test_force_replaces_previous_artifacts(config_path, tmp_path, capsys):
     assert "stale.csv" in err and err.count("\n") == 1
     assert (out / "stale.csv").read_text() == "x\n"
     assert sorted(p.name for p in out.iterdir()) == sorted(listed + ["stale.csv"])
+
+
+@pytest.fixture(scope="module")
+def short_config_path(tmp_path_factory, law_path) -> Path:
+    # too few paths: 159 survivors at n = 64, under the 200 the conditional
+    # law needs, so validate fails after its exit-time tables are computed
+    cfg = {
+        "law": str(law_path),
+        "seed": 3,
+        "check": {"paths": 2000, "n": 128},
+        "simulate": {
+            "n_values": [16, 32],
+            "paths": 2000,
+            "v_schedule": [16, 32],
+            "v_paths": 2000,
+            "a_paths": 1000,
+            "a_grid_sigmas": [0.5, 2.0],
+            "conditional_n": [16, 64],
+            "conditional_paths": 500,
+            "sigma2_n": 32,
+            "sigma2_paths": 1000,
+        },
+        "validate": {"martingale_paths": 50, "martingale_horizon": 16},
+    }
+    p = tmp_path_factory.mktemp("short") / "config.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    return p
+
+
+def test_failed_run_creates_no_out(short_config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(short_config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "survivors" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_failed_force_rerun_keeps_previous_run(short_config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(short_config_path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "manifest.json" in before and len(before) == 6
+    capsys.readouterr()
+    assert main(["validate", "--config", str(short_config_path), "--out", str(out), "--force"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(["check", "--config", str(short_config_path), "--out", str(out), "--force"]) == 0
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert listed == ["hypotheses.json", "manifest.json"]
+    assert sorted(p.name for p in out.iterdir()) == listed
 
 
 def test_covariance_artifacts(config_path, tmp_path):

@@ -1,6 +1,8 @@
 """Law-level layer: standing hypotheses, drift estimation, calibration."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,13 @@ from conefluct import (
     hennion_distance,
     hypothesis_report,
     random_simplex_point,
+    _batch,
 )
 from conftest import scalar_law
 from oracles import enumerate_word_products
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import centered_law  # noqa: E402
 
 
 def _law(*entry_weight_pairs):
@@ -55,6 +61,28 @@ def test_law_cached_arrays(ref_law):
     cw = ref_law.cum_weights
     assert cw[-1] == 1.0 and np.all(np.diff(cw) > 0)
     assert ref_law.interior
+
+
+def test_cum_weights_stay_sorted_when_the_running_sum_passes_one():
+    # the weights sum to 1 within the 1e-12 tolerance, but the running sum
+    # passes 1.0 before the last atom; the clamped array stays nondecreasing
+    g = np.array([[2.0, 1.0], [1.0, 2.0]])
+    law = _law((g, 0.6), (2 * g, 0.4 + 1e-13), (3 * g, 1e-14))
+    cw = law.cum_weights
+    assert np.array_equal(cw, [0.6, 1.0, 1.0])
+    u = np.concatenate([np.random.default_rng(3).random(100_000), [0.0, 0.6, np.nextafter(1.0, 0.0)]])
+    assert np.array_equal(_batch.draw_indices(_batch.guide_table(cw), u), np.searchsorted(cw, u, side="right"))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cum_weights_unchanged_below_one(ref_law, dim):
+    # no clamp fires while the running sum stays at or below 1.0: the
+    # reference law and K = 64 laws keep the plain cumulative sum bit for bit
+    spec = centered_law(np.random.default_rng(20240917), dim=dim, atoms_count=64, smoke=True)
+    for law in (ref_law, MatrixLaw.from_entries(spec["atoms"], spec["weights"])):
+        old = np.cumsum(law.weights)
+        old[-1] = 1.0
+        assert np.array_equal(law.cum_weights, old)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from conefluct import (
     solve_poisson,
     stationary_measure,
 )
-from conefluct.transfer_operator import richardson_sigma2
+from conefluct.transfer_operator import _Workspace, richardson_sigma2
 from conftest import scalar_law
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,23 @@ def test_operator_is_positive_and_averaging(ref_law, grid):
     f = GridFunction(grid, grid.params)
     out = apply_P(ref_law, f).values
     assert np.all(out >= -1e-15) and np.all(out <= 1.0 + 1e-15)
+
+
+def _random_law(K: int) -> MatrixLaw:
+    rng = np.random.default_rng(20240918)
+    return MatrixLaw.from_entries(list(rng.uniform(0.1, 3.0, size=(K, 2, 2))), rng.dirichlet(np.ones(K)))
+
+
+@pytest.mark.parametrize("K", [2, 64])
+@pytest.mark.parametrize("G", [64, 512, 4096])
+def test_scatter_list_matches_add_at_loops(ref_law, K, G):
+    # the adjoint and the dense matrix are one bincount over the stencil
+    # entries, bit-identical to the per-atom np.add.at loops they replace
+    ws = _Workspace(ref_law if K == 2 else _random_law(K), SimplexGrid(G))
+    nu = np.random.default_rng(G).random(G)
+    assert np.array_equal(ws.apply_adjoint(nu), oracles.apply_adjoint(ws, nu))
+    if G <= 512:
+        assert np.array_equal(ws.dense(), oracles.dense(ws))
 
 
 # ---------------------------------------------------------------------------
