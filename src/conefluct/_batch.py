@@ -15,16 +15,12 @@ substreams.
 Workers are plain module-level functions over (atom stack, cumulative
 weights) arrays so they can be shipped to a process pool.
 
-The walk state has two layouts, chosen by the dimension.  For d = 2 it is a
-pair of contiguous (m,) arrays, one per simplex coordinate, and the step
-reads the four atom entries as (K,) arrays, so no (m, 2, 2) stack is
-gathered per step.  For d >= 3 it is an (m, d) array stepped by ``einsum``.
-Both give the bits of the (m, d) einsum step: in d = 2 each coordinate and
-the mass are one IEEE addition of the same two products, and addition
-commutes.  In d >= 3 the order in which ``einsum`` sums three or more
-products is a numpy implementation detail that no explicit sum reproduces,
-so that path stays on ``einsum``.  Only ``step_table``, ``_start``,
-``_keep``, ``_points`` and ``projective_step`` know the layout.
+The walk state is one contiguous (m,) array per simplex coordinate, in
+every dimension, and the step reads each atom entry as a (K,) array built
+once per chunk, so no (m, d, d) stack is gathered per step.  Every sum in
+the step runs left to right over the coordinates; that order is part of the
+reproducibility contract.  For d = 2 each sum is a single addition, which
+commutes, so the d = 2 bits depend on no summation order.
 
 The atom draw is an indexed search (Chen & Asau, AIIE Transactions 6, 1974)
 that returns exactly the index ``np.searchsorted(cum_weights, u,
@@ -125,58 +121,39 @@ def draw_indices(guide, u: np.ndarray) -> np.ndarray:
 def step_table(atom_stack: np.ndarray):
     """What ``projective_step`` reads for a (K, d, d) atom stack.
 
-    For d = 2 the entries ``(g00, g01, g10, g11)`` as contiguous (K,) arrays,
-    for d >= 3 the stack itself.  Kernels build it once per chunk.
+    ``table[i][j]`` holds the entry ``g_ij`` of every atom as a contiguous
+    (K,) array.  Kernels build it once per chunk.
     """
-    if atom_stack.shape[1] == 2:
-        return tuple(np.ascontiguousarray(atom_stack[:, i, j]) for i in (0, 1) for j in (0, 1))
-    return atom_stack
+    d = atom_stack.shape[1]
+    return [[np.ascontiguousarray(atom_stack[:, i, j]) for j in range(d)] for i in range(d)]
 
 
-def _start(x0, size: int):
-    """``size`` copies of the start point in the layout of its dimension."""
+def _start(atom_stack: np.ndarray, x0, size: int) -> list:
+    """``size`` copies of the start point, one (size,) array per coordinate."""
+    d = atom_stack.shape[1]
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape[0] == 2:
-        return np.full(size, x0[0]), np.full(size, x0[1])
-    return np.tile(x0, (size, 1))
+    if x0.shape != (d,):
+        raise ValueError(f"the start point has {x0.size} coordinates, but the law has dimension {d}")
+    return [np.full(size, c) for c in x0]
 
 
-def _keep(X, alive: np.ndarray):
-    """The paths of ``X`` where ``alive`` holds."""
-    if isinstance(X, tuple):
-        return X[0][alive], X[1][alive]
-    return X[alive]
-
-
-def _points(X) -> np.ndarray:
-    """The state as (m, d) simplex points."""
-    return np.stack(X, axis=1) if isinstance(X, tuple) else X
-
-
-def projective_step(table, idx: np.ndarray, X):
+def projective_step(table, idx: np.ndarray, X: list):
     """One projective step for a batch of paths.
 
     ``table`` comes from ``step_table``, ``idx`` is the chosen atom per path
-    and ``X`` the state: for d = 2 a pair ``(x0, x1)`` of (m,) coordinate
-    arrays, for d >= 3 the (m, d) simplex points.  Returns the renormalized
-    images in the same layout and the log-mass increments ``rho(g_idx, x)``.
-
-    The d = 2 arithmetic is bit-identical to the (m, 2) einsum step: einsum
-    forms ``g_i0*x0 + g_i1*x1`` with one rounding per product and one per
-    addition, the mass ``Y.sum(axis=1)`` over two columns is one addition,
-    and the division and ``log`` are the same ufuncs.  For d >= 3 einsum's
-    summation order is its own, so that path keeps it.
+    and ``X`` the state, one (m,) array per simplex coordinate.  Returns the
+    renormalized images in the same layout and the log-mass increments
+    ``rho(g_idx, x)``.  Row i is ``y_i = g_i0[idx]*x_0 + g_i1[idx]*x_1 + ...``
+    and the mass ``y_0 + y_1 + ...``, both summed left to right.
     """
-    if isinstance(X, tuple):
-        g00, g01, g10, g11 = table
-        x0, x1 = X
-        y0 = g00.take(idx) * x0 + g01.take(idx) * x1
-        y1 = g10.take(idx) * x0 + g11.take(idx) * x1
-        mass = y0 + y1
-        return (y0 / mass, y1 / mass), np.log(mass)
-    Y = np.einsum("pij,pj->pi", table.take(idx, axis=0), X)
-    mass = Y.sum(axis=1)
-    return Y / mass[:, None], np.log(mass)
+    Y = []
+    for row in table:
+        y = row[0].take(idx) * X[0]
+        for g, x in zip(row[1:], X[1:], strict=True):
+            y += g.take(idx) * x
+        Y.append(y)
+    mass = sum(Y[1:], Y[0])
+    return [y / mass for y in Y], np.log(mass)
 
 
 def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, want_points, size, ss):
@@ -189,12 +166,10 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     With ``want_points`` the final (size, d) simplex points are returned
     last, otherwise ``None``.
     """
-    if x_steps and atom_stack.shape[1] != 2:
-        raise ValueError("coordinate recording is only defined for d = 2")
     rng = np.random.default_rng(ss)
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
-    X = _start(x0, size)
+    X = _start(atom_stack, x0, size)
     S = np.full(size, float(a))
     s_rec = np.empty((len(s_steps), size))
     rho_rec = np.empty((len(rho_steps), size))
@@ -211,8 +186,8 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
         if step in want_rho:
             rho_rec[want_rho[step]] = rho
         if step in want_x:
-            x_rec[want_x[step]] = X[0]  # d = 2 here, so X is the coordinate pair
-    return s_rec, rho_rec, x_rec, _points(X) if want_points else None
+            x_rec[want_x[step]] = X[0]
+    return s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None
 
 
 def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size, ss):
@@ -227,7 +202,7 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
     rng = np.random.default_rng(ss)
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
-    X = _start(x0, size)
+    X = _start(atom_stack, x0, size)
     S = np.full(size, float(a))
     counts = np.zeros(len(n_values), dtype=np.int64)
     sums = np.zeros(len(n_values))
@@ -241,7 +216,7 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
             S = S + rho
             alive = S > 0.0
             if not alive.all():
-                X = _keep(X, alive)
+                X = [x[alive] for x in X]
                 S = S[alive]
         if step == n_values[pos]:
             counts[pos] = S.shape[0]

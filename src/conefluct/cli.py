@@ -109,6 +109,10 @@ def load_law(path) -> tuple[MatrixLaw, dict]:
         raise LawFormatError(f"law file {path}: 'atoms' must be a non-empty list")
     if not isinstance(weights, list) or len(weights) != len(atoms):
         raise LawFormatError(f"law file {path}: 'weights' must list one weight per atom")
+    for field, value in (("atoms", atoms), ("weights", weights)):
+        bad = _first_non_number(value, field)
+        if bad is not None:
+            raise LawFormatError(f"law file {path}: {bad[0]} = {json.dumps(bad[1])} is not a number")
     try:
         entry_arrays = [np.asarray(entries, dtype=float) for entries in atoms]
     except (TypeError, ValueError) as exc:
@@ -124,6 +128,23 @@ def load_law(path) -> tuple[MatrixLaw, dict]:
     except ValueError as exc:
         raise LawFormatError(f"law file {path}: {exc}") from exc
     return law, obj.get("metadata", {})
+
+
+def _first_non_number(value, where: str):
+    """The first leaf of the nested lists ``value`` that is not a JSON number.
+
+    Returns ``(where, leaf)``, with ``where`` extended by the leaf's indices,
+    or None when every leaf is a number.
+    """
+    if isinstance(value, list):
+        for k, item in enumerate(value):
+            bad = _first_non_number(item, f"{where}[{k}]")
+            if bad is not None:
+                return bad
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return where, value
+    return None
 
 
 def _law_dict(law: MatrixLaw, metadata: dict | None) -> dict:
@@ -317,6 +338,10 @@ def _start_point(cfg: dict, law: MatrixLaw) -> SimplexVector:
     choice = cfg["start"]["x"]
     if choice == "barycenter":
         return SimplexVector.barycenter(law.dim)
+    if isinstance(choice, str):
+        raise LawFormatError(f"config: 'start.x' = {choice!r} must be 'barycenter' or a list of coordinates")
+    if len(choice) != law.dim:
+        raise LawFormatError(f"config: 'start.x' has {len(choice)} coordinates, but the law has dimension {law.dim}")
     return SimplexVector(np.asarray(choice, dtype=float))
 
 

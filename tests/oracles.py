@@ -125,9 +125,11 @@ def quad_rayleigh_cdf(t, sigma):
 # ---------------------------------------------------------------------------
 # reference walk kernels
 #
-# Generic (m, d) einsum kernels.  The library's kernels must reproduce them
-# bit for bit at every dimension, although its d = 2 path carries the state
-# as two coordinate rows and never gathers an (m, 2, 2) stack.
+# Generic (m, d) kernels over a gathered (m, d, d) stack, stepped by
+# ``stepper``: the ``einsum`` step, or ``left_fold_step``, which sums in the
+# library's order.  The library carries the state as one row per coordinate
+# and sums left to right; at d = 2 both steps give its bits, at d >= 3 only
+# the left fold does, and ``einsum`` differs from it at rounding level.
 
 
 def draw_indices(cum_weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -147,7 +149,23 @@ def projective_step(atom_stack: np.ndarray, idx: np.ndarray, X: np.ndarray):
     return Y / mass[:, None], np.log(mass)
 
 
-def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, size, ss):
+def left_fold_step(atom_stack: np.ndarray, idx: np.ndarray, X: np.ndarray):
+    """``projective_step`` with every sum taken left to right, one column at a time."""
+    G = atom_stack[idx]
+    d = X.shape[1]
+    Y = np.empty_like(X)
+    for i in range(d):
+        y = G[:, i, 0] * X[:, 0]
+        for j in range(1, d):
+            y = y + G[:, i, j] * X[:, j]
+        Y[:, i] = y
+    mass = Y[:, 0]
+    for j in range(1, d):
+        mass = mass + Y[:, j]
+    return Y / mass[:, None], np.log(mass)
+
+
+def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, size, ss, stepper=projective_step):
     """Full-horizon walk (no exit filtering) recording selected step data.
 
     Records ``S_k`` at steps in ``s_steps``, the raw increment ``rho`` at
@@ -156,8 +174,6 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, s
     Each record has one row per requested step and one column per path; the
     final simplex points are returned last.
     """
-    if x_steps and atom_stack.shape[1] != 2:
-        raise ValueError("coordinate recording is only defined for d = 2")
     rng = np.random.default_rng(ss)
     X = np.tile(np.asarray(x0, dtype=float), (size, 1))
     S = np.full(size, float(a))
@@ -169,7 +185,7 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, s
     want_x = {step: i for i, step in enumerate(x_steps)}
     for step in range(1, n + 1):
         idx = draw_indices(cum_weights, rng.random(size))
-        X, rho = projective_step(atom_stack, idx, X)
+        X, rho = stepper(atom_stack, idx, X)
         S = S + rho
         if step in want_s:
             s_rec[want_s[step]] = S
@@ -180,7 +196,7 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, s
     return s_rec, rho_rec, x_rec, X
 
 
-def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size, ss):
+def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size, ss, stepper=projective_step):
     """Killed walk: paths exit at the first step with ``S <= 0``.
 
     Dead paths are dropped from the working arrays, so cost tracks the alive
@@ -200,7 +216,7 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
     for step in range(1, n_values[-1] + 1):
         if S.shape[0]:
             idx = draw_indices(cum_weights, rng.random(S.shape[0]))
-            X, rho = projective_step(atom_stack, idx, X)
+            X, rho = stepper(atom_stack, idx, X)
             S = S + rho
             alive = S > 0.0
             X = X[alive]

@@ -1,7 +1,10 @@
-"""The walk kernels against the generic einsum reference in ``oracles``.
+"""The walk kernels against the generic (m, d) reference kernels in ``oracles``.
 
-The d = 2 kernels carry the state as two coordinate rows; every output must
-still equal the (m, d) einsum reference bit for bit, at d = 2 and d = 3.
+The library carries the walk state as one coordinate row per simplex
+coordinate in every dimension and sums left to right.  At d = 2 every
+output equals the ``einsum`` reference bit for bit.  At d >= 3 it equals the
+left-fold reference bit for bit, and the ``einsum`` reference, whose
+summation order is numpy's own, to rounding level with the same survivors.
 """
 
 import sys
@@ -24,15 +27,33 @@ def _law(name: str) -> MatrixLaw:
     if name == "reference":
         return reference_law()
     rng = np.random.default_rng(20240917)
-    dim = 2 if name == "random-d2k64" else 3
+    dim = {"random-d2k64": 2, "d3k64": 3, "d4k64": 4}[name]
     spec = centered_law(rng, dim=dim, atoms_count=64, smoke=True)
     return MatrixLaw.from_entries(spec["atoms"], spec["weights"])
 
 
 # at a = 16 many early steps kill nobody, so the survival kernel's skipped
 # compaction is compared as well
-CASES = [("reference", 1.0), ("reference", 8.0), ("reference", 16.0), ("random-d2k64", 1.0), ("d3k64", 1.0)]
+CASES = [
+    ("reference", 1.0),
+    ("reference", 8.0),
+    ("reference", 16.0),
+    ("random-d2k64", 1.0),
+    ("d3k64", 1.0),
+    ("d4k64", 1.0),
+]
 SIZE = 5000
+
+# distance allowed between the library and the einsum reference at d >= 3,
+# where only the order of the sums differs: per-path values are O(1), so this
+# is about 100 ulp absolute; survivor sums of 5000 paths are held to it
+# relative
+EINSUM_TOL = 1e-12
+
+
+def _assert_close(got, want, rtol: float = 0.0, atol: float = 0.0) -> None:
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=rtol, atol=atol)
 
 
 def _probes(cum: np.ndarray, rng) -> np.ndarray:
@@ -75,14 +96,21 @@ def test_survival_chunk_matches_einsum_reference(name, a):
     law = _law(name)
     x0 = SimplexVector.barycenter(law.dim).coords
     n_values = (1, 2, 3, 10, 50, 200, 400)
-    args = (law.atom_stack, law.cum_weights, x0, a, n_values, True, SIZE)
-    got = _batch.survival_chunk(*args, np.random.SeedSequence(11))
-    want = oracles.survival_chunk(*args, np.random.SeedSequence(11))
+    args = (law.atom_stack, law.cum_weights, x0, a, n_values, True, SIZE, np.random.SeedSequence(11))
+    got = _batch.survival_chunk(*args)
+    einsum = oracles.survival_chunk(*args)
+    want = einsum if law.dim == 2 else oracles.survival_chunk(*args, stepper=oracles.left_fold_step)
     for g, w in zip(got[:3], want[:3]):
         assert np.array_equal(g, w)
     assert len(got[3]) == len(want[3]) == len(n_values)
     for g, w in zip(got[3], want[3]):
         assert np.array_equal(g, w)
+    # the einsum order moves d >= 3 floats at rounding level, never a survivor
+    assert np.array_equal(got[0], einsum[0])
+    _assert_close(got[1], einsum[1], rtol=EINSUM_TOL)
+    _assert_close(got[2], einsum[2], rtol=EINSUM_TOL)
+    for g, w in zip(got[3], einsum[3]):
+        _assert_close(g, w, atol=EINSUM_TOL)
     # the run must kill paths, or compaction goes unchecked
     assert 0 < got[0][-1] < SIZE
 
@@ -94,12 +122,16 @@ def test_walk_chunk_matches_einsum_reference(name, a):
     n = 60
     s_steps = (1, 2, 7, 30, 60)
     rho_steps = (1, 5, 6, 59, 60)
-    x_steps = (1, 3, 60) if law.dim == 2 else ()
+    x_steps = (1, 3, 60)
     head = (law.atom_stack, law.cum_weights, x0, a, n, s_steps, rho_steps, x_steps)
-    want = oracles.walk_chunk(*head, SIZE, np.random.SeedSequence(12))
+    einsum = oracles.walk_chunk(*head, SIZE, np.random.SeedSequence(12))
+    want = einsum
+    if law.dim > 2:
+        want = oracles.walk_chunk(*head, SIZE, np.random.SeedSequence(12), stepper=oracles.left_fold_step)
     got = _batch.walk_chunk(*head, True, SIZE, np.random.SeedSequence(12))
-    for g, w in zip(got, want):
+    for g, w, e in zip(got, want, einsum, strict=True):
         assert np.array_equal(g, w)
+        _assert_close(g, e, atol=EINSUM_TOL)
     assert got[3].shape == (SIZE, law.dim)
     bare = _batch.walk_chunk(*head, False, SIZE, np.random.SeedSequence(12))
     assert bare[3] is None
@@ -107,18 +139,19 @@ def test_walk_chunk_matches_einsum_reference(name, a):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("name", ["reference", "random-d2k64"])
+# the id keeps its d = 2 name; the d >= 3 laws run the same step
+@pytest.mark.parametrize("name", ["reference", "random-d2k64", "d3k64", "d4k64"])
 def test_d2_step_follows_left_product(name):
     law = _law(name)
-    x = SimplexVector.barycenter(2)
+    x = SimplexVector.barycenter(law.dim)
     words = np.random.default_rng(5).integers(0, law.support_size, size=(40, 4))
     table = _batch.step_table(law.atom_stack)
-    X = _batch._start(x.coords, words.shape[1])
+    X = _batch._start(law.atom_stack, x.coords, words.shape[1])
     S = np.full(words.shape[1], 0.5)
     for idx in words:
         X, rho = _batch.projective_step(table, idx, X)
         S = S + rho
-    points = _batch._points(X)
+    points = np.stack(X, axis=1)
     for p in range(words.shape[1]):
         end, traj = left_product([law.atoms[k] for k in words[:, p]], x, 0.5)
         assert abs(S[p] - traj[-1]) < 1e-12

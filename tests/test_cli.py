@@ -83,6 +83,14 @@ def test_fingerprint_ignores_metadata_but_not_entries(tmp_path, ref_law):
         ('{"dim": 1, "atoms": [[[1.0]]], "weights": [1.0]}', "'dim' = 1 must be an integer >= 2"),
         ('{"dim": 2, "atoms": [[[1, 1], [1, 1]]], "weights": [0.5]}', "sum to 1"),
         ('{"dim": 2, "atoms": [[[1, -1], [1, 1]]], "weights": [1.0]}', "negative"),
+        ('{"dim": 2, "atoms": [[["3", "2"], [1, 1]]], "weights": [1.0]}', r'atoms\[0\]\[0\]\[0\] = "3" is not a number'),
+        ('{"dim": 2, "atoms": [[[3, 2], [true, "4"]]], "weights": [1.0]}', r"atoms\[0\]\[1\]\[0\] = true is not"),
+        ('{"dim": 2, "atoms": [[[3, 2], [1, null]]], "weights": [1.0]}', r"atoms\[0\]\[1\]\[1\] = null is not"),
+        (
+            '{"dim": 2, "atoms": [[[1, 1], [1, 1]], [[1, 2], [2, 1]]], "weights": [0.5, "0.5"]}',
+            r'weights\[1\] = "0.5" is not a number',
+        ),
+        ('{"dim": 2, "atoms": [[[1, 1], [1, 1]]], "weights": [true]}', r"weights\[0\] = true is not"),
     ],
 )
 def test_law_parse_errors(tmp_path, payload, field):
@@ -90,6 +98,24 @@ def test_law_parse_errors(tmp_path, payload, field):
     p.write_text(payload, encoding="utf-8")
     with pytest.raises(LawFormatError, match=field):
         load_law(p)
+
+
+@pytest.mark.parametrize(
+    "x, needle",
+    [
+        ([0.2, 0.3, 0.5], "'start.x' has 3 coordinates, but the law has dimension 2"),
+        ("center", "'start.x' = 'center' must be 'barycenter' or a list of coordinates"),
+    ],
+    ids=["wrong-dimension", "unknown-name"],
+)
+def test_start_point_is_checked_against_the_law(law_path, tmp_path, capsys, x, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"law": str(law_path), "seed": 7, "start": {"x": x}}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_law_missing_file(tmp_path):

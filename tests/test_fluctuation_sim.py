@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from conefluct import (
+    MatrixLaw,
     SimplexGrid,
+    SimplexVector,
+    calibrate,
     conditional_endpoint_samples,
     covariance_decay,
     estimate_V,
+    estimate_lyapunov,
     exit_ordering_violations,
     martingale_gap,
     mc_sigma2,
@@ -143,6 +147,34 @@ def test_worker_count_does_not_change_results(ref_law, barycenter, ref_poisson):
         assert np.array_equal(a.S, b.S) and np.array_equal(a.M, b.M)
         assert (a.tau, a.T) == (b.tau, b.T)
         assert np.array_equal(a.x_final, b.x_final)
+
+
+def test_worker_count_does_not_change_d3_results():
+    law = MatrixLaw.from_entries(np.random.default_rng(36).random((64, 3, 3)) + 0.05, np.full(64, 1 / 64))
+    x = SimplexVector.barycenter(3)
+    law = calibrate(law, estimate_lyapunov(law, x, 256, 4000, seed=36)[0])
+    runs = {}
+    for workers in (1, 2):
+        runs[workers] = (
+            survival_probability(law, x, 1.0, [8, 16], 40000, seed=37, workers=workers).survivors,
+            estimate_V(law, x, 1.0, [8, 16], 40000, seed=38, workers=workers).estimates,
+            np.array(mc_sigma2(law, x, 64, 40000, seed=39, workers=workers)),
+            conditional_endpoint_samples(law, x, 1.0, [8], 40000, seed=40, workers=workers)[8],
+            covariance_decay(law, x, 10, 3, 40000, seed=41, workers=workers).cov,
+            np.stack([r.S for r in simulate_paths(law, x, 1.0, 16, 40000, seed=42, workers=workers)]),
+        )
+    for one, two in zip(runs[1], runs[2], strict=True):
+        assert np.array_equal(one, two)
+    # the killed walk must kill some paths and keep others
+    assert 0 < runs[1][0][-1] < 40000
+
+
+def test_start_point_of_another_dimension_is_refused(ref_law):
+    x3 = SimplexVector(np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(ValueError, match="3 coordinates, but the law has dimension 2"):
+        survival_probability(ref_law, x3, 1.0, [4], 1000, seed=1)
+    with pytest.raises(ValueError, match="3 coordinates, but the law has dimension 2"):
+        mc_sigma2(ref_law, x3, 4, 1000, seed=1)
 
 
 def test_seed_is_required(ref_law, barycenter):
