@@ -50,7 +50,7 @@ from .transfer_operator import (
 from .fluctuation_sim import (
     CovarianceDecay,
     HarmonicEstimate,
-    PathRecord,
+    PathBatch,
     SurvivalCurve,
     conditional_endpoint_samples,
     covariance_decay,

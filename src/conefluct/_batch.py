@@ -161,7 +161,8 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
 
     Records ``S_k`` at steps in ``s_steps``, the raw increment ``rho`` at
     steps in ``rho_steps``, and the first simplex coordinate at steps in
-    ``x_steps``.  Step indices are 1-based; all three are sorted tuples.
+    ``x_steps``; all three are sorted tuples.  Step 0 is the start point,
+    which ``s_steps`` and ``x_steps`` may ask for; increments begin at step 1.
     Each record has one row per requested step and one column per path.
     With ``want_points`` the final (size, d) simplex points are returned
     last, otherwise ``None``.
@@ -177,6 +178,10 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     want_s = {step: i for i, step in enumerate(s_steps)}
     want_rho = {step: i for i, step in enumerate(rho_steps)}
     want_x = {step: i for i, step in enumerate(x_steps)}
+    if 0 in want_s:
+        s_rec[0] = S
+    if 0 in want_x:
+        x_rec[0] = X[0]
     for step in range(1, n + 1):
         idx = draw_indices(guide, rng.random(size))
         X, rho = projective_step(table, idx, X)

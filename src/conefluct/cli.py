@@ -342,7 +342,10 @@ def _start_point(cfg: dict, law: MatrixLaw) -> SimplexVector:
         raise LawFormatError(f"config: 'start.x' = {choice!r} must be 'barycenter' or a list of coordinates")
     if len(choice) != law.dim:
         raise LawFormatError(f"config: 'start.x' has {len(choice)} coordinates, but the law has dimension {law.dim}")
-    return SimplexVector(np.asarray(choice, dtype=float))
+    try:
+        return SimplexVector(np.asarray(choice, dtype=float))
+    except ValueError as exc:
+        raise LawFormatError(f"config: 'start.x' = {choice!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -664,23 +667,18 @@ def cmd_validate(cfg: dict, law: MatrixLaw):
     if sigma_scale == 1.0:
         conditional_section = section
     else:
-        negative_control = {
-            "sigma_scale": sigma_scale,
-            "sigma_used": section.sigma_used,
-            "final_ks": float(section.ks[-1]),
-            "pass": bool(section.ks[-1] > thresholds.negative_control_min),
-        }
+        negative_control = tval.negative_control(section, sigma_scale, thresholds)
 
     a_grid, estimates, v_table = _v_table(cfg, law, x, sigma_hat)
     v_section = tval.check_V_properties(
         a_grid, [e.V_hat for e in estimates], [e.V_stderr for e in estimates], poisson.A, thresholds
     )
 
-    records = fsim.simulate_paths(
+    batches = fsim.simulate_paths(
         law, x, a, val["martingale_horizon"], val["martingale_paths"], _seed_for(cfg, "martingale"),
         poisson=poisson, workers=cfg["workers"],
     )
-    gap, gap_violations = fsim.martingale_gap(records, poisson.A, slack=poisson.interp_slack)
+    gap, gap_violations = fsim.martingale_gap(batches, poisson.A, slack=poisson.interp_slack)
     report = tval.ValidationReport(
         law_fingerprint=law_fingerprint(law),
         gamma={"quadrature": spectral["gamma"], "monte_carlo": [hypotheses.gamma_hat, hypotheses.gamma_stderr]},
@@ -696,7 +694,7 @@ def cmd_validate(cfg: dict, law: MatrixLaw):
         checklist={
             "hypotheses": True,
             "martingale_bound": gap_violations == 0,
-            "exit_ordering": fsim.exit_ordering_violations(records, poisson.A) == 0,
+            "exit_ordering": fsim.exit_ordering_violations(batches, poisson.A) == 0,
             "sigma2_agreement": tval.sigma2_agreement(sigma2, sigma2_mc, sigma2_mc_se),
             "gamma_agreement": tval.gamma_agreement(
                 spectral["gamma"], hypotheses.gamma_hat, hypotheses.gamma_stderr, hypotheses.gamma_tol

@@ -12,9 +12,11 @@ potential, with ``sup_n |S_n - M_n| <= A = 2 sup |Theta|`` checked pathwise.
 Everything runs on the two chunked kernels of ``_batch``: the killed walk
 ``survival_chunk`` feeds survival, ``V_n`` and the conditional endpoints,
 and the free walk ``walk_chunk`` feeds the variance, the covariances and
-``simulate_paths``, which derives ``M``, ``tau`` and ``T`` from the recorded
-rows after the walk.  Results are reproducible bit for bit for a given seed
-regardless of worker count.
+``simulate_paths``.  ``simulate_paths`` keeps each chunk's recorded rows as
+one ``PathBatch`` of step-major arrays and builds ``M``, ``tau`` and ``T`` on
+them; the two martingale guards are array reductions over those batches.
+Results are reproducible bit for bit for a given seed regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .matrix_law import MatrixLaw, _endpoint_sums
 from .transfer_operator import PoissonSolution
 
 __all__ = [
-    "PathRecord",
+    "PathBatch",
     "SurvivalCurve",
     "HarmonicEstimate",
     "CovarianceDecay",
@@ -48,24 +50,23 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 @dataclass(frozen=True, eq=False)
-class PathRecord:
-    """One realized trajectory of the walk.
+class PathBatch:
+    """One chunk of full-horizon trajectories, one column per path.
 
-    ``S[0] = start_a``; when a potential was supplied, ``M`` is the
-    compensated trajectory ``M_n = S_n + Theta(X_n) - Theta(X_0)`` aligned
-    with ``S``.  ``tau`` is the first step with ``S <= 0`` (None when the
-    path was censored at the horizon); ``T`` is the first step with
-    ``M <= 0`` within the recorded range.
+    ``S`` and ``M`` are step-major ``(horizon + 1, m)`` arrays: row n is step
+    n, so ``S[0] = M[0] = a``, and column p is path p.  ``M`` is the
+    compensated walk ``M_n = S_n + Theta(X_n) - Theta(X_0)``.  ``tau`` is each
+    path's first step with ``S <= 0`` and ``T`` its first step with
+    ``M <= 0``, as (m,) integer arrays that hold 0 where the path does not
+    cross within the horizon (steps start at 1, so 0 is never a crossing).
+    ``M`` and ``T`` are None when no potential was supplied.  ``x_final``
+    holds the (m, d) simplex points at the horizon.
     """
 
-    start_x: np.ndarray
-    start_a: float
     S: np.ndarray
     M: np.ndarray | None
-    tau: int | None
-    T: int | None
-    horizon: int
-    censored: bool
+    tau: np.ndarray
+    T: np.ndarray | None
     x_final: np.ndarray
 
 
@@ -119,10 +120,10 @@ def _sorted_steps(values) -> tuple:
     return steps
 
 
-def _first_step(values: np.ndarray, level: float) -> int | None:
-    """1-based position of the first entry ``<= level`` (None when there is none)."""
-    hits = np.nonzero(values <= level)[0]
-    return int(hits[0]) + 1 if hits.size else None
+def _first_crossing(rows: np.ndarray, level: float) -> np.ndarray:
+    """Per column, the first step n >= 1 with ``rows[n] <= level``, else 0."""
+    hit = rows[1:] <= level
+    return np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0)
 
 
 def simulate_paths(
@@ -134,18 +135,20 @@ def simulate_paths(
     seed,
     poisson: PoissonSolution | None = None,
     workers: int = 1,
-) -> list[PathRecord]:
-    """Simulate a batch of full-horizon paths, continued past the exit.
+) -> list[PathBatch]:
+    """Simulate full-horizon paths, continued past the exit.
 
-    The free walk records ``S`` and, when a potential is supplied (d = 2
-    only), the first simplex coordinate at every step; ``M``, ``tau`` and
-    ``T`` are derived from those rows after the walk.  Memory is
-    ``O(paths * horizon)`` because whole trajectories are kept; use the
-    aggregate estimators for large budgets.
+    Returns one ``PathBatch`` per chunk of ``_batch.chunk_layout(paths)``, in
+    chunk order.  The batches are the free walk's own rows: it records ``S``
+    and, when a potential is supplied (d = 2 only), the first simplex
+    coordinate at steps 0 to ``horizon``, and ``M`` is built in place over the
+    coordinate rows.  They are returned as a list, not joined, because
+    concatenating would copy every trajectory once more.  Memory is
+    ``O(paths * horizon)``; use the aggregate estimators for large budgets.
     """
     if poisson is not None and law.dim != 2:
         raise ValueError("compensated trajectories need the d = 2 tabulated potential")
-    steps = tuple(range(1, horizon + 1))
+    steps = tuple(range(horizon + 1))
     parts = _batch.run_chunks(
         _batch.walk_chunk,
         (law.atom_stack, law.cum_weights, x.coords, a, horizon, steps, (), steps if poisson is not None else (), True),
@@ -153,35 +156,21 @@ def simulate_paths(
         seed,
         workers,
     )
-    a = float(a)
-    records = []
-    for s_rec, _, m_rec, X_final in parts:
-        if poisson is not None:
+    batches = []
+    for S, _, M, x_final in parts:
+        T = None
+        if poisson is None:
+            M = None
+        else:
             # M over the coordinate rows in place, one step at a time: a
-            # whole-array pass would hold a second (horizon, paths) buffer
+            # whole-array pass would hold a second (horizon + 1, m) buffer
             theta0 = poisson.theta_at(x.coords[0])
-            for k in range(horizon):
-                m_rec[k] = s_rec[k] + poisson.theta_at(m_rec[k]) - theta0
-        for p in range(s_rec.shape[1]):
-            tau = _first_step(s_rec[:, p], 0.0)
-            M = T = None
-            if poisson is not None:
-                M = np.concatenate(([a], m_rec[:, p]))
-                T = _first_step(M[1:], 0.0)
-            records.append(
-                PathRecord(
-                    start_x=x.coords,
-                    start_a=a,
-                    S=np.concatenate(([a], s_rec[:, p])),
-                    M=M,
-                    tau=tau,
-                    T=T,
-                    horizon=horizon,
-                    censored=tau is None,
-                    x_final=X_final[p].copy(),
-                )
-            )
-    return records
+            M[0] = S[0]
+            for k in range(1, horizon + 1):
+                M[k] = S[k] + poisson.theta_at(M[k]) - theta0
+            T = _first_crossing(M, 0.0)
+        batches.append(PathBatch(S=S, M=M, tau=_first_crossing(S, 0.0), T=T, x_final=x_final))
+    return batches
 
 
 def _survival_reduce(law, x, a, n_values, paths, seed, workers, want_samples):
@@ -383,37 +372,39 @@ def covariance_decay(
     )
 
 
-def martingale_gap(records, A: float, slack: float = 0.0):
+def martingale_gap(batches, A: float, slack: float = 0.0):
     """Pathwise sup of ``|S - M|`` and the count of paths exceeding ``A + slack``.
 
     ``slack`` should be the interpolation slack of the potential used to
-    build the records; the bound itself is deterministic, so any violation
-    indicates a broken potential or mismatched records.
+    build the batches; the bound itself is deterministic, so any violation
+    indicates a broken potential or mismatched trajectories.  The sup is
+    taken one step at a time, so no array the size of ``S`` is allocated.
     """
     max_gap = 0.0
     violations = 0
-    for rec in records:
-        if rec.M is None:
-            raise ValueError("records carry no compensated trajectory; simulate with a potential")
-        gap = float(np.abs(rec.S - rec.M).max())
-        max_gap = max(max_gap, gap)
-        if gap > A + slack:
-            violations += 1
+    for batch in batches:
+        if batch.M is None:
+            raise ValueError("batches carry no compensated trajectory; simulate with a potential")
+        gap = np.zeros(batch.S.shape[1])
+        for s_row, m_row in zip(batch.S, batch.M):
+            np.maximum(gap, np.abs(s_row - m_row), out=gap)
+        max_gap = max(max_gap, float(gap.max()))
+        violations += int(np.count_nonzero(gap > A + slack))
     return max_gap, violations
 
 
-def exit_ordering_violations(records, A: float) -> int:
+def exit_ordering_violations(batches, A: float) -> int:
     """Count paths where the exit fails to precede the shifted crossing.
 
-    For every path on which ``M`` reaches ``-A`` within the recorded range,
-    the exit ``tau`` must already have happened by then (since
-    ``S <= M + A``); returns the number of paths violating that ordering.
+    For every path on which ``M`` reaches ``-A`` within the horizon, the
+    exit ``tau`` must already have happened by then (since ``S <= M + A``);
+    returns the number of paths violating that ordering.
     """
     bad = 0
-    for rec in records:
-        if rec.M is None:
-            raise ValueError("records carry no compensated trajectory; simulate with a potential")
-        t_shift = _first_step(rec.M[1:], -A)
-        if t_shift is not None and (rec.tau is None or rec.tau > t_shift):
-            bad += 1
+    for batch in batches:
+        if batch.M is None:
+            raise ValueError("batches carry no compensated trajectory; simulate with a potential")
+        t_shift = _first_crossing(batch.M, -A)
+        late = (batch.tau == 0) | (batch.tau > t_shift)
+        bad += int(np.count_nonzero((t_shift > 0) & late))
     return bad

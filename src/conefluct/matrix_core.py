@@ -92,7 +92,7 @@ class SimplexVector:
         if np.any(c < 0.0) or not np.all(np.isfinite(c)):
             raise ValueError("coordinates must be finite and non-negative")
         if abs(c.sum() - 1.0) > _SIMPLEX_TOL:
-            raise ValueError(f"coordinates must sum to 1 within {_SIMPLEX_TOL}, got {c.sum()!r}")
+            raise ValueError(f"coordinates must sum to 1 within {_SIMPLEX_TOL}, got {float(c.sum())!r}")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 

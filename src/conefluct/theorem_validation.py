@@ -37,6 +37,7 @@ __all__ = [
     "validate_exit_asymptotics",
     "validate_conditional_law",
     "check_V_properties",
+    "negative_control",
     "sigma2_agreement",
     "gamma_agreement",
 ]
@@ -345,6 +346,24 @@ def check_V_properties(
         upper_envelope=upper_envelope,
         verdict=(monotone_violations == 0) and lower_ok and slope_ok,
     )
+
+
+def negative_control(
+    section: ConditionalLawSection,
+    sigma_scale: float,
+    thresholds: ValidationThresholds = ValidationThresholds(),
+) -> dict:
+    """The conditional-law check rerun with sigma scaled by ``sigma_scale`` != 1.
+
+    A wrong sigma must move the endpoints away from the Rayleigh law, so the
+    control passes when the final KS distance exceeds ``negative_control_min``.
+    """
+    return {
+        "sigma_scale": sigma_scale,
+        "sigma_used": section.sigma_used,
+        "final_ks": float(section.ks[-1]),
+        "pass": bool(section.ks[-1] > thresholds.negative_control_min),
+    }
 
 
 def sigma2_agreement(spectral: float, monte_carlo: float, mc_stderr: float) -> bool:

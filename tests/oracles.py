@@ -2,17 +2,21 @@
 
 Everything here is deliberately written by a different route than the
 library: full matrix products without projective renormalization, explicit
-tree enumeration over the (finite) support, and numerical quadrature of the
-limiting densities.  Slow and simple on purpose.
+tree enumeration over the (finite) support, numerical quadrature of the
+limiting densities, and per-path loops where the library reduces arrays.
+Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+
+from conefluct import _batch
 
 
 def dense_walk_log(entry_arrays, x_coords, a=0.0):
@@ -231,6 +235,112 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
             if pos == len(n_values):
                 break
     return counts, sums, sums2, samples
+
+
+# ---------------------------------------------------------------------------
+# reference path records
+#
+# One record per path, cut out of the free walk's rows, and the martingale
+# guards as Python loops over the records.  The library keeps each chunk's
+# rows as one batch of step-major arrays and reduces them as arrays; path for
+# path it must hold the same numbers, and its guards must count the same.
+
+
+@dataclass(frozen=True, eq=False)
+class PathRecord:
+    """One realized trajectory of the walk.
+
+    ``S[0] = start_a``; when a potential was supplied, ``M`` is the
+    compensated trajectory ``M_n = S_n + Theta(X_n) - Theta(X_0)`` aligned
+    with ``S``.  ``tau`` is the first step with ``S <= 0`` (None when the
+    path was censored at the horizon); ``T`` is the first step with
+    ``M <= 0`` within the recorded range.
+    """
+
+    start_x: np.ndarray
+    start_a: float
+    S: np.ndarray
+    M: np.ndarray | None
+    tau: int | None
+    T: int | None
+    horizon: int
+    censored: bool
+    x_final: np.ndarray
+
+
+def _first_step(values: np.ndarray, level: float) -> int | None:
+    """1-based position of the first entry ``<= level`` (None when there is none)."""
+    hits = np.nonzero(values <= level)[0]
+    return int(hits[0]) + 1 if hits.size else None
+
+
+def simulate_paths(law, x, a, horizon, paths, seed, poisson=None, workers=1) -> list[PathRecord]:
+    """``conefluct.simulate_paths`` as one ``PathRecord`` per path."""
+    if poisson is not None and law.dim != 2:
+        raise ValueError("compensated trajectories need the d = 2 tabulated potential")
+    steps = tuple(range(1, horizon + 1))
+    parts = _batch.run_chunks(
+        _batch.walk_chunk,
+        (law.atom_stack, law.cum_weights, x.coords, a, horizon, steps, (), steps if poisson is not None else (), True),
+        paths,
+        seed,
+        workers,
+    )
+    a = float(a)
+    records = []
+    for s_rec, _, m_rec, X_final in parts:
+        if poisson is not None:
+            # M over the coordinate rows in place, one step at a time: a
+            # whole-array pass would hold a second (horizon, paths) buffer
+            theta0 = poisson.theta_at(x.coords[0])
+            for k in range(horizon):
+                m_rec[k] = s_rec[k] + poisson.theta_at(m_rec[k]) - theta0
+        for p in range(s_rec.shape[1]):
+            tau = _first_step(s_rec[:, p], 0.0)
+            M = T = None
+            if poisson is not None:
+                M = np.concatenate(([a], m_rec[:, p]))
+                T = _first_step(M[1:], 0.0)
+            records.append(
+                PathRecord(
+                    start_x=x.coords,
+                    start_a=a,
+                    S=np.concatenate(([a], s_rec[:, p])),
+                    M=M,
+                    tau=tau,
+                    T=T,
+                    horizon=horizon,
+                    censored=tau is None,
+                    x_final=X_final[p].copy(),
+                )
+            )
+    return records
+
+
+def martingale_gap(records, A: float, slack: float = 0.0):
+    """Pathwise sup of ``|S - M|`` and the count of paths exceeding ``A + slack``."""
+    max_gap = 0.0
+    violations = 0
+    for rec in records:
+        if rec.M is None:
+            raise ValueError("records carry no compensated trajectory; simulate with a potential")
+        gap = float(np.abs(rec.S - rec.M).max())
+        max_gap = max(max_gap, gap)
+        if gap > A + slack:
+            violations += 1
+    return max_gap, violations
+
+
+def exit_ordering_violations(records, A: float) -> int:
+    """Count paths on which ``M`` reaches ``-A`` before ``S`` exits."""
+    bad = 0
+    for rec in records:
+        if rec.M is None:
+            raise ValueError("records carry no compensated trajectory; simulate with a potential")
+        t_shift = _first_step(rec.M[1:], -A)
+        if t_shift is not None and (rec.tau is None or rec.tau > t_shift):
+            bad += 1
+    return bad
 
 
 # ---------------------------------------------------------------------------

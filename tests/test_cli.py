@@ -105,8 +105,10 @@ def test_law_parse_errors(tmp_path, payload, field):
     [
         ([0.2, 0.3, 0.5], "'start.x' has 3 coordinates, but the law has dimension 2"),
         ("center", "'start.x' = 'center' must be 'barycenter' or a list of coordinates"),
+        ([0.3, 0.3], "'start.x' = [0.3, 0.3]: coordinates must sum to 1 within 1e-12, got 0.6"),
+        ([-0.5, 1.5], "'start.x' = [-0.5, 1.5]: coordinates must be finite and non-negative"),
     ],
-    ids=["wrong-dimension", "unknown-name"],
+    ids=["wrong-dimension", "unknown-name", "sum-not-one", "negative"],
 )
 def test_start_point_is_checked_against_the_law(law_path, tmp_path, capsys, x, needle):
     cfg = tmp_path / "cfg.json"

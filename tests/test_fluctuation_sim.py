@@ -1,12 +1,15 @@
 """Monte Carlo layer: path simulation, exit times, killed expectations,
 reproducibility across worker counts, and the martingale comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from conefluct import (
+    GridFunction,
     MatrixLaw,
     SimplexGrid,
     SimplexVector,
@@ -23,6 +26,7 @@ from conefluct import (
     stationary_measure,
     survival_probability,
 )
+from conefluct._batch import chunk_layout
 from conftest import scalar_law
 from oracles import enumerate_walk
 
@@ -34,52 +38,93 @@ def ref_poisson(ref_law):
 
 
 # ---------------------------------------------------------------------------
-# single-path simulation
+# path simulation
+
+
+def _assert_same_paths(batches, records):
+    """Column p of each batch is the next per-path record, field for field."""
+    assert len(records) == sum(b.S.shape[1] for b in batches)
+    paths = iter(records)
+    for batch in batches:
+        for p, rec in zip(range(batch.S.shape[1]), paths):
+            assert np.array_equal(batch.S[:, p], rec.S)
+            assert (int(batch.tau[p]) or None) == rec.tau
+            assert np.array_equal(batch.x_final[p], rec.x_final)
+            if rec.M is None:
+                assert batch.M is None and batch.T is None
+            else:
+                assert np.array_equal(batch.M[:, p], rec.M)
+                assert (int(batch.T[p]) or None) == rec.T
 
 
 def test_single_path_is_reproducible(ref_law, barycenter):
     (p1,) = simulate_paths(ref_law, barycenter, 1.0, 64, paths=1, seed=5)
     (p2,) = simulate_paths(ref_law, barycenter, 1.0, 64, paths=1, seed=5)
     assert np.array_equal(p1.S, p2.S)
-    assert p1.tau == p2.tau
-    assert p1.S[0] == 1.0
+    assert np.array_equal(p1.tau, p2.tau)
+    assert p1.S[0, 0] == 1.0
 
 
 def test_deterministic_exit_time(barycenter):
     law = scalar_law((0.82, 1.0))
-    (path,) = simulate_paths(law, barycenter, 1.0, 100, paths=1, seed=0)
+    (batch,) = simulate_paths(law, barycenter, 1.0, 100, paths=1, seed=0)
     expected_tau = math.ceil(1.0 / abs(math.log(0.82)))
-    assert path.tau == expected_tau == 6
-    assert not path.censored
-    S = path.S[: path.tau + 1]
-    assert len(S) == path.tau + 1
-    for n, s in enumerate(S):
+    assert expected_tau == 6
+    assert batch.tau.tolist() == [expected_tau]
+    for n, s in enumerate(batch.S[: expected_tau + 1, 0]):
         assert s == pytest.approx(1.0 + n * math.log(0.82), abs=1e-12)
 
 
 def test_full_horizon_continues_past_exit(barycenter):
     law = scalar_law((0.82, 1.0))
-    (path,) = simulate_paths(law, barycenter, 1.0, 10, paths=1, seed=0)
-    assert path.tau == 6
-    assert len(path.S) == 11
+    batches = simulate_paths(law, barycenter, 1.0, 10, paths=3, seed=0)
+    (batch,) = batches
+    assert batch.tau.tolist() == [6, 6, 6]
+    assert batch.S.shape == (11, 3)
+    _assert_same_paths(batches, oracles.simulate_paths(law, barycenter, 1.0, 10, paths=3, seed=0))
 
 
 def test_censoring_at_horizon(barycenter):
     law = scalar_law((1.2, 1.0))
-    (path,) = simulate_paths(law, barycenter, 5.0, 50, paths=1, seed=0)
-    assert path.tau is None and path.censored
+    batches = simulate_paths(law, barycenter, 5.0, 50, paths=3, seed=0)
+    (batch,) = batches
+    assert batch.tau.tolist() == [0, 0, 0]
+    assert batch.M is None and batch.T is None
+    records = oracles.simulate_paths(law, barycenter, 5.0, 50, paths=3, seed=0)
+    assert [rec.tau for rec in records] == [None, None, None]
+    _assert_same_paths(batches, records)
 
 
 def test_batch_paths_match_shapes(ref_law, barycenter, ref_poisson):
-    records = simulate_paths(ref_law, barycenter, 1.0, 32, 40, seed=9, poisson=ref_poisson)
-    assert len(records) == 40
-    for rec in records:
-        assert rec.S.shape == (33,)
-        assert rec.M.shape == (33,)
-        assert rec.M[0] == pytest.approx(rec.S[0], abs=1e-12)
-        if rec.tau is not None:
-            assert rec.S[rec.tau] <= 0.0
-            assert np.all(rec.S[1 : rec.tau] > 0.0)
+    (batch,) = simulate_paths(ref_law, barycenter, 1.0, 32, 40, seed=9, poisson=ref_poisson)
+    assert batch.S.shape == batch.M.shape == (33, 40)
+    assert batch.tau.shape == batch.T.shape == (40,)
+    assert batch.x_final.shape == (40, 2)
+    assert np.array_equal(batch.M[0], batch.S[0])
+    steps = np.arange(33)[:, None]
+    for walk, first in ((batch.S, batch.tau), (batch.M, batch.T)):
+        assert np.any(first > 0)
+        crossed = np.flatnonzero(first)
+        assert np.all(walk[first[crossed], crossed] <= 0.0)
+        before = (steps >= 1) & ((steps < first) | (first == 0))
+        assert np.all(walk[before] > 0.0)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_batches_match_per_path_records(ref_law, barycenter, ref_poisson, workers):
+    kw = dict(horizon=32, paths=40000, seed=35, poisson=ref_poisson, workers=workers)
+    batches = simulate_paths(ref_law, barycenter, 1.0, **kw)
+    records = oracles.simulate_paths(ref_law, barycenter, 1.0, **kw)
+    assert [b.S.shape[1] for b in batches] == chunk_layout(40000) == [16384, 16384, 7232]
+    _assert_same_paths(batches, records)
+    slack = ref_poisson.interp_slack
+    violations = []
+    for A in (ref_poisson.A, ref_poisson.A / 20):
+        gap = martingale_gap(batches, A, slack=slack)
+        assert gap == oracles.martingale_gap(records, A, slack=slack)
+        assert exit_ordering_violations(batches, A) == oracles.exit_ordering_violations(records, A)
+        violations.append(gap[1])
+    assert violations[0] == 0 and violations[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +187,10 @@ def test_worker_count_does_not_change_results(ref_law, barycenter, ref_poisson):
     kw = dict(horizon=32, paths=40000, seed=35, poisson=ref_poisson)
     r1 = simulate_paths(ref_law, barycenter, 1.0, workers=1, **kw)
     r3 = simulate_paths(ref_law, barycenter, 1.0, workers=3, **kw)
-    assert len(r1) == len(r3) == 40000
+    assert len(r1) == len(r3) == len(chunk_layout(40000))
     for a, b in zip(r1, r3):
-        assert np.array_equal(a.S, b.S) and np.array_equal(a.M, b.M)
-        assert (a.tau, a.T) == (b.tau, b.T)
-        assert np.array_equal(a.x_final, b.x_final)
+        for field in ("S", "M", "tau", "T", "x_final"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_worker_count_does_not_change_d3_results():
@@ -161,7 +205,7 @@ def test_worker_count_does_not_change_d3_results():
             np.array(mc_sigma2(law, x, 64, 40000, seed=39, workers=workers)),
             conditional_endpoint_samples(law, x, 1.0, [8], 40000, seed=40, workers=workers)[8],
             covariance_decay(law, x, 10, 3, 40000, seed=41, workers=workers).cov,
-            np.stack([r.S for r in simulate_paths(law, x, 1.0, 16, 40000, seed=42, workers=workers)]),
+            np.concatenate([b.S for b in simulate_paths(law, x, 1.0, 16, 40000, seed=42, workers=workers)], axis=1),
         )
     for one, two in zip(runs[1], runs[2], strict=True):
         assert np.array_equal(one, two)
@@ -202,22 +246,41 @@ def test_mc_sigma2_agrees_with_manifest(ref_law, barycenter, ref_manifest):
 
 
 def test_martingale_bound_and_ordering(ref_law, barycenter, ref_poisson):
-    records = simulate_paths(
+    batches = simulate_paths(
         ref_law, barycenter, 1.0, 256, 2000, seed=51, poisson=ref_poisson
     )
-    gap, violations = martingale_gap(records, ref_poisson.A, slack=ref_poisson.interp_slack)
+    gap, violations = martingale_gap(batches, ref_poisson.A, slack=ref_poisson.interp_slack)
     assert violations == 0
     assert 0.0 < gap <= ref_poisson.A + ref_poisson.interp_slack
-    assert exit_ordering_violations(records, ref_poisson.A) == 0
+    assert exit_ordering_violations(batches, ref_poisson.A) == 0
+
+
+def test_martingale_guards_can_fail(ref_law, barycenter, ref_poisson):
+    kw = dict(horizon=256, paths=2000, seed=51)
+    # on this law |S - M| = |Theta(X_n) - Theta(X_0)| reaches about A / 9, so
+    # the bound fails once A is shrunk to A / 20
+    batches = simulate_paths(ref_law, barycenter, 1.0, poisson=ref_poisson, **kw)
+    records = oracles.simulate_paths(ref_law, barycenter, 1.0, poisson=ref_poisson, **kw)
+    gap, violations = martingale_gap(batches, ref_poisson.A / 20)
+    assert violations > 0 and gap > ref_poisson.A / 20
+    assert (gap, violations) == oracles.martingale_gap(records, ref_poisson.A / 20)
+    # a potential twenty times too large lets M reach -A while S is still positive
+    scaled = dataclasses.replace(
+        ref_poisson, theta=GridFunction(ref_poisson.theta.grid, 20.0 * ref_poisson.theta.values)
+    )
+    batches = simulate_paths(ref_law, barycenter, 1.0, poisson=scaled, **kw)
+    records = oracles.simulate_paths(ref_law, barycenter, 1.0, poisson=scaled, **kw)
+    bad = exit_ordering_violations(batches, ref_poisson.A)
+    assert bad > 0 and bad == oracles.exit_ordering_violations(records, ref_poisson.A)
 
 
 def test_martingale_mean_is_conserved(ref_law, barycenter, ref_poisson):
     # E[M_n] = a at every n, not only at the horizon: a wrong-sign potential
     # breaks it at small n and can pass at n = 64
-    records = simulate_paths(ref_law, barycenter, 1.0, 64, 20000, seed=52, poisson=ref_poisson)
-    M = np.array([rec.M[1:] for rec in records])
-    se = M.std(axis=0, ddof=1) / math.sqrt(len(records))
-    z = (M.mean(axis=0) - 1.0) / se
+    batches = simulate_paths(ref_law, barycenter, 1.0, 64, 20000, seed=52, poisson=ref_poisson)
+    M = np.concatenate([b.M[1:] for b in batches], axis=1)
+    se = M.std(axis=1, ddof=1) / math.sqrt(M.shape[1])
+    z = (M.mean(axis=1) - 1.0) / se
     assert np.all(np.abs(z) <= 4.0), np.abs(z).max()
 
 

@@ -19,6 +19,7 @@ from conefluct import (
     validate_conditional_law,
     validate_exit_asymptotics,
 )
+from conefluct.theorem_validation import negative_control
 from oracles import quad_corridor, quad_rayleigh_cdf, quad_survival
 
 
@@ -187,6 +188,7 @@ def test_conditional_law_accepts_matching_samples(rng):
     assert isinstance(section, ConditionalLawSection)
     assert section.final_ks_ok and section.non_increasing and section.verdict
     assert section.ks[-1] < 0.03
+    assert not negative_control(section, 1.0)["pass"]
 
 
 def test_conditional_law_rejects_wrong_scale(rng):
@@ -196,6 +198,9 @@ def test_conditional_law_rejects_wrong_scale(rng):
     assert not section.final_ks_ok
     assert not section.verdict
     assert section.ks[-1] > 0.15  # the negative-control margin
+    assert negative_control(section, 2.0) == {
+        "sigma_scale": 2.0, "sigma_used": 2.0 * sigma, "final_ks": section.ks[-1], "pass": True
+    }
 
 
 def test_conditional_law_requires_survivors(rng):
