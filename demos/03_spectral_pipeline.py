@@ -42,7 +42,7 @@ print(f"so the walk fluctuates like a Brownian motion of scale sigma = {np.sqrt(
 sol = solve_poisson(law, nu)
 print(f"\nPotential Theta (series of {sol.truncation_n} operator powers):")
 print(f"  residual of Theta - P Theta = rho_bar - drift:  {sol.residual:.1e}")
-print(f"  gap to the dense linear solve:                  {sol.dense_gap:.1e}")
+print(f"  gap to an independent GMRES solve:              {sol.dense_gap:.1e}")
 print(f"  sup |Theta| = {np.max(np.abs(sol.theta.values)):.5f}, so A = {sol.A:.5f}")
 print("\nA bounds how far the walk can sit from its martingale companion:")
 print("|S_n - M_n| <= A for every path, which transfers Brownian exit")

@@ -246,6 +246,13 @@ def _type_ok(default, value) -> bool:
     return isinstance(value, type(default))
 
 
+def _finite(value) -> bool:
+    """Whether no float in a leaf, or in a list leaf, is NaN or infinite (JSON ``NaN``, ``Infinity``)."""
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
     for key, value in override.items():
@@ -265,6 +272,8 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
             default = defaults[key]
             if not (_type_ok(default, value) or _type_ok(_LEAF_ALTERNATIVES.get(where, default), value)):
                 raise LawFormatError(f"config: {where!r} = {value!r} has the wrong type (default {default!r})")
+            if not _finite(value):
+                raise LawFormatError(f"config: {where!r} = {value!r} is not a finite number")
             out[key] = value
     return out
 
@@ -753,6 +762,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "validate" and args.sigma_scale is not None:
+            if not _finite(args.sigma_scale):
+                raise LawFormatError(f"--sigma-scale = {args.sigma_scale!r} is not a finite number")
             cfg["validate"]["sigma_scale"] = args.sigma_scale
         law, _ = load_law(cfg["law"])
         stale = _prepare_out(cfg, force=args.force)

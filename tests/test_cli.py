@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conefluct
 from conefluct import MatrixLaw
 from conefluct.cli import LawFormatError, law_fingerprint, load_config, load_law, main, save_law
 from conefluct.fixtures import reference_law_text
@@ -149,11 +154,14 @@ def test_config_requires_seed(tmp_path, law_path):
         ({}, {"CONEFLUCT_WORKERS": "0"}, {}, "CONEFLUCT_WORKERS"),
         ({}, {}, {"workers": -3}, "--workers"),
         ({"workers": 0}, {}, {}, "config key 'workers'"),
+        ({"start": {"a": float("nan")}}, {}, {}, "'start.a' = nan is not a finite number"),
+        ({"thresholds": {"ks_threshold": float("inf")}}, {}, {}, "'thresholds.ks_threshold' = inf is not a finite"),
+        ({"simulate": {"a_grid": [1.0, float("-inf")]}}, {}, {}, "'simulate.a_grid' = [1.0, -inf] is not a finite"),
     ],
     ids=[
         "unknown-key", "unknown-threshold", "wrong-type", "wrong-length", "removed-horizon",
         "env-seed-not-int", "env-workers-not-int", "env-workers-zero", "flag-workers-negative",
-        "config-workers-zero",
+        "config-workers-zero", "nan-start-level", "infinite-threshold", "infinite-a-grid-level",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, override, env, flags, needle):
@@ -161,13 +169,22 @@ def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, ov
         monkeypatch.setenv(name, value)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"law": str(law_path), "seed": 1, **override}), encoding="utf-8")
-    with pytest.raises(LawFormatError, match=needle):
+    with pytest.raises(LawFormatError, match=re.escape(needle)):
         load_config(p, overrides=flags)
     out = tmp_path / "out"
     argv = [arg for name, value in flags.items() for arg in (f"--{name}", str(value))]
     assert main(["validate", "--config", str(p), "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert needle in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_sigma_scale_flag_must_be_finite(config_path, tmp_path, capsys, scale):
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(config_path), "--out", str(out), "--sigma-scale", scale]) == 2
+    err = capsys.readouterr().err
+    assert f"--sigma-scale = {scale} is not a finite number" in err and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -245,6 +262,22 @@ def test_spectral_artifacts(config_path, tmp_path):
     assert len(rows) - 1 == summary["grid_resolution"]
     weights = np.array([float(r[1]) for r in rows[1:]])
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_spectral_and_validate_load_no_scipy_solvers(config_path, tmp_path):
+    # the Poisson cross-check is plain numpy: loading scipy.sparse or
+    # scipy.linalg would add 0.1 s and 20 MB to every spectral and validate call
+    script = (
+        "import sys\n"
+        "from conefluct.cli import main\n"
+        f"assert main(['spectral', '--config', {str(config_path)!r}, '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        f"assert main(['validate', '--config', {str(config_path)!r}, '--out', {str(tmp_path / 'v')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(conefluct.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_hypothesis_failure_stops_spectral_and_validate(tmp_path, capsys):

@@ -3,6 +3,9 @@ eigenvalue family, and the potential (the centered-walk compensator)."""
 
 import cmath
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +25,13 @@ from conefluct import (
     solve_poisson,
     stationary_measure,
 )
-from conefluct.transfer_operator import _Workspace, richardson_sigma2
+from conefluct.transfer_operator import _gmres, _Workspace, richardson_sigma2
 from conftest import scalar_law
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import weak_law  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -94,13 +100,14 @@ def _random_law(K: int) -> MatrixLaw:
 @pytest.mark.parametrize("K", [2, 64])
 @pytest.mark.parametrize("G", [64, 512, 4096])
 def test_scatter_list_matches_add_at_loops(ref_law, K, G):
-    # the adjoint and the dense matrix are one bincount over the stencil
-    # entries, bit-identical to the per-atom np.add.at loops they replace
+    # the adjoint is one bincount over the stencil entries, bit-identical to
+    # the per-atom np.add.at loops it replaces; the row-wise stencil product
+    # is the dense matrix's, up to summation order
     ws = _Workspace(ref_law if K == 2 else _random_law(K), SimplexGrid(G))
     nu = np.random.default_rng(G).random(G)
     assert np.array_equal(ws.apply_adjoint(nu), oracles.apply_adjoint(ws, nu))
     if G <= 512:
-        assert np.array_equal(ws.dense(), oracles.dense(ws))
+        np.testing.assert_allclose(ws.apply_stencil(nu), oracles.dense(ws) @ nu, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +273,66 @@ def test_poisson_trivial_for_scalar_mixture(centered_scalar_law):
     sol = solve_poisson(centered_scalar_law, nu)
     assert np.allclose(sol.theta.values, 0.0, atol=1e-14)
     assert sol.A <= 1e-14
+
+
+def _weak_law():
+    spec = weak_law(np.random.default_rng(7))
+    return MatrixLaw.from_entries(list(np.asarray(spec["atoms"])), np.asarray(spec["weights"]))
+
+
+@pytest.mark.parametrize("G", [64, 512])
+@pytest.mark.parametrize("law_name", ["reference", "weak", "random64", "scalar"])
+def test_krylov_check_matches_dense_lu(ref_law, centered_scalar_law, law_name, G):
+    # the dense LU solve the GMRES cross-check replaced is its reference here;
+    # both routes must call the identity-action system singular
+    law = {"reference": ref_law, "weak": _weak_law(), "random64": _random_law(64), "scalar": centered_scalar_law}[law_name]
+    grid = SimplexGrid(G)
+    nu_grid = stationary_measure(law, grid)
+    nu = nu_grid.values
+    ws = _Workspace(law, grid)
+    rhs = ws.rho_bar() - float(nu @ ws.rho_bar())
+    krylov = _gmres(lambda v: v - ws.apply_stencil(v) + nu @ v, rhs, 1e-13, G)
+    system = np.eye(G) - oracles.dense(ws) + np.outer(np.ones(G), nu)
+    if law_name == "scalar":
+        assert krylov is None
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(system, rhs)
+        return
+    lu = np.linalg.solve(system, rhs)
+    assert np.abs(krylov - lu).max() <= 1e-12
+    sol = solve_poisson(law, nu_grid)
+    assert sol.dense_gap == pytest.approx(np.abs(sol.theta.values - lu).max(), abs=1e-12)
+
+
+def test_gmres_edge_cases():
+    # a zero right-hand side returns 0 at once; on a cyclic shift the residual
+    # stays |b| until the Krylov space is the whole space, so a cap of 4 < 8 raises
+    assert np.array_equal(_gmres(lambda v: v, np.zeros(8), 1e-13, 8), np.zeros(8))
+    assert np.allclose(_gmres(lambda v: np.roll(v, 1), np.eye(8)[0], 1e-13, 8), np.eye(8)[7])
+    with pytest.raises(ConvergenceError, match="GMRES"):
+        _gmres(lambda v: np.roll(v, 1), np.eye(8)[0], 1e-13, 4)
+
+
+@pytest.mark.parametrize("law_name", ["reference", "weak"])
+def test_krylov_check_can_fail(ref_law, grid, law_name):
+    # a series truncated at 1e-4 is off by about that much; the check sees it
+    law = ref_law if law_name == "reference" else _weak_law()
+    sol = solve_poisson(law, stationary_measure(law, grid), tol=1e-4)
+    assert sol.dense_gap > 1e-6
+
+
+@pytest.mark.parametrize("law_name", ["reference", "weak"])
+def test_poisson_memory_is_linear_in_resolution(ref_law, ref_manifest, law_name):
+    # a dense G x G matrix at G = 16384 would take 2 GiB
+    law = ref_law if law_name == "reference" else _weak_law()
+    nu = stationary_measure(law, SimplexGrid(16384))
+    tracemalloc.start()
+    try:
+        sol = solve_poisson(law, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"solve_poisson peak {peak / 2**20:.1f} MiB"
+    assert sol.dense_gap < 1e-7
+    if law_name == "reference":
+        assert sol.A == pytest.approx(ref_manifest["A"], abs=ref_manifest["A_tolerance"])
