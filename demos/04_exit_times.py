@@ -10,7 +10,6 @@ from conefluct import (
     SimplexGrid,
     SimplexVector,
     estimate_V,
-    sigma2_spectral,
     solve_poisson,
     stationary_measure,
     survival_probability,
@@ -22,8 +21,8 @@ x = SimplexVector.barycenter(2)
 a = 1.0
 grid = SimplexGrid(512)
 nu = stationary_measure(law, grid)
-sigma = math.sqrt(sigma2_spectral(law, grid))
 poisson = solve_poisson(law, nu)
+sigma = math.sqrt(poisson.sigma2)
 
 print(f"start: barycenter direction, level a = {a}, sigma = {sigma:.5f}")
 

@@ -14,13 +14,14 @@ from conefluct import (
     conditional_endpoint_samples,
     ks_statistic,
     rayleigh_cdf,
-    sigma2_spectral,
+    solve_poisson,
+    stationary_measure,
 )
 from conefluct.fixtures import reference_law
 
 law = reference_law()
 x = SimplexVector.barycenter(2)
-sigma = math.sqrt(sigma2_spectral(law, SimplexGrid(512)))
+sigma = math.sqrt(solve_poisson(law, stationary_measure(law, SimplexGrid(512))).sigma2)
 
 samples = conditional_endpoint_samples(law, x, 1.0, [64, 256, 1024], 400000, seed=6)
 

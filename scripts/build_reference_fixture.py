@@ -34,7 +34,6 @@ from conefluct import (
     stationary_measure,
 )
 from conefluct.cli import law_fingerprint, save_law
-from conefluct.transfer_operator import richardson_sigma2
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "conefluct" / "fixtures"
 
@@ -62,11 +61,11 @@ def main() -> None:
 
     nu = stationary_measure(law, grid)
     gamma_after = lyapunov_exact(law, nu)
+    poisson = solve_poisson(law, nu)
+    sigma2 = poisson.sigma2
+    # pins for dominant_eigenvalue at h = sigma2_h
     h = 0.05
     lam_h, kappa_power = dominant_eigenvalue(law, grid, h)
-    lam_h2, _ = dominant_eigenvalue(law, grid, h / 2.0)
-    sigma2 = richardson_sigma2(lam_h, lam_h2, h)
-    poisson = solve_poisson(law, nu)
 
     conv = {n: convolution_contraction(law, n) for n in range(1, 7)}
     atom_contractions = [contraction_coeff(g) for g in law.atoms]

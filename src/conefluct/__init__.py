@@ -43,7 +43,6 @@ from .transfer_operator import (
     apply_P,
     dominant_eigenvalue,
     lyapunov_exact,
-    sigma2_spectral,
     solve_poisson,
     stationary_measure,
 )

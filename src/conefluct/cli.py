@@ -62,12 +62,11 @@ from .transfer_operator import (
     ConvergenceError,
     DegenerateLawError,
     SimplexGrid,
-    dominant_eigenvalue,
     lyapunov_exact,
-    richardson_sigma2,
     solve_poisson,
     stationary_measure,
 )
+from .transfer_operator import dominant_eigenvalue  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from . import fluctuation_sim as fsim
 from . import theorem_validation as tval
 
@@ -183,8 +182,6 @@ _DEFAULTS: dict = {
     "spectral": {
         "nu_tol": 1e-10,
         "poisson_tol": 1e-10,
-        "eigen_tol": 1e-13,
-        "sigma2_h": 0.05,
         "max_iter": 20000,
     },
     "check": {
@@ -285,12 +282,29 @@ def _env_int(name: str) -> int:
         raise LawFormatError(f"{name} = {os.environ[name]!r} is not an integer") from None
 
 
+def _check_ranges(cfg: dict, scale_from: str) -> None:
+    """Refuse leaves of the right type that no run can use, before any stage runs."""
+    scale = cfg["validate"]["sigma_scale"]
+    if scale <= 0:
+        raise LawFormatError(f"{scale_from} = {scale!r} must be positive")
+    for key in ("a_grid", "a_grid_sigmas"):
+        levels = cfg["simulate"][key]
+        if levels is None:
+            continue
+        if len(levels) < 2 or levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise LawFormatError(
+                f"config: 'simulate.{key}' = {levels!r} must hold at least 2 positive, strictly increasing levels"
+            )
+
+
 def load_config(path=None, overrides: dict | None = None) -> dict:
     """Assemble the effective config: defaults < file < env < overrides.
 
     ``overrides`` are the command-line flags (``--law``, ``--seed``,
-    ``--workers``, ``--out``); a worker count below 1 is refused with the
-    name of the key, variable or flag that set it.
+    ``--workers``, ``--out``, and ``sigma_scale`` for ``--sigma-scale``); a
+    worker count below 1, a sigma scale that is not positive and a level grid
+    that is not increasing are refused with the name of the key, variable or
+    flag that set them.
     """
     cfg = copy.deepcopy(_DEFAULTS)
     if path is not None:
@@ -304,6 +318,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise LawFormatError(f"config {path}: top level must be an object")
         cfg = _merge(cfg, obj)
     workers_from = "config key 'workers'"
+    scale_from = "config: 'validate.sigma_scale'"
     if os.environ.get("CONEFLUCT_SEED"):
         cfg["seed"] = _env_int("CONEFLUCT_SEED")
     if os.environ.get("CONEFLUCT_WORKERS"):
@@ -312,10 +327,17 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if os.environ.get("CONEFLUCT_OUT"):
         cfg["out"] = os.environ["CONEFLUCT_OUT"]
     for key, value in (overrides or {}).items():
-        if value is not None:
+        if value is None:
+            continue
+        if key == "sigma_scale":
+            if not _finite(value):
+                raise LawFormatError(f"--sigma-scale = {value!r} is not a finite number")
+            cfg["validate"]["sigma_scale"] = value
+            scale_from = "--sigma-scale"
+        else:
             cfg[key] = value
-            if key == "workers":
-                workers_from = "--workers"
+        if key == "workers":
+            workers_from = "--workers"
     if cfg["law"] is None:
         raise LawFormatError("no law file given (config key 'law' or --law)")
     if cfg["seed"] is None:
@@ -325,6 +347,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     cfg["workers"] = int(cfg["workers"])
     if cfg["workers"] < 1:
         raise LawFormatError(f"{workers_from} = {cfg['workers']}: the worker count must be at least 1")
+    _check_ranges(cfg, scale_from)
     return cfg
 
 
@@ -500,20 +523,12 @@ def _spectral_pipeline(cfg: dict, law: MatrixLaw):
     sp = cfg["spectral"]
     grid = SimplexGrid(cfg["grid"]["resolution"])
     nu = stationary_measure(law, grid, tol=sp["nu_tol"], max_iter=sp["max_iter"])
-    h = sp["sigma2_h"]
-    lam_h, kappa_h = dominant_eigenvalue(law, grid, h, tol=sp["eigen_tol"], max_iter=sp["max_iter"])
-    lam_h2, _ = dominant_eigenvalue(law, grid, h / 2.0, tol=sp["eigen_tol"], max_iter=sp["max_iter"])
     gamma = lyapunov_exact(law, nu)
-    sigma2 = richardson_sigma2(lam_h, lam_h2, h)
     poisson = solve_poisson(law, nu, tol=sp["poisson_tol"], max_terms=sp["max_iter"])
     summary = {
         "grid_resolution": grid.resolution,
         "gamma": gamma,
-        "sigma2": sigma2,
-        "sigma2_h": h,
-        "lambda_h": lam_h,
-        "lambda_h_half": lam_h2,
-        "kappa_power": kappa_h,
+        "sigma2": poisson.sigma2,
         "A": poisson.A,
         "poisson": {
             "drift": poisson.drift,
@@ -758,13 +773,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {"law": args.law, "seed": args.seed, "workers": args.workers, "out": args.out}
+    overrides = {
+        "law": args.law, "seed": args.seed, "workers": args.workers, "out": args.out,
+        "sigma_scale": getattr(args, "sigma_scale", None),
+    }
     try:
         cfg = load_config(args.config, overrides)
-        if args.command == "validate" and args.sigma_scale is not None:
-            if not _finite(args.sigma_scale):
-                raise LawFormatError(f"--sigma-scale = {args.sigma_scale!r} is not a finite number")
-            cfg["validate"]["sigma_scale"] = args.sigma_scale
         law, _ = load_law(cfg["law"])
         stale = _prepare_out(cfg, force=args.force)
         code, artifacts = args.run(cfg, law)

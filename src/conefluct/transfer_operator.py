@@ -8,18 +8,22 @@ so the averaging operator
 
 is discretized exactly on a uniform parameter grid with piecewise-linear
 interpolation at the mapped points.  The discretized ``P`` is row-stochastic
-by construction, which gives three spectral quantities:
+by construction, which gives four spectral quantities:
 
 * the invariant weights ``nu`` (adjoint power iteration),
-* the drift ``gamma = nu(rho_bar)`` and the fluctuation variance
-  ``sigma^2 = -(d^2/dt^2) lambda_t |_{t=0}``, read off the dominant
-  eigenvalue curvature of ``P_t`` at 0,
+* the drift ``gamma = nu(rho_bar)``,
 * the centered-drift potential ``Theta = sum_n P^n rho_bar`` solving
   ``Theta - P Theta = rho_bar``, whose sup norm calibrates the
   martingale-approximation constant ``A = 2 sup |Theta|``.  The series is
   cross-checked against a GMRES solve of the bordered system
   ``(I - B + 1 nu^T) Theta = rho_bar``, matrix-free, so memory and time stay
-  linear in the grid resolution.
+  linear in the grid resolution,
+* the fluctuation variance ``sigma^2``, the variance under ``nu`` of the
+  martingale increment ``rho - gamma + Theta(g . x) - Theta(x)`` (Gordin,
+  Soviet Math. Dokl. 10, 1969).
+
+The dominant eigenvalue ``lambda_t`` of ``P_t`` is an independent check:
+``-(d^2/dt^2) log |lambda_t|`` at 0 is the same variance.
 
 Operator work is d = 2 only; higher dimensions are refused here and covered
 by the Monte Carlo layer.
@@ -44,8 +48,6 @@ __all__ = [
     "lyapunov_exact",
     "apply_P",
     "dominant_eigenvalue",
-    "richardson_sigma2",
-    "sigma2_spectral",
     "solve_poisson",
 ]
 
@@ -278,37 +280,6 @@ def dominant_eigenvalue(
     return lam_est, kappa_hat
 
 
-def richardson_sigma2(lam_h: complex, lam_h_half: complex, h: float) -> float:
-    """Fluctuation variance from the dominant eigenvalues at ``h`` and ``h/2``.
-
-    Uses ``sigma^2(h) = 2 (1 - Re lambda_h) / h^2`` at both frequencies and
-    Richardson-extrapolates the quadratic truncation error away.  Raises
-    DegenerateLawError when the extrapolated value is negative beyond
-    rounding, which is the degenerate (zero-variance) regime.
-    """
-    s_h = 2.0 * (1.0 - lam_h.real) / h**2
-    s_h2 = 2.0 * (1.0 - lam_h_half.real) / (h / 2.0) ** 2
-    value = (4.0 * s_h2 - s_h) / 3.0
-    if value < -1e-8:
-        raise DegenerateLawError(f"extrapolated sigma^2 = {value:.3e} < 0; the fluctuations look degenerate")
-    return max(value, 0.0)
-
-
-def sigma2_spectral(
-    law: MatrixLaw,
-    grid: SimplexGrid,
-    h: float = 0.05,
-    tol: float = 1e-13,
-    max_iter: int = 5000,
-) -> float:
-    """Fluctuation variance from the eigenvalue curvature at zero (``richardson_sigma2``)."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    lam_h, _ = dominant_eigenvalue(law, grid, h, tol=tol, max_iter=max_iter)
-    lam_h2, _ = dominant_eigenvalue(law, grid, h / 2.0, tol=tol, max_iter=max_iter)
-    return richardson_sigma2(lam_h, lam_h2, h)
-
-
 def _gmres(matvec, b: np.ndarray, rtol: float, max_iter: int) -> np.ndarray | None:
     """Solve ``M x = b`` by GMRES from ``x = 0`` (Saad & Schultz 1986), no restarts.
 
@@ -349,12 +320,29 @@ def _gmres(matvec, b: np.ndarray, rtol: float, max_iter: int) -> np.ndarray | No
     raise ConvergenceError("GMRES cross-check did not reach tolerance", residual)
 
 
+def _gordin_sigma2(ws: _Workspace, nu: np.ndarray, drift: float, theta: np.ndarray) -> float:
+    """Fluctuation variance from the potential (Gordin, Soviet Math. Dokl. 10, 1969).
+
+    ``S_n - n drift + Theta(X_n)`` is a martingale; its increment from node
+    ``i`` by atom ``k`` is ``rho_k(x_i) - drift + Theta(g_k . x_i) - Theta(x_i)``,
+    and ``sigma^2`` is the increment's second moment under ``nu``.  The
+    mapped point is read through the interpolation stencil: each neighbour is
+    its own transition with its share of the weight, as in the discretized
+    chain whose twisted operator ``dominant_eigenvalue`` iterates, so this is
+    that chain's variance exactly.
+    """
+    d = ws.rho[:, None, :] - drift + theta[ws.cols] - theta
+    return float(nu @ (ws.weights @ (ws.share * d * d).sum(axis=1)))
+
+
 @dataclass(frozen=True, eq=False)
 class PoissonSolution:
-    """Potential ``Theta`` with its truncation and cross-check diagnostics.
+    """Potential ``Theta`` with the variance it gives and its diagnostics.
 
     ``theta`` solves ``Theta - P Theta = rho_bar - drift`` on the grid;
-    ``A = 2 sup |Theta|`` is the martingale-approximation constant.
+    ``sigma2`` is the fluctuation variance by Gordin's martingale formula
+    (``_gordin_sigma2``) and ``A = 2 sup |Theta|`` the
+    martingale-approximation constant.
     ``residual`` is the sup norm of the defining equation, ``tail_bound`` a
     geometric estimate of the discarded series tail, and ``interp_slack`` a
     second-difference estimate of the piecewise-linear interpolation error.
@@ -366,6 +354,7 @@ class PoissonSolution:
 
     theta: GridFunction
     drift: float
+    sigma2: float
     A: float
     truncation_n: int
     tail_bound: float
@@ -394,6 +383,7 @@ def solve_poisson(
     scatter stencil rather than the series' gather form, and ``dense_gap`` is
     the sup gap between the two.  Identity-action laws make that system
     singular; ``dense_gap`` is then the defect of the series solution in it.
+    ``sigma2`` comes from the summed ``Theta`` by ``_gordin_sigma2``.
     Raises ConvergenceError when the increments stop decreasing or GMRES
     hits its iteration cap.
     """
@@ -432,6 +422,7 @@ def solve_poisson(
     return PoissonSolution(
         theta=GridFunction(nu.grid, theta),
         drift=drift,
+        sigma2=_gordin_sigma2(ws, nu.values, drift, theta),
         A=2.0 * float(np.abs(theta).max()),
         truncation_n=len(increments) - 1,
         tail_bound=tail_bound,

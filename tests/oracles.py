@@ -369,3 +369,18 @@ def dense(ws) -> np.ndarray:
         np.add.at(B, (rows, lo), w * (1.0 - frac))
         np.add.at(B, (rows, lo + 1), w * frac)
     return B
+
+
+def curvature_sigma2(law, grid, h: float = 0.05) -> float:
+    """Fluctuation variance from the curvature of ``log |lambda_t|`` at 0.
+
+    ``lambda_t = exp(i gamma t - sigma^2 t^2 / 2 + O(t^3))``, so the modulus
+    drops the drift: ``-2 log |lambda_t| / t^2 = sigma^2 + O(t^2)``.  The
+    values at ``h`` and ``h/2`` are Richardson-combined to cancel the
+    ``t^2`` term.  Unlike ``2 (1 - Re lambda_t) / t^2``, which reads
+    ``sigma^2 + gamma^2``, this holds for any drift.
+    """
+    from conefluct import dominant_eigenvalue
+
+    s_h, s_h2 = (-2.0 * math.log(abs(dominant_eigenvalue(law, grid, t)[0])) / t**2 for t in (h, h / 2.0))
+    return (4.0 * s_h2 - s_h) / 3.0

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 import conefluct
-from conefluct import MatrixLaw
+from conefluct import MatrixLaw, SimplexVector, mc_sigma2
 from conefluct.cli import LawFormatError, law_fingerprint, load_config, load_law, main, save_law
 from conefluct.fixtures import reference_law_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import weak_law  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,9 @@ def test_config_requires_seed(tmp_path, law_path):
         load_config(p)
 
 
+_LEVELS = "must hold at least 2 positive, strictly increasing levels"
+
+
 @pytest.mark.parametrize(
     "override, env, flags, needle",
     [
@@ -157,11 +163,21 @@ def test_config_requires_seed(tmp_path, law_path):
         ({"start": {"a": float("nan")}}, {}, {}, "'start.a' = nan is not a finite number"),
         ({"thresholds": {"ks_threshold": float("inf")}}, {}, {}, "'thresholds.ks_threshold' = inf is not a finite"),
         ({"simulate": {"a_grid": [1.0, float("-inf")]}}, {}, {}, "'simulate.a_grid' = [1.0, -inf] is not a finite"),
+        ({"spectral": {"sigma2_h": 0.05}}, {}, {}, "'spectral.sigma2_h'"),
+        ({"spectral": {"eigen_tol": 1e-13}}, {}, {}, "'spectral.eigen_tol'"),
+        ({"validate": {"sigma_scale": -1.0}}, {}, {}, "'validate.sigma_scale' = -1.0 must be positive"),
+        ({"validate": {"sigma_scale": 0}}, {}, {}, "'validate.sigma_scale' = 0 must be positive"),
+        ({"simulate": {"a_grid": [2.0, 1.0]}}, {}, {}, f"'simulate.a_grid' = [2.0, 1.0] {_LEVELS}"),
+        ({"simulate": {"a_grid": [1.0]}}, {}, {}, f"'simulate.a_grid' = [1.0] {_LEVELS}"),
+        ({"simulate": {"a_grid_sigmas": [0.0, 1.0]}}, {}, {}, f"'simulate.a_grid_sigmas' = [0.0, 1.0] {_LEVELS}"),
+        ({"simulate": {"a_grid_sigmas": [1.0, 1.0]}}, {}, {}, f"'simulate.a_grid_sigmas' = [1.0, 1.0] {_LEVELS}"),
     ],
     ids=[
         "unknown-key", "unknown-threshold", "wrong-type", "wrong-length", "removed-horizon",
         "env-seed-not-int", "env-workers-not-int", "env-workers-zero", "flag-workers-negative",
         "config-workers-zero", "nan-start-level", "infinite-threshold", "infinite-a-grid-level",
+        "removed-sigma2-h", "removed-eigen-tol", "negative-sigma-scale", "zero-sigma-scale",
+        "decreasing-a-grid", "single-level-a-grid", "zero-a-grid-sigma", "repeated-a-grid-sigma",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, override, env, flags, needle):
@@ -186,6 +202,15 @@ def test_sigma_scale_flag_must_be_finite(config_path, tmp_path, capsys, scale):
     err = capsys.readouterr().err
     assert f"--sigma-scale = {scale} is not a finite number" in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["-1", "0"])
+def test_sigma_scale_flag_must_be_positive(config_path, tmp_path, capsys, scale):
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(config_path), "--out", str(out), "--sigma-scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert f"--sigma-scale = {float(scale)!r} must be positive" in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not out.exists()
 
 
 def test_config_precedence(tmp_path, law_path, monkeypatch):
@@ -256,12 +281,28 @@ def test_spectral_artifacts(config_path, tmp_path):
     assert abs(summary["gamma"]) < 1e-6
     assert summary["sigma2"] == pytest.approx(0.1747, abs=0.002)
     assert summary["A"] > 0.0
+    assert not {"sigma2_h", "lambda_h", "lambda_h_half", "kappa_power"} & set(summary)
     with open(out / "nu.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["param", "weight"]
     assert len(rows) - 1 == summary["grid_resolution"]
     weights = np.array([float(r[1]) for r in rows[1:]])
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_spectral_sigma2_under_drift(tmp_path):
+    # the weak law drifts (gamma = -1.07); sigma^2 is the variance of S_n / sqrt(n),
+    # so it must match the Monte Carlo variance, not sigma^2 + gamma^2 (2.258)
+    spec = weak_law(np.random.default_rng(7))
+    law_file = tmp_path / "weak_law.json"
+    law_file.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["spectral", "--law", str(law_file), "--seed", "7", "--out", str(out)]) == 0
+    summary = json.loads((out / "spectral.json").read_text())
+    law, _ = load_law(law_file)
+    mc, mc_se = mc_sigma2(law, SimplexVector.barycenter(2), 1024, 30000, seed=7)
+    assert abs(summary["gamma"]) > 1.0
+    assert abs(summary["sigma2"] - mc) < 4.0 * mc_se
 
 
 def test_spectral_and_validate_load_no_scipy_solvers(config_path, tmp_path):

@@ -2,6 +2,7 @@
 eigenvalue family, and the potential (the centered-walk compensator)."""
 
 import cmath
+import json
 import math
 import sys
 import tracemalloc
@@ -12,20 +13,21 @@ import pytest
 
 from conefluct import (
     ConvergenceError,
-    DegenerateLawError,
     GridFunction,
     MatrixLaw,
     SimplexGrid,
     SimplexVector,
     act,
     apply_P,
+    calibrate,
     dominant_eigenvalue,
     lyapunov_exact,
-    sigma2_spectral,
     solve_poisson,
     stationary_measure,
 )
-from conefluct.transfer_operator import _gmres, _Workspace, richardson_sigma2
+from conefluct.fixtures import reference_law_text
+from conefluct.theorem_validation import sigma2_agreement
+from conefluct.transfer_operator import _gmres, _gordin_sigma2, _Workspace
 from conftest import scalar_law
 
 import oracles
@@ -201,26 +203,18 @@ def test_eigenvalue_argument_recovers_drift():
 
 def test_sigma2_scalar_mixture_closed_form(centered_scalar_law):
     grid = SimplexGrid(64)
-    assert sigma2_spectral(centered_scalar_law, grid) == pytest.approx(0.25, abs=1e-8)
+    sol = solve_poisson(centered_scalar_law, stationary_measure(centered_scalar_law, grid))
+    assert sol.sigma2 == pytest.approx(0.25, abs=1e-8)
 
 
 def test_sigma2_degenerate_law_is_zero():
     law = scalar_law((1.0, 1.0))
-    assert sigma2_spectral(law, SimplexGrid(64)) == 0.0
+    grid = SimplexGrid(64)
+    assert solve_poisson(law, stationary_measure(law, grid)).sigma2 == 0.0
 
 
-def test_richardson_refuses_negative_extrapolation():
-    with pytest.raises(DegenerateLawError, match="degenerate"):
-        richardson_sigma2(1.0, 1.0 + 1e-6, 0.05)
-    assert richardson_sigma2(1.0, 1.0 + 1e-13, 0.05) == 0.0  # rounding-level negatives clamp to zero
-    h = 0.05
-    gaussian = [cmath.exp(-0.25 * t**2 / 2.0) for t in (h, h / 2.0)]
-    assert richardson_sigma2(*gaussian, h) == pytest.approx(0.25, abs=1e-6)
-
-
-def test_sigma2_matches_manifest(ref_law, grid, ref_manifest):
-    s2 = sigma2_spectral(ref_law, grid, h=ref_manifest["sigma2_h"])
-    assert s2 == pytest.approx(ref_manifest["sigma2"], rel=ref_manifest["sigma2_rel_tolerance"])
+def test_sigma2_matches_manifest(ref_poisson, ref_manifest):
+    assert ref_poisson.sigma2 == pytest.approx(ref_manifest["sigma2"], rel=ref_manifest["sigma2_rel_tolerance"])
 
 
 def test_kappa_matches_manifest(ref_law, grid, ref_manifest):
@@ -232,8 +226,53 @@ def test_grid_refinement_stability(ref_law, ref_nu, grid, ref_manifest):
     coarse = SimplexGrid(256)
     nu_c = stationary_measure(ref_law, coarse)
     assert abs(lyapunov_exact(ref_law, nu_c) - lyapunov_exact(ref_law, ref_nu)) < 1e-5
-    s2_c = sigma2_spectral(ref_law, coarse)
+    s2_c = solve_poisson(ref_law, nu_c).sigma2
     assert abs(s2_c - ref_manifest["sigma2"]) < 1e-4
+
+
+@pytest.mark.parametrize("G", [64, 512])
+@pytest.mark.parametrize("law_name", ["reference", "weak", "random64"])
+def test_gordin_sigma2_matches_eigenvalue_curvature(ref_law, law_name, G):
+    # two routes to the variance of the same discretized chain: the
+    # martingale increments of the potential, and the curvature of the
+    # twisted operator's eigenvalue modulus; the weak and random laws drift
+    law = {"reference": ref_law, "weak": _weak_law(), "random64": _random_law(64)}[law_name]
+    grid = SimplexGrid(G)
+    sol = solve_poisson(law, stationary_measure(law, grid))
+    assert sol.sigma2 == pytest.approx(oracles.curvature_sigma2(law, grid), rel=1e-5)
+
+
+def test_sigma2_does_not_see_the_drift(ref_law):
+    # calibration shifts every increment by the same constant, which the
+    # variance must not see; 2 (1 - Re lambda_h) / h^2 read sigma^2 + gamma^2
+    # here (1.8696 on the base law against 0.1747)
+    meta = json.loads(reference_law_text())["metadata"]
+    base = MatrixLaw.from_entries([np.array(m) for m in meta["base_entries"]], np.array(meta["base_weights"]))
+    grid = SimplexGrid(512)
+    nu_base = stationary_measure(base, grid)
+    gamma = lyapunov_exact(base, nu_base)
+    assert gamma > 1.0
+    centred = calibrate(base, gamma)
+    s_base = solve_poisson(base, nu_base).sigma2
+    s_centred = solve_poisson(centred, stationary_measure(centred, grid)).sigma2
+    assert s_base == pytest.approx(s_centred, rel=1e-12)
+
+
+def test_sigma2_agreement_fails_for_a_wrong_potential(ref_law, ref_nu, ref_poisson, grid):
+    # negative control: validate's Monte Carlo variance at seed 7 and default
+    # budgets, against sigma^2 from the true potential and from wrong ones
+    # (-Theta is 17.6% low, Theta = 0 is 9.3% low, 2 Theta is 10.2% high)
+    mc, mc_se = 0.17397907972904328, 0.0014173443819249056
+    ws = _Workspace(ref_law, grid)
+    theta = ref_poisson.theta.values
+
+    def agrees(potential):
+        return sigma2_agreement(_gordin_sigma2(ws, ref_nu.values, ref_poisson.drift, potential), mc, mc_se)
+
+    assert _gordin_sigma2(ws, ref_nu.values, ref_poisson.drift, theta) == ref_poisson.sigma2
+    assert agrees(theta)
+    for wrong in (-theta, np.zeros_like(theta), 2.0 * theta):
+        assert not agrees(wrong)
 
 
 # ---------------------------------------------------------------------------
