@@ -3,7 +3,13 @@
 There are two walk kernels, both built on ``draw_indices`` and
 ``projective_step``: ``walk_chunk`` runs the free walk over the full horizon
 and records selected steps, and ``survival_chunk`` runs the killed walk,
-dropping each path at its exit.
+dropping each path at its exit.  The killed walk takes one start level or
+a strictly increasing tuple of them.  The increments do not depend on the
+level, so one path set carried from the lowest level ``a_0``, with its
+running minimum, is the killed walk at every level: level l is shifted by
+``a_l - a_0`` and a path is dropped once it is dead at the top level.  A
+single level keeps no running minimum and gives the plain killed walk's
+bits.
 
 Paths are processed in fixed-size chunks.  The master seed is expanded with
 ``SeedSequence.spawn`` into one substream per chunk and partial results are
@@ -198,20 +204,43 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
 def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size, ss):
     """Killed walk: paths exit at the first step with ``S <= 0``.
 
-    Dead paths are dropped from the working arrays, so cost tracks the alive
-    count.  At each ``n`` in ``n_values`` (sorted, 1-based) the chunk reports
-    the survivor count and the survivor sums of ``S`` and ``S^2`` (paths
-    already dead contribute zero, which is exactly the killed expectation).
-    With ``want_samples`` the survivor ``S`` values are returned as well.
+    ``a`` is one start level or a strictly increasing tuple of levels
+    ``a_0 < ... < a_top``; the increments do not depend on the level, so one
+    path set serves them all.  ``S`` is carried from ``a_0``.  Level l is
+    alive while the running minimum of ``S`` over steps 1..n stays above
+    ``a_0 - a_l``, and its value is ``S + (a_l - a_0)``.  A path is dropped
+    from the working arrays once ``S <= a_0 - a_top``, when it is dead at
+    every level, so cost tracks the alive count at the top level.  The
+    running minimum is kept only when there is more than one level; a single
+    level, given as a number or as a one-element tuple, runs the plain
+    killed walk and gives its bits.
+
+    At each ``n`` in ``n_values`` (sorted, 1-based) the chunk reports, per
+    level, the survivor count and the survivor sums of the value and its
+    square (paths already dead contribute zero, which is exactly the killed
+    expectation).  The three arrays have shape ``(len(n_values),)`` for a
+    number ``a`` and ``(levels, len(n_values))`` for a tuple.  With
+    ``want_samples`` (one level only) the survivor ``S`` values are
+    returned as well.
     """
+    levels = np.asarray(a, dtype=float)
+    flat = levels.reshape(-1)
+    if flat.size == 0 or np.any(np.diff(flat) <= 0.0):
+        raise ValueError("levels must be a non-empty, strictly increasing sequence")
+    multi = flat.size > 1
+    if multi and want_samples:
+        raise ValueError("survivor samples are returned for one level only")
+    shift = flat - flat[0]  # a_l - a_0; a_0 - a_l is its exact negative
     rng = np.random.default_rng(ss)
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
     X = _start(atom_stack, x0, size)
-    S = np.full(size, float(a))
-    counts = np.zeros(len(n_values), dtype=np.int64)
-    sums = np.zeros(len(n_values))
-    sums2 = np.zeros(len(n_values))
+    S = np.full(size, flat[0])
+    runmin = np.full(size, np.inf) if multi else None
+    floor = -shift[-1]
+    counts = np.zeros(levels.shape + (len(n_values),), dtype=np.int64)
+    sums = np.zeros(counts.shape)
+    sums2 = np.zeros(counts.shape)
     samples: list = [np.empty(0)] * len(n_values) if want_samples else []
     pos = 0
     for step in range(1, n_values[-1] + 1):
@@ -219,14 +248,25 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
             idx = draw_indices(guide, rng.random(S.shape[0]))
             X, rho = projective_step(table, idx, X)
             S = S + rho
-            alive = S > 0.0
+            alive = S > floor
             if not alive.all():
                 X = [x[alive] for x in X]
                 S = S[alive]
+                if multi:
+                    runmin = runmin[alive]
+            if multi:
+                np.minimum(runmin, S, out=runmin)
         if step == n_values[pos]:
-            counts[pos] = S.shape[0]
-            sums[pos] = S.sum()
-            sums2[pos] = np.square(S).sum()
+            if multi:
+                for l, off in enumerate(shift):
+                    value = S[runmin > -off] + off
+                    counts[l, pos] = value.shape[0]
+                    sums[l, pos] = value.sum()
+                    sums2[l, pos] = np.square(value).sum()
+            else:
+                counts[..., pos] = S.shape[0]
+                sums[..., pos] = S.sum()
+                sums2[..., pos] = np.square(S).sum()
             if want_samples:
                 samples[pos] = S.copy()
             pos += 1

@@ -9,9 +9,11 @@ fluctuation variance, increment covariances, and the martingale
 approximation ``M_n = S_n + Theta(X_n) - Theta(X_0)`` built from a tabulated
 potential, with ``sup_n |S_n - M_n| <= A = 2 sup |Theta|`` checked pathwise.
 
-Everything runs on the two chunked kernels of ``_batch``: the killed walk
-``survival_chunk`` feeds survival, ``V_n`` and the conditional endpoints,
-and the free walk ``walk_chunk`` feeds the variance, the covariances and
+Everything runs on the two chunked kernels of ``_batch``.  The killed walk
+``survival_chunk`` feeds survival, ``V_n`` and the conditional endpoints;
+given a level sequence, ``estimate_V`` reads ``V_n`` at every level from one
+path set, and every ``HarmonicEstimate`` carries ``P(tau > n)`` from its own
+paths.  The free walk ``walk_chunk`` feeds the variance, the covariances and
 ``simulate_paths``.  ``simulate_paths`` keeps each chunk's recorded rows as
 one ``PathBatch`` of step-major arrays and builds ``M``, ``tau`` and ``T`` on
 them; the two martingale guards are array reductions over those batches.
@@ -85,18 +87,30 @@ class SurvivalCurve:
 
 @dataclass(frozen=True, eq=False)
 class HarmonicEstimate:
-    """Plateau estimate of ``V(x, a) = lim_n E[S_n; tau > n]``."""
+    """Plateau estimate of ``V(x, a) = lim_n E[S_n; tau > n]``.
+
+    ``survival`` is ``P_hat(tau > n)`` at each schedule point, from the same
+    paths as the estimates.  Near 1 at the reported n, few paths have had
+    the time to exit, and the plateau says little about ``V``.
+    """
 
     start_x: np.ndarray
     start_a: float
     n_schedule: np.ndarray
     estimates: np.ndarray
     stderrs: np.ndarray
+    survival: np.ndarray
     V_hat: float
     V_stderr: float
     plateau_n: int | None
     converged: bool
     diagnostics: str
+
+    @property
+    def reported_survival(self) -> float:
+        """``P_hat(tau > n)`` at the n that ``V_hat`` is read at."""
+        n = self.plateau_n or self.n_schedule[-1]
+        return float(self.survival[np.searchsorted(self.n_schedule, n)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,15 +236,20 @@ def survival_probability(
 def estimate_V(
     law: MatrixLaw,
     x: SimplexVector,
-    a: float,
+    a,
     n_schedule,
     paths: int,
     seed,
     poisson: PoissonSolution | None = None,
     workers: int = 1,
     rel_tol: float = 0.02,
-) -> HarmonicEstimate:
+) -> HarmonicEstimate | list[HarmonicEstimate]:
     """Estimate ``V(x, a)`` as the plateau of ``V_n = E[S_n; tau > n]``.
+
+    ``a`` is one level, which gives one ``HarmonicEstimate``, or a strictly
+    increasing sequence of levels, which gives a list with one estimate per
+    level.  The levels of a sequence share one path set (see
+    ``_batch.survival_chunk``), so their estimates are not independent.
 
     Dead paths contribute zero to the killed expectation.  The plateau is
     the first schedule point whose estimate moved by less than
@@ -240,7 +259,19 @@ def estimate_V(
     band ``a - A`` and the empirical upper envelope ``V_hat / (1 + a)``.
     """
     n_schedule = _sorted_steps(n_schedule)
-    counts, sums, sums2, _ = _survival_reduce(law, x, a, n_schedule, paths, seed, workers, False)
+    one = np.ndim(a) == 0
+    levels = float(a) if one else tuple(float(v) for v in a)
+    counts, sums, sums2, _ = _survival_reduce(law, x, levels, n_schedule, paths, seed, workers, False)
+    if one:
+        return _plateau(x, levels, n_schedule, counts, sums, sums2, paths, poisson, rel_tol)
+    return [
+        _plateau(x, level, n_schedule, c, s, s2, paths, poisson, rel_tol)
+        for level, c, s, s2 in zip(levels, counts, sums, sums2, strict=True)
+    ]
+
+
+def _plateau(x, a, n_schedule, counts, sums, sums2, paths, poisson, rel_tol) -> HarmonicEstimate:
+    """One level's ``HarmonicEstimate`` from its survivor counts and sums."""
     est = sums / paths
     var = np.maximum(sums2 / paths - est**2, 0.0)
     se = np.sqrt(var / paths)
@@ -267,6 +298,7 @@ def estimate_V(
         n_schedule=np.asarray(n_schedule),
         estimates=est,
         stderrs=se,
+        survival=counts / paths,
         V_hat=float(est[pick]),
         V_stderr=float(se[pick]),
         plateau_n=plateau_n,

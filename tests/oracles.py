@@ -237,6 +237,39 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
     return counts, sums, sums2, samples
 
 
+def multilevel_survival_chunk(atom_stack, cum_weights, x0, levels, n_values, size, ss, stepper=projective_step):
+    """Killed walks from every level in ``levels`` on one path set, by masking.
+
+    Nothing is compacted: the state keeps all ``size`` paths, and each step
+    draws ``rng.random`` for the paths still alive at the top level, in path
+    order, and steps those paths only.  Each level carries its own
+    ``a_l + sum rho`` and its own alive mask, killed at the first step with
+    a value ``<= 0``.  Returns per-level survivor counts and survivor sums
+    of the value and its square, each of shape ``(len(levels), len(n_values))``.
+    """
+    rng = np.random.default_rng(ss)
+    X = np.tile(np.asarray(x0, dtype=float), (size, 1))
+    S = np.tile(np.asarray(levels, dtype=float)[:, None], (1, size))
+    alive = np.ones(S.shape, dtype=bool)
+    counts = np.zeros((len(levels), len(n_values)), dtype=np.int64)
+    sums = np.zeros(counts.shape)
+    sums2 = np.zeros(counts.shape)
+    for step in range(1, n_values[-1] + 1):
+        live = np.flatnonzero(alive[-1])
+        idx = draw_indices(cum_weights, rng.random(live.size))
+        X[live], rho = stepper(atom_stack, idx, X[live])
+        S[:, live] += rho
+        alive[:, live] &= S[:, live] > 0.0
+        if step in n_values:
+            pos = n_values.index(step)
+            for l in range(len(levels)):
+                value = S[l, alive[l]]
+                counts[l, pos] = value.size
+                sums[l, pos] = value.sum()
+                sums2[l, pos] = np.square(value).sum()
+    return counts, sums, sums2
+
+
 # ---------------------------------------------------------------------------
 # reference path records
 #

@@ -115,6 +115,56 @@ def test_survival_chunk_matches_einsum_reference(name, a):
     assert 0 < got[0][-1] < SIZE
 
 
+# levels of a few sigma (0.42 for the reference law, 0.16 for d3k64), so by
+# n = 400 every level loses paths and the top one keeps some
+LEVEL_CASES = [
+    ("reference", (0.5, 1.0, 2.5, 6.0)),
+    ("d3k64", (0.1, 0.3, 0.7, 1.6)),
+]
+
+
+@pytest.mark.parametrize("name,levels", LEVEL_CASES, ids=[n for n, _ in LEVEL_CASES])
+def test_multilevel_survival_chunk_matches_masked_reference(name, levels):
+    law = _law(name)
+    x0 = SimplexVector.barycenter(law.dim).coords
+    n_values = (1, 2, 3, 10, 50, 200, 400)
+    stepper = oracles.projective_step if law.dim == 2 else oracles.left_fold_step
+    got = _batch.survival_chunk(
+        law.atom_stack, law.cum_weights, x0, levels, n_values, False, SIZE, np.random.SeedSequence(13)
+    )
+    want = oracles.multilevel_survival_chunk(
+        law.atom_stack, law.cum_weights, x0, levels, n_values, SIZE, np.random.SeedSequence(13), stepper=stepper
+    )
+    # the kernel adds a_l - a_0 to a walk carried from a_0, the reference
+    # carries a_l itself, so values agree to rounding and survivors exactly
+    assert np.array_equal(got[0], want[0])
+    _assert_close(got[1], want[1], rtol=EINSUM_TOL)
+    _assert_close(got[2], want[2], rtol=EINSUM_TOL)
+    assert got[3] == []
+    # every level loses paths, the top level keeps some, and the levels differ
+    assert np.all(got[0][:, -1] < SIZE) and got[0][-1, -1] > 0
+    assert np.all(np.diff(got[0][:, -1]) > 0)
+
+
+def test_one_level_tuple_gives_the_plain_killed_walk():
+    law = _law("reference")
+    x0 = SimplexVector.barycenter(2).coords
+    head = (law.atom_stack, law.cum_weights, x0)
+    n_values = (1, 10, 100)
+    plain = _batch.survival_chunk(*head, 1.0, n_values, False, SIZE, np.random.SeedSequence(14))
+    one = _batch.survival_chunk(*head, (1.0,), n_values, False, SIZE, np.random.SeedSequence(14))
+    for p, o in zip(plain[:3], one[:3]):
+        assert p.shape == (len(n_values),) and o.shape == (1, len(n_values))
+        assert np.array_equal(p, o[0])
+
+
+@pytest.mark.parametrize("levels", [(), (1.0, 1.0), (2.0, 1.0)])
+def test_survival_chunk_refuses_bad_levels(levels):
+    law = _law("reference")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _batch.survival_chunk(law.atom_stack, law.cum_weights, (0.5, 0.5), levels, (1,), False, 10, 0)
+
+
 @pytest.mark.parametrize("name,a", CASES, ids=[f"{n}-a{a:g}" for n, a in CASES])
 def test_walk_chunk_matches_einsum_reference(name, a):
     law = _law(name)

@@ -176,6 +176,14 @@ def test_worker_count_does_not_change_results(ref_law, barycenter, ref_poisson):
     v3 = estimate_V(ref_law, barycenter, 1.0, [8, 16], 40000, seed=32, workers=3)
     assert np.array_equal(v1.estimates, v3.estimates)
 
+    levels = [0.5, 1.0, 2.0, 4.0]
+    g1 = estimate_V(ref_law, barycenter, levels, [8, 16], 40000, seed=30, workers=1)
+    g3 = estimate_V(ref_law, barycenter, levels, [8, 16], 40000, seed=30, workers=3)
+    assert len(g1) == len(g3) == len(levels)
+    for a, b in zip(g1, g3):
+        for field in ("estimates", "stderrs", "survival"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
     s1 = mc_sigma2(ref_law, barycenter, 64, 40000, seed=33, workers=1)
     s3 = mc_sigma2(ref_law, barycenter, 64, 40000, seed=33, workers=3)
     assert s1 == s3
@@ -296,6 +304,31 @@ def test_estimate_v_converges_on_fixture(ref_law, barycenter, ref_poisson):
     assert 1.0 <= est.V_hat <= 1.4
     assert est.V_stderr > 0.0
     assert "bound" in est.diagnostics
+
+
+def test_level_grid_agrees_with_single_level_runs(ref_law, barycenter):
+    """Each level of a shared-path grid against its own independent run."""
+    levels = [0.5, 1.5, 3.0, 6.0]
+    schedule = [8, 32, 128, 256]
+    grid = estimate_V(ref_law, barycenter, levels, schedule, 20000, seed=63)
+    singles = np.random.SeedSequence(64).spawn(len(levels))
+    for level, est, ss in zip(levels, grid, singles, strict=True):
+        alone = estimate_V(ref_law, barycenter, level, schedule, 20000, ss)
+        assert est.start_a == level
+        z = (est.estimates - alone.estimates) / np.hypot(est.stderrs, alone.stderrs)
+        assert np.all(np.abs(z) <= 4.0), (level, z)
+        p_se = np.sqrt((est.survival * (1 - est.survival) + alone.survival * (1 - alone.survival)) / 20000)
+        assert np.all(np.abs(est.survival - alone.survival) <= 4.0 * np.maximum(p_se, 1.0 / 20000)), level
+    # the grid must span killed and nearly free levels for the check to bite
+    assert grid[0].survival[-1] < 0.3 and grid[-1].survival[0] == 1.0
+
+
+def test_survival_reported_next_to_v(ref_law, barycenter):
+    est = estimate_V(ref_law, barycenter, 1.0, [2, 4, 6], 30000, seed=22)
+    curve = survival_probability(ref_law, barycenter, 1.0, [2, 4, 6], 30000, seed=22)
+    assert np.array_equal(est.survival, curve.p_hat)
+    n = est.plateau_n or est.n_schedule[-1]
+    assert est.reported_survival == est.survival[list(est.n_schedule).index(n)]
 
 
 def test_estimate_v_flags_drifting_walk(barycenter):
