@@ -287,6 +287,9 @@ def _check_ranges(cfg: dict, scale_from: str) -> None:
     scale = cfg["validate"]["sigma_scale"]
     if scale <= 0:
         raise LawFormatError(f"{scale_from} = {scale!r} must be positive")
+    n_conv = cfg["covariance"]["conv_check_n"]
+    if n_conv < 0:
+        raise LawFormatError(f"config: 'covariance.conv_check_n' = {n_conv!r} must be >= 0 (0 skips the check)")
     for key in ("a_grid", "a_grid_sigmas"):
         levels = cfg["simulate"][key]
         if levels is None:
@@ -414,12 +417,25 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+# rows formatted per write in ``_write_csv``
+_CSV_ROWS = 256
+
+
+def _fmt_column(values) -> list:
+    """The cells of one CSV column, each as ``_fmt`` writes it; numeric arrays are formatted whole."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+    return [_fmt(v) for v in values]
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    rows = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        # a slice of rows at a time keeps the formatted text small
+        for s in range(0, rows, _CSV_ROWS):
+            writer.writerows(zip(*(_fmt_column(col[s : s + _CSV_ROWS]) for col in columns)))
 
 
 def _listed_artifacts(out: Path) -> set:
@@ -460,7 +476,7 @@ def _write_run(cfg: dict, law: MatrixLaw, command: str, stale: set, artifacts: d
     """Replace the previous run's files in ``--out`` with ``artifacts`` and their manifest.
 
     ``artifacts`` maps a file name to a JSON object (``.json``) or to a
-    ``(header, rows)`` pair (``.csv``).
+    ``(header, columns)`` pair (``.csv``), the columns of equal length.
     """
     out = Path(cfg["out"])
     for name in stale:
@@ -550,8 +566,8 @@ def cmd_spectral(cfg: dict, law: MatrixLaw):
     print(f"gamma = {summary['gamma']:.6g}, sigma^2 = {summary['sigma2']:.6g}, A = {poisson.A:.6g}")
     return 0, {
         "spectral.json": summary,
-        "nu.csv": (["param", "weight"], zip(nu.grid.params, nu.values)),
-        "theta.csv": (["param", "value"], zip(nu.grid.params, poisson.theta.values)),
+        "nu.csv": (["param", "weight"], (nu.grid.params, nu.values)),
+        "theta.csv": (["param", "value"], (nu.grid.params, poisson.theta.values)),
     }
 
 
@@ -594,11 +610,15 @@ def _v_table(cfg: dict, law: MatrixLaw, x: SimplexVector, sigma_hat: float):
             law, x, [float(level) for level in a_grid[start::2]], sim["v_schedule"], sim["a_paths"], ss,
             workers=cfg["workers"],
         )
-    rows = [
-        (level, e.V_hat, e.V_stderr, e.plateau_n or -1, e.converged, e.reported_survival)
-        for level, e in zip(a_grid, estimates)
-    ]
-    return a_grid, estimates, (["a", "V_hat", "V_stderr", "plateau_n", "converged", "survival"], rows)
+    columns = (
+        a_grid,
+        [e.V_hat for e in estimates],
+        [e.V_stderr for e in estimates],
+        [e.plateau_n or -1 for e in estimates],
+        [e.converged for e in estimates],
+        [e.reported_survival for e in estimates],
+    )
+    return a_grid, estimates, (["a", "V_hat", "V_stderr", "plateau_n", "converged", "survival"], columns)
 
 
 def cmd_simulate(cfg: dict, law: MatrixLaw):
@@ -606,6 +626,7 @@ def cmd_simulate(cfg: dict, law: MatrixLaw):
     a = float(cfg["start"]["a"])
     curve, sigma2_mc, sigma2_se, v_start, samples = _mc_stages(cfg, law, x, a)
     _, _, v_table = _v_table(cfg, law, x, math.sqrt(sigma2_mc))
+    ns = sorted(samples)
     print(
         f"survival at n={curve.n_values[-1]}: {curve.p_hat[-1]:.5f} +- {curve.ci_half_width[-1]:.5f}; "
         f"V_hat({a:g}) = {v_start.V_hat:.5f}"
@@ -613,11 +634,14 @@ def cmd_simulate(cfg: dict, law: MatrixLaw):
     return 0, {
         "survival.csv": (
             ["n", "p_hat", "ci_half_width", "survivors"],
-            zip(curve.n_values, curve.p_hat, curve.ci_half_width, curve.survivors),
+            (curve.n_values, curve.p_hat, curve.ci_half_width, curve.survivors),
         ),
-        "v_curve.csv": (["n", "estimate", "stderr"], zip(v_start.n_schedule, v_start.estimates, v_start.stderrs)),
+        "v_curve.csv": (["n", "estimate", "stderr"], (v_start.n_schedule, v_start.estimates, v_start.stderrs)),
         "v_table.csv": v_table,
-        "conditional.csv": (["n", "scaled_endpoint"], [(n, value) for n in sorted(samples) for value in samples[n]]),
+        "conditional.csv": (
+            ["n", "scaled_endpoint"],
+            (np.repeat(ns, [samples[n].size for n in ns]), np.concatenate([samples[n] for n in ns])),
+        ),
         "simulate.json": {
             "start": {"x": x.coords, "a": a},
             "sigma2_mc": sigma2_mc,
@@ -638,13 +662,20 @@ def cmd_covariance(cfg: dict, law: MatrixLaw):
     )
     conv_rate = None
     n_conv = cov["conv_check_n"]
-    if n_conv and law.support_size**n_conv <= ENUMERATION_BUDGET:
+    K = law.support_size
+    if n_conv and K**n_conv > ENUMERATION_BUDGET:
+        print(
+            f"warning: convolution_rate not computed: {K}^{n_conv} = {K**n_conv} products "
+            f"is over the enumeration budget {ENUMERATION_BUDGET}",
+            file=sys.stderr,
+        )
+    elif n_conv:
         conv_rate = convolution_contraction(law, n_conv) ** (1.0 / n_conv)
     print(f"kappa_fit = {table.kappa_fit}, window = {table.fit_lags}")
     return 0, {
         "covariance.csv": (
             ["lag", "cov", "stderr", "in_fit_window"],
-            ((l, c, s, int(l) in table.fit_lags) for l, c, s in zip(table.lags, table.cov, table.stderr)),
+            (table.lags, table.cov, table.stderr, [int(l) in table.fit_lags for l in table.lags]),
         ),
         "covariance.json": {
             "burn_in": table.burn_in,
@@ -741,12 +772,12 @@ def cmd_validate(cfg: dict, law: MatrixLaw):
     tables = {
         "ratio_table.csv": (
             ["n", "p_hat", "sqrt_n_p", "sqrt_n_p_stderr", "ratio", "ratio_stderr"],
-            zip(
+            (
                 exit_section.n_values, exit_section.p_hat, exit_section.sqrt_n_p,
                 exit_section.sqrt_n_p_stderr, exit_section.ratio, exit_section.ratio_stderr,
             ),
         ),
-        "ks_table.csv": (["n", "survivors", "ks"], zip(section.n_values, section.survivors, section.ks)),
+        "ks_table.csv": (["n", "survivors", "ks"], (section.n_values, section.survivors, section.ks)),
         "v_table.csv": v_table,
     }
     return _report(report, {**battery, "diagnostics": diagnostics}, tables)

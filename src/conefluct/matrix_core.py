@@ -27,6 +27,7 @@ __all__ = [
     "act",
     "left_product",
     "hennion_distance",
+    "hennion_distances",
     "contraction_coeff",
     "random_simplex_point",
 ]
@@ -167,16 +168,25 @@ def left_product(gs, x: SimplexVector, a: float = 0.0) -> tuple[SimplexVector, n
     return x, S
 
 
-def _min_ratio(x: SimplexVector, y: SimplexVector) -> float:
-    """``m(x, y) = min{x_i / y_i : y_i > 0}``, a value in ``[0, 1]``.
+def _min_ratio(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``m(x, y) = min{x_i / y_i : y_i > 0}`` over the last axis, values in ``[0, 1]``.
 
     The minimum is at most 1 because both points have unit mass, and it
     vanishes exactly when ``x`` misses part of the support of ``y``.
     """
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
-    mask = y.coords > 0.0
-    return float(np.min(x.coords[mask] / y.coords[mask]))
+    ratio = np.divide(x, y, out=np.full(np.broadcast_shapes(x.shape, y.shape), np.inf), where=y > 0.0)
+    return ratio.min(axis=-1)
+
+
+def hennion_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hennion distance between simplex points stored along the last axis of ``x`` and ``y``.
+
+    ``d(x, y) = (1 - s) / (1 + s)`` with ``s = m(x,y) m(y,x)``, elementwise
+    over the leading axes.  ``hennion_distance``, ``contraction_coeff`` and
+    the matrix-law contraction all evaluate the metric here.
+    """
+    s = _min_ratio(x, y) * _min_ratio(y, x)
+    return (1.0 - s) / (1.0 + s)
 
 
 def hennion_distance(x: SimplexVector, y: SimplexVector) -> float:
@@ -186,8 +196,9 @@ def hennion_distance(x: SimplexVector, y: SimplexVector) -> float:
     exactly when the supports are not nested either way (``s = 0``), and it
     dominates total variation: ``|x - y|_1 <= 2 d(x, y)``.
     """
-    s = _min_ratio(x, y) * _min_ratio(y, x)
-    return (1.0 - s) / (1.0 + s)
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch")
+    return float(hennion_distances(x.coords, y.coords))
 
 
 def contraction_coeff(g: PositiveMatrix, check_pairs: int = 0, rng=None) -> float:
@@ -203,12 +214,9 @@ def contraction_coeff(g: PositiveMatrix, check_pairs: int = 0, rng=None) -> floa
     ``c(g) <= 1`` always, ``c(g) < 1`` iff every entry of ``g`` is positive,
     and ``d(g.x, g.y) <= c(g) d(x, y)`` for all pairs.
     """
-    cols = g.entries / g.entries.sum(axis=0)
-    pts = [SimplexVector(cols[:, j]) for j in range(g.dim)]
-    best = 0.0
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            best = max(best, hennion_distance(pts[i], pts[j]))
+    pts = (g.entries / g.entries.sum(axis=0)).T
+    i, j = np.triu_indices(g.dim, 1)
+    best = float(hennion_distances(pts[i], pts[j]).max())
     if check_pairs > 0:
         rng = np.random.default_rng(rng)
         sampled = 0.0

@@ -19,7 +19,6 @@ hypotheses behind the fluctuation machinery:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,10 +28,11 @@ from . import _batch
 from .matrix_core import (
     PositiveMatrix,
     SimplexVector,
-    hennion_distance,
+    hennion_distances,
     matrix_norms,
 )
-from .matrix_core import contraction_coeff  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
+# unused here; perfbench/tracing.py wraps both names on this module
+from .matrix_core import contraction_coeff, hennion_distance  # noqa: F401
 
 __all__ = [
     "MatrixLaw",
@@ -48,6 +48,9 @@ __all__ = [
 
 # most products ``convolution_contraction`` enumerates before refusing
 ENUMERATION_BUDGET = 200_000
+# most products ``convolution_contraction`` holds in one stack (the stack
+# exceeds it only when the law has more atoms than this)
+_PRODUCT_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +190,31 @@ def calibrate(law: MatrixLaw, gamma: float) -> MatrixLaw:
     return MatrixLaw(tuple(g.scaled(factor) for g in law.atoms), law.weights)
 
 
+def _product_blocks(atoms: np.ndarray, weights: np.ndarray, n: int):
+    """Yield ``(products, weights)`` stacks of all length-n words, in lexicographic order.
+
+    A word ``(k_1, ..., k_n)`` stands for ``g_{k_n} ... g_{k_1}``: ``k_1``
+    acts first and varies slowest.  Stacks hold at most ``_PRODUCT_BLOCK``
+    words, or one letter's worth when the law has more atoms.
+    """
+    for s in range(0, len(atoms), _PRODUCT_BLOCK):
+        yield from _extend(atoms, weights, atoms[s : s + _PRODUCT_BLOCK], weights[s : s + _PRODUCT_BLOCK], n - 1)
+
+
+def _extend(atoms, weights, prods, w, letters: int):
+    # each letter multiplies every prefix product from the left and every
+    # prefix weight from the right, as one left-to-right loop over the word
+    # would; the prefix index stays the slow one
+    if letters == 0:
+        yield prods, w
+        return
+    step = max(1, _PRODUCT_BLOCK // len(atoms))
+    for s in range(0, len(prods), step):
+        nxt = np.matmul(atoms[None], prods[s : s + step, None]).reshape(-1, *atoms.shape[1:])
+        nxt_w = (w[s : s + step, None] * weights[None]).reshape(-1)
+        yield from _extend(atoms, weights, nxt, nxt_w, letters - 1)
+
+
 def convolution_contraction(law: MatrixLaw, n: int, budget: int = ENUMERATION_BUDGET) -> float:
     """Contraction coefficient of the n-fold convolution power.
 
@@ -194,6 +222,11 @@ def convolution_contraction(law: MatrixLaw, n: int, budget: int = ENUMERATION_BU
     maximizes the weighted mean of ``d(h.e_i, h.e_j)`` over vertex pairs,
     where ``d(e_i, e_j) = 1``.  The value is non-increasing in n; a value
     below one certifies eventual contraction of the averaged action.
+
+    Products are built in batched stacks of bounded size, one letter at a
+    time, and each pair's weighted sum is carried across stacks in the
+    lexicographic word order, left to right, so the value equals that of a
+    plain loop over ``itertools.product`` bit for bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -203,17 +236,16 @@ def convolution_contraction(law: MatrixLaw, n: int, budget: int = ENUMERATION_BU
         raise ValueError(
             f"exact enumeration needs {K}^{n} = {K**n} products, over the budget {budget}; raise the budget"
         )
-    pair_sums = np.zeros((d, d))
-    for seq in itertools.product(range(K), repeat=n):
-        prod = law.atoms[seq[0]].entries
-        for k in seq[1:]:
-            prod = law.atoms[k].entries @ prod
-        weight = float(np.prod(law.weights[list(seq)]))
-        cols = prod / prod.sum(axis=0)
-        pts = [SimplexVector(cols[:, j]) for j in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                pair_sums[i, j] += weight * hennion_distance(pts[i], pts[j])
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    pair_sums = np.zeros(len(pairs))
+    for prods, weights in _product_blocks(law.atom_stack, law.weights, n):
+        mass = prods.sum(axis=1, keepdims=True)
+        if not np.all((mass > 0.0) & (mass < np.inf)):
+            raise ValueError(f"a product of {n} atoms has an all-zero or non-finite column (underflow or overflow)")
+        cols = prods / mass
+        values = np.stack([weights * hennion_distances(cols[:, :, a], cols[:, :, b]) for a, b in pairs], axis=1)
+        # a running sum in word order (np.sum would add pairwise)
+        pair_sums = np.cumsum(np.concatenate([pair_sums[None], values]), axis=0)[-1]
     return float(pair_sums.max())
 
 

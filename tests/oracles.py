@@ -17,6 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from conefluct import _batch
+from conefluct.matrix_core import SimplexVector, hennion_distance
 
 
 def dense_walk_log(entry_arrays, x_coords, a=0.0):
@@ -87,6 +88,36 @@ def enumerate_word_products(law, n):
             w *= weights[i]
         out.append((prod, w))
     return out
+
+
+def convolution_contraction_loop(law, n):
+    """``matrix_law.convolution_contraction`` as one Python loop over ``itertools.product``.
+
+    One product, one weight and one pair-sum update at a time, in word order;
+    the batched library version must return this value bit for bit.
+    """
+    K = law.support_size
+    d = law.dim
+    pair_sums = np.zeros((d, d))
+    for seq in itertools.product(range(K), repeat=n):
+        prod = law.atoms[seq[0]].entries
+        for k in seq[1:]:
+            prod = law.atoms[k].entries @ prod
+        weight = float(np.prod(law.weights[list(seq)]))
+        cols = prod / prod.sum(axis=0)
+        pts = [SimplexVector(cols[:, j]) for j in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                pair_sums[i, j] += weight * hennion_distance(pts[i], pts[j])
+    return float(pair_sums.max())
+
+
+def hennion_scalar(x, y):
+    """Hennion distance of two coordinate sequences, coordinate by coordinate in Python floats."""
+    m_xy = min(float(a) / float(b) for a, b in zip(x, y) if b > 0.0)
+    m_yx = min(float(b) / float(a) for a, b in zip(x, y) if a > 0.0)
+    s = m_xy * m_yx
+    return (1.0 - s) / (1.0 + s)
 
 
 def _reflection_density(y, a, scale):

@@ -13,7 +13,7 @@ import pytest
 
 import conefluct
 from conefluct import MatrixLaw, SimplexVector, mc_sigma2
-from conefluct.cli import LawFormatError, law_fingerprint, load_config, load_law, main, save_law
+from conefluct.cli import LawFormatError, _fmt, _fmt_column, law_fingerprint, load_config, load_law, main, save_law
 from conefluct.fixtures import reference_law_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -171,6 +171,7 @@ _LEVELS = "must hold at least 2 positive, strictly increasing levels"
         ({"simulate": {"a_grid": [1.0]}}, {}, {}, f"'simulate.a_grid' = [1.0] {_LEVELS}"),
         ({"simulate": {"a_grid_sigmas": [0.0, 1.0]}}, {}, {}, f"'simulate.a_grid_sigmas' = [0.0, 1.0] {_LEVELS}"),
         ({"simulate": {"a_grid_sigmas": [1.0, 1.0]}}, {}, {}, f"'simulate.a_grid_sigmas' = [1.0, 1.0] {_LEVELS}"),
+        ({"covariance": {"conv_check_n": -1}}, {}, {}, "'covariance.conv_check_n' = -1 must be >= 0"),
     ],
     ids=[
         "unknown-key", "unknown-threshold", "wrong-type", "wrong-length", "removed-horizon",
@@ -178,6 +179,7 @@ _LEVELS = "must hold at least 2 positive, strictly increasing levels"
         "config-workers-zero", "nan-start-level", "infinite-threshold", "infinite-a-grid-level",
         "removed-sigma2-h", "removed-eigen-tol", "negative-sigma-scale", "zero-sigma-scale",
         "decreasing-a-grid", "single-level-a-grid", "zero-a-grid-sigma", "repeated-a-grid-sigma",
+        "negative-conv-check-n",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, override, env, flags, needle):
@@ -461,6 +463,34 @@ def test_covariance_artifacts(config_path, tmp_path):
     assert rows[0] == ["lag", "cov", "stderr", "in_fit_window"]
     assert len(rows) - 1 == 4  # lags 0..3
     assert float(rows[1][1]) > 0.0
+
+
+def test_covariance_over_budget_says_so(law_path, tmp_path, capsys):
+    # 2^18 = 262144 products is over the enumeration budget: the rate is
+    # null in the artifact and one stderr line says why
+    p = tmp_path / "cfg.json"
+    p.write_text(
+        json.dumps({"law": str(law_path), "seed": 5, "covariance": {"paths": 2000, "conv_check_n": 18}}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["covariance", "--config", str(p), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "2^18 = 262144" in err and "200000" in err
+    payload = json.loads((out / "covariance.json").read_text())
+    assert payload["convolution_rate"] == {"n": 18, "value": None}
+
+
+def test_csv_columns_format_like_cells():
+    columns = [
+        np.array([0.1, -2.5e-17, 1e300, 3.0, np.inf]),
+        np.array([1, -2, 3, 0, 2**40], dtype=np.int64),
+        np.array([True, False, True, True, False]),
+        np.array([0.5, 1, 2, 3, 4], dtype=np.float32),
+        [1, 2.0, None, True, np.float64(0.3)],
+    ]
+    for col in columns:
+        assert _fmt_column(col) == [_fmt(v) for v in col]
 
 
 def test_validate_passes_and_reports(config_path, tmp_path, capsys):

@@ -15,8 +15,8 @@ from conefluct import (
     matrix_norms,
     random_simplex_point,
 )
-from conefluct.matrix_core import _min_ratio
-from oracles import dense_walk_log
+from conefluct.matrix_core import _min_ratio, hennion_distances
+from oracles import dense_walk_log, hennion_scalar
 
 
 def _random_matrix(rng, dim, zeros=False):
@@ -168,8 +168,8 @@ def test_left_product_final_point(rng):
 def test_min_ratio_worked_example():
     x = SimplexVector(np.array([0.5, 0.5]))
     y = SimplexVector(np.array([1.0 / 3.0, 2.0 / 3.0]))
-    assert _min_ratio(x, y) == pytest.approx(0.75, abs=1e-12)
-    assert _min_ratio(y, x) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert _min_ratio(x.coords, y.coords) == pytest.approx(0.75, abs=1e-12)
+    assert _min_ratio(y.coords, x.coords) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_distance_worked_example():
@@ -182,6 +182,27 @@ def test_distance_extremes():
     e1, e2 = SimplexVector.vertex(2, 0), SimplexVector.vertex(2, 1)
     assert hennion_distance(e1, e2) == 1.0
     assert hennion_distance(e1, e1) == 0.0
+
+
+def test_array_distance_matches_scalar_distance(rng):
+    # random interior points, points on faces (zero coordinates), vertices and
+    # repeated points; the array routine agrees with the scalar one and with
+    # a coordinate-by-coordinate Python evaluation bit for bit
+    for dim in (2, 3, 5):
+        pts = [random_simplex_point(dim, rng).coords for _ in range(20)]
+        for _ in range(10):
+            c = rng.dirichlet(np.ones(dim))
+            c[rng.integers(0, dim, size=dim - 1)] = 0.0
+            pts.append(c / c.sum())
+        pts += [np.eye(dim)[i] for i in range(dim)]
+        X = np.array(pts)
+        a, b = np.meshgrid(np.arange(len(X)), np.arange(len(X)), indexing="ij")
+        got = hennion_distances(X[a], X[b])
+        assert got.shape == a.shape
+        for p, q in zip(a.ravel(), b.ravel()):
+            want = hennion_distance(SimplexVector(X[p]), SimplexVector(X[q]))
+            assert got[p, q] == want == hennion_scalar(X[p], X[q])
+        assert np.all(np.diag(got) == 0.0)
 
 
 def test_metric_axioms(rng):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,10 @@ from conefluct import (
     hypothesis_report,
     random_simplex_point,
     _batch,
+    matrix_law,
 )
 from conftest import scalar_law
-from oracles import enumerate_word_products
+from oracles import convolution_contraction_loop, enumerate_word_products
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import centered_law  # noqa: E402
@@ -174,13 +176,13 @@ def test_calibrated_fixture_is_centered(ref_law, ref_manifest, barycenter):
 def test_convolution_contraction_identity_law():
     law = scalar_law((1.0, 1.0))
     for n in (1, 2, 4):
-        assert convolution_contraction(law, n) == 1.0
+        assert convolution_contraction(law, n) == convolution_contraction_loop(law, n) == 1.0
 
 
 def test_convolution_contraction_rank_one():
     law = _law(([[1.0, 2.0], [1.0, 2.0]], 1.0))
-    assert convolution_contraction(law, 1) == 0.0
-    assert convolution_contraction(law, 3) == 0.0
+    assert convolution_contraction(law, 1) == convolution_contraction_loop(law, 1) == 0.0
+    assert convolution_contraction(law, 3) == convolution_contraction_loop(law, 3) == 0.0
 
 
 def test_convolution_contraction_matches_manifest(ref_law, ref_manifest):
@@ -217,6 +219,77 @@ def test_convolution_contraction_dominates_interior_pairs(ref_law, rng):
 def test_convolution_contraction_budget_and_sampled(ref_law):
     with pytest.raises(ValueError, match="budget"):
         convolution_contraction(ref_law, 20, budget=1000)
+
+
+def _zero_law():
+    # d = 3, K = 5, with zero entries, so some column pairs of a product have
+    # support on one coordinate fewer than the other
+    rng = np.random.default_rng(20240919)
+    atoms = rng.uniform(0.0, 2.0, (5, 3, 3))
+    atoms[atoms < 0.6] = 0.0
+    atoms[:, 0, :] += 0.1
+    return MatrixLaw.from_entries(list(atoms), rng.dirichlet(np.ones(5)))
+
+
+def test_convolution_contraction_matches_loop_on_reference_law(ref_law):
+    for n in range(1, 13):
+        assert convolution_contraction(ref_law, n) == convolution_contraction_loop(ref_law, n)
+
+
+def test_convolution_contraction_matches_loop_on_d3k64_law():
+    spec = centered_law(np.random.default_rng(20240918), dim=3, atoms_count=64, smoke=True)
+    law = MatrixLaw.from_entries(spec["atoms"], spec["weights"])
+    for n in (1, 2):
+        assert convolution_contraction(law, n) == convolution_contraction_loop(law, n)
+
+
+def test_convolution_contraction_matches_loop_with_zero_entries():
+    law = _zero_law()
+    # 5^6 = 15625 products: three full stacks and a partial one
+    assert 5**6 > matrix_law._PRODUCT_BLOCK and 5**6 % matrix_law._PRODUCT_BLOCK != 0
+    for n in (1, 2, 5, 6):
+        assert convolution_contraction(law, n) == convolution_contraction_loop(law, n)
+
+
+def test_convolution_contraction_disjoint_supports_is_one():
+    # diagonal atoms: every product maps the vertices to themselves, whose
+    # supports are not nested, so every pair is at distance exactly 1
+    law = _law(([[2.0, 0.0], [0.0, 1.0]], 0.3), ([[1.0, 0.0], [0.0, 3.0]], 0.7))
+    for n in (1, 3, 7):
+        assert convolution_contraction(law, n) == convolution_contraction_loop(law, n) == 1.0
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 30])
+def test_convolution_contraction_any_block_size(monkeypatch, ref_law, block):
+    # small stacks reach every branch: a block below the support size holds
+    # one letter's worth of words, and stacks split mid-level
+    monkeypatch.setattr(matrix_law, "_PRODUCT_BLOCK", block)
+    for law, n in ((ref_law, 5), (_zero_law(), 3)):
+        assert convolution_contraction(law, n) == convolution_contraction_loop(law, n)
+
+
+def test_convolution_contraction_refuses_overflow_and_underflow():
+    for scale in (1e200, 1e-200):
+        law = _law(([[scale, scale], [scale, 2.0 * scale]], 0.5), ([[scale, 0.0], [scale, scale]], 0.5))
+        assert convolution_contraction(law, 1) > 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="column"):
+                convolution_contraction(law, 2)
+            with pytest.raises(ValueError):
+                convolution_contraction_loop(law, 2)
+
+
+def test_convolution_contraction_memory_is_bounded(ref_law):
+    # 2^17 = 131072 products, near the enumeration budget; as one stack their
+    # entries alone would take 4 MiB
+    tracemalloc.start()
+    try:
+        value = convolution_contraction(ref_law, 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < convolution_contraction(ref_law, 12)
+    assert peak < 3 * 2**20
 
 
 # ---------------------------------------------------------------------------
