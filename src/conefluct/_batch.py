@@ -3,13 +3,12 @@
 There are two walk kernels, both built on ``draw_indices`` and
 ``projective_step``: ``walk_chunk`` runs the free walk over the full horizon
 and records selected steps, and ``survival_chunk`` runs the killed walk,
-dropping each path at its exit.  The killed walk takes one start level or
-a strictly increasing tuple of them.  The increments do not depend on the
-level, so one path set carried from the lowest level ``a_0``, with its
-running minimum, is the killed walk at every level: level l is shifted by
-``a_l - a_0`` and a path is dropped once it is dead at the top level.  A
-single level keeps no running minimum and gives the plain killed walk's
-bits.
+dropping each path at its exit.  The killed walk always takes a strictly
+increasing tuple of start levels, one level being a one-element tuple.
+The increments do not depend on the level, so one path set carried from
+the lowest level ``a_0`` is the killed walk at every level: level l is
+shifted by ``a_l - a_0``, a path is dropped once it is dead at the top
+level, and the levels below the top read a running minimum of the walk.
 
 Paths are processed in fixed-size chunks.  The master seed is expanded with
 ``SeedSequence.spawn`` into one substream per chunk and partial results are
@@ -201,44 +200,39 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     return s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None
 
 
-def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size, ss):
+def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, size, ss):
     """Killed walk: paths exit at the first step with ``S <= 0``.
 
-    ``a`` is one start level or a strictly increasing tuple of levels
-    ``a_0 < ... < a_top``; the increments do not depend on the level, so one
-    path set serves them all.  ``S`` is carried from ``a_0``.  Level l is
-    alive while the running minimum of ``S`` over steps 1..n stays above
-    ``a_0 - a_l``, and its value is ``S + (a_l - a_0)``.  A path is dropped
-    from the working arrays once ``S <= a_0 - a_top``, when it is dead at
-    every level, so cost tracks the alive count at the top level.  The
-    running minimum is kept only when there is more than one level; a single
-    level, given as a number or as a one-element tuple, runs the plain
-    killed walk and gives its bits.
+    ``levels`` is a non-empty, strictly increasing sequence of finite start
+    levels ``a_0 < ... < a_top``; one level is a one-element sequence.  The
+    increments do not depend on the level, so one path set, carried from
+    ``a_0``, serves them all: level l's value is ``S + (a_l - a_0)``.  A path
+    is dropped once ``S <= a_0 - a_top``, so cost tracks the alive count at
+    the top level and every path still held is alive there.  A lower level
+    is alive while the running minimum of ``S`` stays above ``a_0 - a_l``;
+    that minimum is kept only when there is such a level.
 
     At each ``n`` in ``n_values`` (sorted, 1-based) the chunk reports, per
     level, the survivor count and the survivor sums of the value and its
     square (paths already dead contribute zero, which is exactly the killed
-    expectation).  The three arrays have shape ``(len(n_values),)`` for a
-    number ``a`` and ``(levels, len(n_values))`` for a tuple.  With
-    ``want_samples`` (one level only) the survivor ``S`` values are
-    returned as well.
+    expectation), as ``(len(levels), len(n_values))`` arrays.  With
+    ``want_samples`` (one level only) the survivor values come as well.
     """
-    levels = np.asarray(a, dtype=float)
-    flat = levels.reshape(-1)
-    if flat.size == 0 or np.any(np.diff(flat) <= 0.0):
-        raise ValueError("levels must be a non-empty, strictly increasing sequence")
-    multi = flat.size > 1
-    if multi and want_samples:
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or not levels.size or not np.isfinite(levels).all() or np.any(np.diff(levels) <= 0.0):
+        raise ValueError("levels must be a non-empty, strictly increasing sequence of finite numbers")
+    if want_samples and levels.size > 1:
         raise ValueError("survivor samples are returned for one level only")
-    shift = flat - flat[0]  # a_l - a_0; a_0 - a_l is its exact negative
+    shift = levels - levels[0]  # a_l - a_0; a_0 - a_l is its exact negative
+    top = levels.size - 1
     rng = np.random.default_rng(ss)
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
     X = _start(atom_stack, x0, size)
-    S = np.full(size, flat[0])
-    runmin = np.full(size, np.inf) if multi else None
-    floor = -shift[-1]
-    counts = np.zeros(levels.shape + (len(n_values),), dtype=np.int64)
+    S = np.full(size, levels[0])
+    runmin = np.full(size, np.inf) if top else None
+    floor = -shift[top]
+    counts = np.zeros((levels.size, len(n_values)), dtype=np.int64)
     sums = np.zeros(counts.shape)
     sums2 = np.zeros(counts.shape)
     samples: list = [np.empty(0)] * len(n_values) if want_samples else []
@@ -252,23 +246,18 @@ def survival_chunk(atom_stack, cum_weights, x0, a, n_values, want_samples, size,
             if not alive.all():
                 X = [x[alive] for x in X]
                 S = S[alive]
-                if multi:
+                if top:
                     runmin = runmin[alive]
-            if multi:
+            if top:
                 np.minimum(runmin, S, out=runmin)
         if step == n_values[pos]:
-            if multi:
-                for l, off in enumerate(shift):
-                    value = S[runmin > -off] + off
-                    counts[l, pos] = value.shape[0]
-                    sums[l, pos] = value.sum()
-                    sums2[l, pos] = np.square(value).sum()
-            else:
-                counts[..., pos] = S.shape[0]
-                sums[..., pos] = S.sum()
-                sums2[..., pos] = np.square(S).sum()
+            for l, off in enumerate(shift):
+                value = (S if l == top else S[runmin > -off]) + off
+                counts[l, pos] = value.shape[0]
+                sums[l, pos] = value.sum()
+                sums2[l, pos] = np.square(value).sum()
             if want_samples:
-                samples[pos] = S.copy()
+                samples[pos] = value
             pos += 1
             if pos == len(n_values):
                 break

@@ -290,6 +290,13 @@ def _check_ranges(cfg: dict, scale_from: str) -> None:
     n_conv = cfg["covariance"]["conv_check_n"]
     if n_conv < 0:
         raise LawFormatError(f"config: 'covariance.conv_check_n' = {n_conv!r} must be >= 0 (0 skips the check)")
+    start_a = cfg["start"]["a"]
+    if start_a < 0:
+        raise LawFormatError(f"config: 'start.a' = {start_a!r} must be >= 0")
+    for section, key in (("check", "paths"), ("simulate", "sigma2_paths"), ("covariance", "paths")):
+        paths = cfg[section][key]
+        if paths < 2:
+            raise LawFormatError(f"config: '{section}.{key}' = {paths!r} must be >= 2 (it feeds a sample variance)")
     for key in ("a_grid", "a_grid_sigmas"):
         levels = cfg["simulate"][key]
         if levels is None:
@@ -305,7 +312,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
     ``overrides`` are the command-line flags (``--law``, ``--seed``,
     ``--workers``, ``--out``, and ``sigma_scale`` for ``--sigma-scale``); a
-    worker count below 1, a sigma scale that is not positive and a level grid
+    worker count below 1, a sigma scale that is not positive, a negative
+    start level, a variance estimate from fewer than 2 paths and a level grid
     that is not increasing are refused with the name of the key, variable or
     flag that set them.
     """

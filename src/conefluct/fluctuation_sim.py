@@ -10,10 +10,10 @@ approximation ``M_n = S_n + Theta(X_n) - Theta(X_0)`` built from a tabulated
 potential, with ``sup_n |S_n - M_n| <= A = 2 sup |Theta|`` checked pathwise.
 
 Everything runs on the two chunked kernels of ``_batch``.  The killed walk
-``survival_chunk`` feeds survival, ``V_n`` and the conditional endpoints;
-given a level sequence, ``estimate_V`` reads ``V_n`` at every level from one
-path set, and every ``HarmonicEstimate`` carries ``P(tau > n)`` from its own
-paths.  The free walk ``walk_chunk`` feeds the variance, the covariances and
+``survival_chunk`` runs a tuple of start levels: one level for survival and
+the conditional endpoints, all the levels of ``estimate_V`` on one path set,
+and every ``HarmonicEstimate`` carries ``P(tau > n)`` from its own paths.
+The free walk ``walk_chunk`` feeds the variance, the covariances and
 ``simulate_paths``.  ``simulate_paths`` keeps each chunk's recorded rows as
 one ``PathBatch`` of step-major arrays and builds ``M``, ``tau`` and ``T`` on
 them; the two martingale guards are array reductions over those batches.
@@ -187,10 +187,10 @@ def simulate_paths(
     return batches
 
 
-def _survival_reduce(law, x, a, n_values, paths, seed, workers, want_samples):
+def _survival_reduce(law, x, levels, n_values, paths, seed, workers, want_samples):
     parts = _batch.run_chunks(
         _batch.survival_chunk,
-        (law.atom_stack, law.cum_weights, x.coords, a, n_values, want_samples),
+        (law.atom_stack, law.cum_weights, x.coords, levels, n_values, want_samples),
         paths,
         seed,
         workers,
@@ -219,7 +219,7 @@ def survival_probability(
     is monotone by construction.  CI half-widths are 95% normal.
     """
     n_values = _sorted_steps(n_values)
-    counts, _, _, _ = _survival_reduce(law, x, a, n_values, paths, seed, workers, False)
+    counts = _survival_reduce(law, x, (a,), n_values, paths, seed, workers, False)[0][0]  # the level's row
     p_hat = counts / paths
     ci = _Z95 * np.sqrt(p_hat * (1.0 - p_hat) / paths)
     return SurvivalCurve(
@@ -248,7 +248,7 @@ def estimate_V(
 
     ``a`` is one level, which gives one ``HarmonicEstimate``, or a strictly
     increasing sequence of levels, which gives a list with one estimate per
-    level.  The levels of a sequence share one path set (see
+    level.  All levels run as one tuple on one path set (see
     ``_batch.survival_chunk``), so their estimates are not independent.
 
     Dead paths contribute zero to the killed expectation.  The plateau is
@@ -259,15 +259,13 @@ def estimate_V(
     band ``a - A`` and the empirical upper envelope ``V_hat / (1 + a)``.
     """
     n_schedule = _sorted_steps(n_schedule)
-    one = np.ndim(a) == 0
-    levels = float(a) if one else tuple(float(v) for v in a)
+    levels = tuple(float(v) for v in np.atleast_1d(a))
     counts, sums, sums2, _ = _survival_reduce(law, x, levels, n_schedule, paths, seed, workers, False)
-    if one:
-        return _plateau(x, levels, n_schedule, counts, sums, sums2, paths, poisson, rel_tol)
-    return [
+    estimates = [
         _plateau(x, level, n_schedule, c, s, s2, paths, poisson, rel_tol)
         for level, c, s, s2 in zip(levels, counts, sums, sums2, strict=True)
     ]
+    return estimates[0] if np.ndim(a) == 0 else estimates
 
 
 def _plateau(x, a, n_schedule, counts, sums, sums2, paths, poisson, rel_tol) -> HarmonicEstimate:
@@ -318,7 +316,7 @@ def conditional_endpoint_samples(
 ) -> dict:
     """Survivor samples of ``S_n / sqrt(n)`` at each n, from one path set."""
     n_values = _sorted_steps(n_values)
-    _, _, _, samples = _survival_reduce(law, x, a, n_values, paths, seed, workers, True)
+    samples = _survival_reduce(law, x, (a,), n_values, paths, seed, workers, True)[3]
     return {n: samples[i] / math.sqrt(n) for i, n in enumerate(n_values)}
 
 

@@ -75,6 +75,37 @@ def enumerate_walk(law, x_coords, a, n_max):
     return {"survival": survival, "killed_mean": killed_mean, "scaled_mean": scaled_mean}
 
 
+def lattice_killed_walk(steps, a: int, n_values):
+    """Exact survival and killed mean of an integer-step walk, by a DP over levels.
+
+    ``steps`` lists ``(step, probability)`` pairs with integer steps; the walk
+    starts at the integer ``a`` and is killed at the first ``n`` with
+    ``S_n <= 0``.  Returns ``(survival, killed_mean)`` arrays over
+    ``n_values``: ``P(tau > n)`` and ``E[S_n; tau > n]``.  Entry k of the
+    state is the probability of being alive at level k, so no path is ever
+    sampled.
+    """
+    n_max = max(n_values)
+    up = max(max(s for s, _ in steps), 0)
+    p = np.zeros(a + up * n_max + 1)
+    p[a] = 1.0
+    levels = np.arange(p.size)
+    survival, killed_mean = [], []
+    for n in range(1, n_max + 1):
+        q = np.zeros_like(p)
+        for s, w in steps:
+            if s >= 0:
+                q[s:] += w * p[: p.size - s]
+            else:  # mass pushed below level 0 falls off the front
+                q[:s] += w * p[-s:]
+        q[0] = 0.0
+        p = q
+        if n in n_values:
+            survival.append(p.sum())
+            killed_mean.append(levels @ p)
+    return np.array(survival), np.array(killed_mean)
+
+
 def enumerate_word_products(law, n):
     """All length-n products ``g_{i_n} ... g_{i_1}`` with their weights."""
     entries = [np.asarray(g.entries, dtype=float) for g in law.atoms]

@@ -93,13 +93,17 @@ def test_draw_indices_matches_searchsorted(K):
 
 @pytest.mark.parametrize("name,a", CASES, ids=[f"{n}-a{a:g}" for n, a in CASES])
 def test_survival_chunk_matches_einsum_reference(name, a):
+    """A one-level tuple is the plain killed walk: row 0 against the reference, bit for bit."""
     law = _law(name)
     x0 = SimplexVector.barycenter(law.dim).coords
     n_values = (1, 2, 3, 10, 50, 200, 400)
-    args = (law.atom_stack, law.cum_weights, x0, a, n_values, True, SIZE, np.random.SeedSequence(11))
-    got = _batch.survival_chunk(*args)
-    einsum = oracles.survival_chunk(*args)
-    want = einsum if law.dim == 2 else oracles.survival_chunk(*args, stepper=oracles.left_fold_step)
+    head = (law.atom_stack, law.cum_weights, x0)
+    tail = (n_values, True, SIZE, np.random.SeedSequence(11))
+    got = _batch.survival_chunk(*head, (a,), *tail)
+    assert all(g.shape == (1, len(n_values)) for g in got[:3])
+    got = [g[0] for g in got[:3]] + [got[3]]
+    einsum = oracles.survival_chunk(*head, a, *tail)
+    want = einsum if law.dim == 2 else oracles.survival_chunk(*head, a, *tail, stepper=oracles.left_fold_step)
     for g, w in zip(got[:3], want[:3]):
         assert np.array_equal(g, w)
     assert len(got[3]) == len(want[3]) == len(n_values)
@@ -146,22 +150,12 @@ def test_multilevel_survival_chunk_matches_masked_reference(name, levels):
     assert np.all(np.diff(got[0][:, -1]) > 0)
 
 
-def test_one_level_tuple_gives_the_plain_killed_walk():
-    law = _law("reference")
-    x0 = SimplexVector.barycenter(2).coords
-    head = (law.atom_stack, law.cum_weights, x0)
-    n_values = (1, 10, 100)
-    plain = _batch.survival_chunk(*head, 1.0, n_values, False, SIZE, np.random.SeedSequence(14))
-    one = _batch.survival_chunk(*head, (1.0,), n_values, False, SIZE, np.random.SeedSequence(14))
-    for p, o in zip(plain[:3], one[:3]):
-        assert p.shape == (len(n_values),) and o.shape == (1, len(n_values))
-        assert np.array_equal(p, o[0])
-
-
-@pytest.mark.parametrize("levels", [(), (1.0, 1.0), (2.0, 1.0)])
+# NaN and infinite levels pass the ``np.diff`` check, since every comparison
+# with NaN is False; a bare number is not a sequence
+@pytest.mark.parametrize("levels", [(), (1.0, 1.0), (2.0, 1.0), (1.0, np.nan), (np.nan,), (1.0, np.inf), 1.0])
 def test_survival_chunk_refuses_bad_levels(levels):
     law = _law("reference")
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match="strictly increasing sequence of finite numbers"):
         _batch.survival_chunk(law.atom_stack, law.cum_weights, (0.5, 0.5), levels, (1,), False, 10, 0)
 
 

@@ -172,6 +172,10 @@ _LEVELS = "must hold at least 2 positive, strictly increasing levels"
         ({"simulate": {"a_grid_sigmas": [0.0, 1.0]}}, {}, {}, f"'simulate.a_grid_sigmas' = [0.0, 1.0] {_LEVELS}"),
         ({"simulate": {"a_grid_sigmas": [1.0, 1.0]}}, {}, {}, f"'simulate.a_grid_sigmas' = [1.0, 1.0] {_LEVELS}"),
         ({"covariance": {"conv_check_n": -1}}, {}, {}, "'covariance.conv_check_n' = -1 must be >= 0"),
+        ({"start": {"a": -1}}, {}, {}, "'start.a' = -1 must be >= 0"),
+        ({"check": {"paths": 1}}, {}, {}, "'check.paths' = 1 must be >= 2"),
+        ({"simulate": {"sigma2_paths": 1}}, {}, {}, "'simulate.sigma2_paths' = 1 must be >= 2"),
+        ({"covariance": {"paths": 1}}, {}, {}, "'covariance.paths' = 1 must be >= 2"),
     ],
     ids=[
         "unknown-key", "unknown-threshold", "wrong-type", "wrong-length", "removed-horizon",
@@ -179,7 +183,8 @@ _LEVELS = "must hold at least 2 positive, strictly increasing levels"
         "config-workers-zero", "nan-start-level", "infinite-threshold", "infinite-a-grid-level",
         "removed-sigma2-h", "removed-eigen-tol", "negative-sigma-scale", "zero-sigma-scale",
         "decreasing-a-grid", "single-level-a-grid", "zero-a-grid-sigma", "repeated-a-grid-sigma",
-        "negative-conv-check-n",
+        "negative-conv-check-n", "negative-start-level", "one-check-path", "one-sigma2-path",
+        "one-covariance-path",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, override, env, flags, needle):

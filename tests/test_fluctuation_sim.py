@@ -27,6 +27,7 @@ from conefluct import (
     survival_probability,
 )
 from conefluct._batch import chunk_layout
+from conefluct.cli import _DEFAULTS
 from conftest import scalar_law
 from oracles import enumerate_walk
 
@@ -336,6 +337,71 @@ def test_estimate_v_flags_drifting_walk(barycenter):
     est = estimate_V(law, barycenter, 1.0, [4, 8, 16, 32], 2000, seed=62)
     assert not est.converged
     assert np.all(np.diff(est.estimates) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact-answer lattice laws
+#
+# Multiples of the identity step every path by the same log-factor, and
+# log e^{+-1}, log e^{+-2} are exact in float64, so the walk stays on the
+# integers and its exit at S = 0 is exact.  These laws are centred.
+
+# steps +2 w.p. 1/3 and -1 w.p. 2/3: skip-free downward, so from an integer
+# level the walk exits exactly at 0 and V_n = a at every n; sigma^2 = 2
+SKIP_FREE_STEPS = [(2, 1 / 3), (-1, 2 / 3)]
+
+
+def _lattice_law(steps) -> MatrixLaw:
+    return scalar_law(*[(math.exp(step), w) for step, w in steps])
+
+
+def test_survival_matches_lattice_dp(barycenter):
+    n_values = (64, 256, 1024)
+    paths = 100_000
+    exact, killed = oracles.lattice_killed_walk(SKIP_FREE_STEPS, 3, n_values)
+    # the DP itself: V_n = a, and sqrt(n) P(tau > n) tends to the paper's
+    # constant 2 V / (sigma sqrt(2 pi)) with V = 3 and sigma^2 = 2
+    assert np.allclose(killed, 3.0, rtol=1e-12, atol=0.0)
+    scaled = np.sqrt(n_values) * exact
+    assert np.allclose(scaled, [1.6705, 1.6870, 1.6912], rtol=0.0, atol=5e-5)
+    limit = 2.0 * 3.0 / (math.sqrt(2.0) * math.sqrt(2.0 * math.pi))
+    assert np.all(np.diff(np.abs(scaled - limit)) < 0.0) and abs(scaled[-1] - limit) < 2e-3
+    curve = survival_probability(_lattice_law(SKIP_FREE_STEPS), barycenter, 3.0, n_values, paths, seed=91)
+    z = (curve.p_hat - exact) / np.sqrt(exact * (1.0 - exact) / paths)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_level_tuple_matches_lattice_dp(barycenter):
+    levels = (1, 2, 3, 5)
+    schedule = (16, 64, 256)
+    paths = 40_000
+    grid = estimate_V(_lattice_law(SKIP_FREE_STEPS), barycenter, [float(a) for a in levels], schedule, paths, 92)
+    for a, est in zip(levels, grid, strict=True):
+        exact, _ = oracles.lattice_killed_walk(SKIP_FREE_STEPS, a, schedule)
+        z = (est.survival - exact) / np.sqrt(exact * (1.0 - exact) / paths)
+        assert np.all(np.abs(z) <= 4.0), (a, z)
+        assert np.all(np.abs(est.estimates - a) <= 4.0 * est.stderrs), (a, est.estimates)
+
+
+# steps +1 w.p. 2/3 and -2 w.p. 1/3: the walk exits at 0 or -1, and
+# V(a) = a + 1/3 - (1/3)(-1/2)^a for integer a >= 1
+OVERSHOOT_STEPS = [(1, 2 / 3), (-2, 1 / 3)]
+
+# the plateau rule stops before paths from the high levels have had the time
+# to exit, so V_hat stays near a there
+_FALSE_PLATEAU = pytest.mark.xfail(
+    strict=True, reason="false plateau: estimate_V stops early at large a (ROADMAP V item, optional stopping)"
+)
+
+
+@pytest.mark.parametrize("a", [1, 2, 4] + [pytest.param(a, marks=_FALSE_PLATEAU) for a in (8, 16, 71)])
+def test_estimate_v_matches_overshoot_law(barycenter, a):
+    """``estimate_V`` at the CLI's schedule and level-grid budget against the exact V."""
+    sim = _DEFAULTS["simulate"]
+    est = estimate_V(_lattice_law(OVERSHOOT_STEPS), barycenter, float(a), sim["v_schedule"], sim["a_paths"], 11)
+    exact = a + 1.0 / 3.0 - (-0.5) ** a / 3.0
+    z = (est.V_hat - exact) / est.V_stderr
+    assert abs(z) <= 4.0, z
 
 
 # ---------------------------------------------------------------------------
