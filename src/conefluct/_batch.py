@@ -34,11 +34,38 @@ scaling ``u`` by that power of two is exact, so truncation finds the bin of
 ``u`` without rounding.  A bin that holds no cumulative weight maps every
 uniform in it to one index, read from a table; only uniforms in a bin that
 holds one (a split bin) fall back to the binary search.
+
+Both kernels step by words of ``b`` letters where they can.  The walk
+sampled every ``b`` steps is the walk of the b-fold convolution, whose atoms
+are the ``K**b`` products of ``b`` letters, so one uniform and one projective
+step through the word stack (``word_table``) cover ``b`` steps.  ``b`` is the
+largest value with ``K**b <= WORD_ATOMS``; it is 1 for a one-atom law and
+for ``K > 16``, and such laws step by letters only, with the same bits as a
+letter kernel.  The letters of a word are the base-K digits of its index,
+the first letter to act the most significant, so the word weights are the
+letter weights multiplied in that order and the word stack decodes back to
+the letter walk.
+
+A word never steps past a recorded or reported step.  In the killed walk the
+exits stay exact by a drop bound: with ``c_j`` the column sums of the
+product of the word's first ``j`` letters, ``|p_j x|_1 = c_j . x >= min_i
+c_{j,i}`` on the simplex, so no step inside the word falls more than
+``H(w) = max(0, max_j -log min_i c_{j,i})`` below its start.  A path takes the
+whole word only when ``S - H(w)`` clears the threshold of the lowest level
+still alive for it by ``WORD_MARGIN``; every other path replays the word's
+letters through the letter table, so its exit, its deaths at lower levels
+and its running minimum are those of the letter walk on the same letters.
+
+Every exit test counts ``S <= EXIT_TOL`` (``2**-30``) as an exit.  A word's
+log-mass differs from the sum of its letters' by rounding, so a walk whose
+letters move it on a lattice, where ``S`` meets 0 exactly, leaves the
+lattice by ulps after a whole word; the tolerance keeps those ties exits.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +75,17 @@ CHUNK_PATHS = 16384
 # bins keep the table small and leave few bins split (none for the reference
 # law, 1.5% for 64 atoms)
 GUIDE_BITS = 12
+
+# most atoms of a word stack: a K-atom law steps by words of the largest b
+# with K**b <= WORD_ATOMS letters (8 for K = 2, 1 from K = 17 on)
+WORD_ATOMS = 256
+
+# every exit test counts S <= EXIT_TOL as an exit (see the module docstring)
+EXIT_TOL = 2.0**-30
+
+# room a path needs above its threshold, past the drop bound, to take a whole
+# word; far above the rounding of the bound and of a word's log-mass
+WORD_MARGIN = 1e-9
 
 
 def chunk_layout(paths: int) -> list[int]:
@@ -133,6 +171,67 @@ def step_table(atom_stack: np.ndarray):
     return [[np.ascontiguousarray(atom_stack[:, i, j]) for j in range(d)] for i in range(d)]
 
 
+def word_length(K: int) -> int:
+    """Letters per word for a K-atom law: the largest b with ``K**b <= WORD_ATOMS``."""
+    b = 1
+    while K > 1 and K ** (b + 1) <= WORD_ATOMS:
+        b += 1
+    return b
+
+
+@dataclass(frozen=True, eq=False)
+class Words:
+    """The b-letter words of a law, as ``word_table`` builds them.
+
+    ``letters[j]`` is the (j+1)-th letter to act, per word; ``table`` and
+    ``guide`` are the ``step_table`` of the word products and the
+    ``guide_table`` of the word weights; ``drop`` is each word's drop bound
+    ``H(w)``, infinite for a word whose partial products are not finite with
+    positive column sums (such a word is always replayed by letters, and its
+    stack entry is the identity).
+    """
+
+    letters: np.ndarray
+    table: list
+    guide: tuple
+    drop: np.ndarray
+
+
+def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
+    """The word stack of a (K, d, d) atom stack, or None when b = 1.
+
+    Word ``w`` has letters ``k_1 ... k_b``, the base-K digits of ``w`` with
+    ``k_1`` the most significant; it stands for ``g_{k_b} ... g_{k_1}`` and
+    has weight ``((w_{k_1} w_{k_2}) ...) w_{k_b}``, where the letter weights
+    are the steps of ``cum_weights``.  The cumulative word weights are
+    clamped and closed at 1 as ``MatrixLaw.cum_weights`` is.  Kernels build
+    the table once per chunk.
+    """
+    K, d = atom_stack.shape[:2]
+    b = word_length(K)
+    if b == 1:
+        return None
+    weights = np.diff(cum_weights, prepend=0.0)
+    prods = np.eye(d)[None]
+    w = np.ones(1)
+    drop = np.zeros(1)
+    # a product may overflow or underflow; its word then gets an infinite
+    # bound, and no warning is raised
+    with np.errstate(all="ignore"):
+        for _ in range(b):
+            prods = np.matmul(atom_stack[None], prods[:, None]).reshape(-1, d, d)
+            w = (w[:, None] * weights[None]).reshape(-1)
+            low = prods.sum(axis=1).min(axis=1)
+            h = np.where((low > 0.0) & (low < np.inf), -np.log(low), np.inf)
+            drop = np.maximum(np.repeat(drop, K), h)
+    prods[~np.isfinite(drop)] = np.eye(d)
+    cum = np.minimum(np.cumsum(w), 1.0)
+    cum[-1] = 1.0
+    index = np.arange(K**b)
+    letters = np.stack([index // K ** (b - 1 - j) % K for j in range(b)])
+    return Words(letters=letters, table=step_table(prods), guide=guide_table(cum), drop=drop)
+
+
 def _start(atom_stack: np.ndarray, x0, size: int) -> list:
     """``size`` copies of the start point, one (size,) array per coordinate."""
     d = atom_stack.shape[1]
@@ -171,10 +270,15 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     Each record has one row per requested step and one column per path.
     With ``want_points`` the final (size, d) simplex points are returned
     last, otherwise ``None``.
+
+    The walk steps by a word whenever none of the next ``b - 1`` steps is
+    recorded and the b-th is not a ``rho_steps`` step, and by a letter
+    otherwise; one uniform per path feeds either.
     """
     rng = np.random.default_rng(ss)
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
+    words = word_table(atom_stack, cum_weights)
     X = _start(atom_stack, x0, size)
     S = np.full(size, float(a))
     s_rec = np.empty((len(s_steps), size))
@@ -183,13 +287,21 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     want_s = {step: i for i, step in enumerate(s_steps)}
     want_rho = {step: i for i, step in enumerate(rho_steps)}
     want_x = {step: i for i, step in enumerate(x_steps)}
+    recorded = want_s.keys() | want_rho.keys() | want_x.keys()
+    b = 1 if words is None else words.letters.shape[0]
     if 0 in want_s:
         s_rec[0] = S
     if 0 in want_x:
         x_rec[0] = X[0]
-    for step in range(1, n + 1):
-        idx = draw_indices(guide, rng.random(size))
-        X, rho = projective_step(table, idx, X)
+    step = 0
+    while step < n:
+        u = rng.random(size)
+        if b > 1 and step + b <= n and step + b not in want_rho and recorded.isdisjoint(range(step + 1, step + b)):
+            X, rho = projective_step(words.table, draw_indices(words.guide, u), X)
+            step += b
+        else:
+            X, rho = projective_step(table, draw_indices(guide, u), X)
+            step += 1
         S = S + rho
         if step in want_s:
             s_rec[want_s[step]] = S
@@ -200,65 +312,111 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     return s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None
 
 
+def _word_step(words: Words, table, u, X, S, runmin, floor, rising):
+    """Advance every held path by one word; returns ``X``, ``S``, ``runmin`` and the alive mask.
+
+    A path whose start ``S`` less the word's drop bound clears its threshold
+    (the lowest alive level's, read from ``rising``, the thresholds in
+    increasing order, through the running minimum) by ``WORD_MARGIN`` takes
+    the word's product and cannot exit inside it.  Every other path replays
+    the letters, tracking its own running minimum; it is alive while that
+    minimum stays above ``floor``, the top level's threshold.
+    """
+    widx = draw_indices(words.guide, u)
+    thr = floor if runmin is None else rising[np.searchsorted(rising, runmin) - 1]
+    near = np.flatnonzero(S - words.drop.take(widx) <= thr + WORD_MARGIN)
+    X_end, rho = projective_step(words.table, widx, X)
+    S_end = S + rho
+    alive = S_end > floor
+    if runmin is not None:
+        runmin = np.minimum(runmin, S_end)
+    if near.size:
+        Xn = [x.take(near) for x in X]
+        Sn = S.take(near)
+        low = np.full(near.size, np.inf) if runmin is None else runmin.take(near)
+        wn = widx.take(near)
+        for letter in words.letters:
+            Xn, rho = projective_step(table, letter.take(wn), Xn)
+            Sn = Sn + rho
+            np.minimum(low, Sn, out=low)
+        for x, xn in zip(X_end, Xn, strict=True):
+            x[near] = xn
+        S_end[near] = Sn
+        alive[near] = low > floor
+        if runmin is not None:
+            runmin[near] = low
+    return X_end, S_end, runmin, alive
+
+
 def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, size, ss):
-    """Killed walk: paths exit at the first step with ``S <= 0``.
+    """Killed walk: paths exit at the first step with ``S <= EXIT_TOL``.
 
     ``levels`` is a non-empty, strictly increasing sequence of finite start
     levels ``a_0 < ... < a_top``; one level is a one-element sequence.  The
     increments do not depend on the level, so one path set, carried from
-    ``a_0``, serves them all: level l's value is ``S + (a_l - a_0)``.  A path
-    is dropped once ``S <= a_0 - a_top``, so cost tracks the alive count at
-    the top level and every path still held is alive there.  A lower level
-    is alive while the running minimum of ``S`` stays above ``a_0 - a_l``;
-    that minimum is kept only when there is such a level.
+    ``a_0``, serves them all: level l's value is ``S + (a_l - a_0)``, and it
+    is dead once ``S`` falls to its threshold ``EXIT_TOL - (a_l - a_0)``.  A
+    path is dropped once dead at the top level, so cost tracks the alive
+    count there and every path still held is alive there.  A lower level is
+    alive while the running minimum of ``S`` stays above its threshold; that
+    minimum is kept only when there is such a level.
 
     At each ``n`` in ``n_values`` (sorted, 1-based) the chunk reports, per
     level, the survivor count and the survivor sums of the value and its
     square (paths already dead contribute zero, which is exactly the killed
     expectation), as ``(len(levels), len(n_values))`` arrays.  With
     ``want_samples`` (one level only) the survivor values come as well.
+
+    The walk steps by a word whenever the word ends by the next ``n``
+    (see ``_word_step``), and by a letter otherwise.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or not levels.size or not np.isfinite(levels).all() or np.any(np.diff(levels) <= 0.0):
         raise ValueError("levels must be a non-empty, strictly increasing sequence of finite numbers")
     if want_samples and levels.size > 1:
         raise ValueError("survivor samples are returned for one level only")
-    shift = levels - levels[0]  # a_l - a_0; a_0 - a_l is its exact negative
+    shift = levels - levels[0]  # a_l - a_0
+    thresholds = EXIT_TOL - shift
     top = levels.size - 1
+    floor = thresholds[top]
+    rising = thresholds[::-1]
     rng = np.random.default_rng(ss)
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
+    words = word_table(atom_stack, cum_weights)
+    b = 1 if words is None else words.letters.shape[0]
     X = _start(atom_stack, x0, size)
     S = np.full(size, levels[0])
     runmin = np.full(size, np.inf) if top else None
-    floor = -shift[top]
     counts = np.zeros((levels.size, len(n_values)), dtype=np.int64)
     sums = np.zeros(counts.shape)
     sums2 = np.zeros(counts.shape)
     samples: list = [np.empty(0)] * len(n_values) if want_samples else []
-    pos = 0
-    for step in range(1, n_values[-1] + 1):
-        if S.shape[0]:
-            idx = draw_indices(guide, rng.random(S.shape[0]))
-            X, rho = projective_step(table, idx, X)
-            S = S + rho
-            alive = S > floor
+    step = 0
+    for pos, n in enumerate(n_values):
+        while step < n and S.shape[0]:
+            u = rng.random(S.shape[0])
+            if b > 1 and step + b <= n:
+                X, S, runmin, alive = _word_step(words, table, u, X, S, runmin, floor, rising)
+                step += b
+            else:
+                X, rho = projective_step(table, draw_indices(guide, u), X)
+                S = S + rho
+                step += 1
+                alive = S > floor
+                if top:
+                    np.minimum(runmin, S, out=runmin)
             if not alive.all():
                 X = [x[alive] for x in X]
                 S = S[alive]
                 if top:
                     runmin = runmin[alive]
-            if top:
-                np.minimum(runmin, S, out=runmin)
-        if step == n_values[pos]:
-            for l, off in enumerate(shift):
-                value = (S if l == top else S[runmin > -off]) + off
-                counts[l, pos] = value.shape[0]
-                sums[l, pos] = value.sum()
-                sums2[l, pos] = np.square(value).sum()
-            if want_samples:
-                samples[pos] = value
-            pos += 1
-            if pos == len(n_values):
-                break
+        step = n
+        for l, off in enumerate(shift):
+            value = (S if l == top else S[runmin > thresholds[l]]) + off
+            counts[l, pos] = value.shape[0]
+            sums[l, pos] = value.sum()
+            sums2[l, pos] = np.square(value).sum()
+        if want_samples:
+            samples[pos] = value
     return counts, sums, sums2, samples

@@ -282,6 +282,21 @@ def _env_int(name: str) -> int:
         raise LawFormatError(f"{name} = {os.environ[name]!r} is not an integer") from None
 
 
+# path budgets and step counts that no run can use below 1
+_AT_LEAST_ONE = (
+    ("simulate", "paths"),
+    ("simulate", "v_paths"),
+    ("simulate", "a_paths"),
+    ("simulate", "conditional_paths"),
+    ("validate", "martingale_paths"),
+    ("check", "n"),
+    ("simulate", "sigma2_n"),
+    ("validate", "martingale_horizon"),
+    ("covariance", "burn_in"),
+    ("covariance", "max_lag"),
+)
+
+
 def _check_ranges(cfg: dict, scale_from: str) -> None:
     """Refuse leaves of the right type that no run can use, before any stage runs."""
     scale = cfg["validate"]["sigma_scale"]
@@ -297,6 +312,14 @@ def _check_ranges(cfg: dict, scale_from: str) -> None:
         paths = cfg[section][key]
         if paths < 2:
             raise LawFormatError(f"config: '{section}.{key}' = {paths!r} must be >= 2 (it feeds a sample variance)")
+    for section, key in _AT_LEAST_ONE:
+        value = cfg[section][key]
+        if value < 1:
+            raise LawFormatError(f"config: '{section}.{key}' = {value!r} must be >= 1")
+    for key in ("n_values", "v_schedule", "conditional_n"):
+        steps = cfg["simulate"][key]
+        if not steps or min(steps) < 1:
+            raise LawFormatError(f"config: 'simulate.{key}' = {steps!r} must hold at least one step, each >= 1")
     for key in ("a_grid", "a_grid_sigmas"):
         levels = cfg["simulate"][key]
         if levels is None:
@@ -313,9 +336,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     ``overrides`` are the command-line flags (``--law``, ``--seed``,
     ``--workers``, ``--out``, and ``sigma_scale`` for ``--sigma-scale``); a
     worker count below 1, a sigma scale that is not positive, a negative
-    start level, a variance estimate from fewer than 2 paths and a level grid
-    that is not increasing are refused with the name of the key, variable or
-    flag that set them.
+    start level, a variance estimate from fewer than 2 paths, a path budget
+    or step count below 1 and a level grid that is not increasing are
+    refused with the name of the key, variable or flag that set them.
     """
     cfg = copy.deepcopy(_DEFAULTS)
     if path is not None:

@@ -2,7 +2,8 @@
 
 The walk is ``S_n = a + sum_k rho(g_k, X_{k-1})`` along the projective orbit
 ``X_k = g_k . X_{k-1}`` of i.i.d. atoms; the exit time is the first ``n >= 1``
-with ``S_n <= 0`` (ties count as exit).  Estimators here cover survival
+with ``S_n <= 0`` (ties count as exit, and every exit test counts
+``S_n <= _batch.EXIT_TOL = 2**-30`` as a tie).  Estimators here cover survival
 probabilities, killed expectations ``V_n = E[S_n; tau > n]`` (whose plateau
 estimates the harmonic function ``V``), conditional endpoint laws, the
 fluctuation variance, increment covariances, and the martingale
@@ -58,9 +59,9 @@ class PathBatch:
     ``S`` and ``M`` are step-major ``(horizon + 1, m)`` arrays: row n is step
     n, so ``S[0] = M[0] = a``, and column p is path p.  ``M`` is the
     compensated walk ``M_n = S_n + Theta(X_n) - Theta(X_0)``.  ``tau`` is each
-    path's first step with ``S <= 0`` and ``T`` its first step with
-    ``M <= 0``, as (m,) integer arrays that hold 0 where the path does not
-    cross within the horizon (steps start at 1, so 0 is never a crossing).
+    path's first step with ``S <= EXIT_TOL`` and ``T`` its first step with
+    ``M <= EXIT_TOL``, as (m,) integer arrays that hold 0 where the path does
+    not cross within the horizon (steps start at 1, so 0 is never a crossing).
     ``M`` and ``T`` are None when no potential was supplied.  ``x_final``
     holds the (m, d) simplex points at the horizon.
     """
@@ -135,8 +136,8 @@ def _sorted_steps(values) -> tuple:
 
 
 def _first_crossing(rows: np.ndarray, level: float) -> np.ndarray:
-    """Per column, the first step n >= 1 with ``rows[n] <= level``, else 0."""
-    hit = rows[1:] <= level
+    """Per column, the first step n >= 1 with ``rows[n] <= level + EXIT_TOL``, else 0."""
+    hit = rows[1:] <= level + _batch.EXIT_TOL
     return np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0)
 
 

@@ -333,6 +333,133 @@ def multilevel_survival_chunk(atom_stack, cum_weights, x0, levels, n_values, siz
 
 
 # ---------------------------------------------------------------------------
+# word-decoding reference kernels
+#
+# The library steps a law of K atoms by words of b letters, b the largest with
+# K**b <= 256, through a stack of word products and a drop bound.  These
+# references draw the same one uniform per held path per word, look the word
+# up in cumulative word weights built by a loop over ``itertools.product``,
+# and step its letters one at a time with ``stepper``, testing every exit
+# after every letter; they use no word product and no bound.  A word is taken
+# where the library takes one, by the same rule written out again here.
+
+
+def word_length(K: int) -> int:
+    """The largest b with ``K**b <= 256``, at least 1; 1 for a one-atom law."""
+    return max((b for b in range(1, 9) if K**b <= 256), default=1) if K > 1 else 1
+
+
+def word_draw_table(cum_weights: np.ndarray, b: int):
+    """Cumulative weights of the ``K**b`` words, and their (K**b, b) letters, in word order.
+
+    Words run over ``itertools.product``, first letter slowest; a word's
+    weight is its letters' weights, the steps of ``cum_weights``, multiplied
+    first letter first.  The sums are clamped and closed at 1 as the letter
+    weights are.
+    """
+    letter_weights = np.diff(cum_weights, prepend=0.0)
+    words = list(itertools.product(range(len(letter_weights)), repeat=b))
+    weights = []
+    for word in words:
+        w = 1.0
+        for k in word:
+            w *= letter_weights[k]
+        weights.append(w)
+    cum = np.minimum(np.cumsum(weights), 1.0)
+    cum[-1] = 1.0
+    return cum, np.array(words, dtype=np.intp).reshape(len(words), b)
+
+
+def word_walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, size, ss, stepper=projective_step):
+    """``walk_chunk`` stepped word by word, each word's letters decoded and stepped one at a time.
+
+    A word is drawn when none of its first ``b - 1`` steps is recorded and
+    its last is not a ``rho_steps`` step; a letter otherwise.
+    """
+    b = word_length(len(cum_weights))
+    word_cum, words = word_draw_table(cum_weights, b)
+    rng = np.random.default_rng(ss)
+    X = np.tile(np.asarray(x0, dtype=float), (size, 1))
+    S = np.full(size, float(a))
+    s_rec = np.empty((len(s_steps), size))
+    rho_rec = np.empty((len(rho_steps), size))
+    x_rec = np.empty((len(x_steps), size))
+    recorded = set(s_steps) | set(rho_steps) | set(x_steps)
+    step = 0
+    while step < n:
+        u = rng.random(size)
+        inside = range(step + 1, step + b)
+        if b > 1 and step + b <= n and step + b not in rho_steps and not any(k in recorded for k in inside):
+            letters = words[draw_indices(word_cum, u)]
+        else:
+            letters = draw_indices(cum_weights, u)[:, None]
+        for idx in letters.T:
+            step += 1
+            X, rho = stepper(atom_stack, idx, X)
+            S = S + rho
+            if step in s_steps:
+                s_rec[s_steps.index(step)] = S
+            if step in rho_steps:
+                rho_rec[rho_steps.index(step)] = rho
+            if step in x_steps:
+                x_rec[x_steps.index(step)] = X[:, 0]
+    return s_rec, rho_rec, x_rec, X
+
+
+def word_survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, size, ss, stepper=projective_step):
+    """Killed walks from every level, stepped word by word, by masking.
+
+    Each draw is one uniform per path alive at the top level, in path order:
+    a word's when the word ends by the next n in ``n_values``, a letter's
+    otherwise.  Each level carries its own value ``a_l + sum rho``, tested
+    after every letter: the level exits at the first letter that leaves it
+    ``<= _batch.EXIT_TOL``.  Returns per-level survivor counts and survivor
+    sums of the value and its square, each (len(levels), len(n_values)); the
+    survivor values at each n when ``want_samples`` (one level); the exit
+    step of every level and path, 0 for a survivor; and the ``(start, end)``
+    step spans of the words drawn.
+    """
+    b = word_length(len(cum_weights))
+    word_cum, words = word_draw_table(cum_weights, b)
+    rng = np.random.default_rng(ss)
+    X = np.tile(np.asarray(x0, dtype=float), (size, 1))
+    S = np.tile(np.asarray(levels, dtype=float)[:, None], (1, size))
+    exits = np.zeros(S.shape, dtype=np.int64)
+    counts = np.zeros((len(levels), len(n_values)), dtype=np.int64)
+    sums = np.zeros(counts.shape)
+    sums2 = np.zeros(counts.shape)
+    samples = []
+    spans = []
+    step = 0
+    for pos, n in enumerate(n_values):
+        while step < n:
+            live = np.flatnonzero(exits[-1] == 0)
+            if not live.size:
+                break
+            u = rng.random(live.size)
+            if b > 1 and step + b <= n:
+                letters = words[draw_indices(word_cum, u)]
+                spans.append((step, step + b))
+            else:
+                letters = draw_indices(cum_weights, u)[:, None]
+            for idx in letters.T:
+                step += 1
+                X[live], rho = stepper(atom_stack, idx, X[live])
+                S[:, live] += rho
+                hit = (exits[:, live] == 0) & (S[:, live] <= _batch.EXIT_TOL)
+                exits[:, live] = np.where(hit, step, exits[:, live])
+        step = n
+        for l in range(len(levels)):
+            value = S[l, exits[l] == 0]
+            counts[l, pos] = value.size
+            sums[l, pos] = value.sum()
+            sums2[l, pos] = np.square(value).sum()
+        if want_samples:
+            samples.append(S[0, exits[0] == 0].copy())
+    return counts, sums, sums2, samples, exits, spans
+
+
+# ---------------------------------------------------------------------------
 # reference path records
 #
 # One record per path, cut out of the free walk's rows, and the martingale

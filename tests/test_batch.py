@@ -1,13 +1,18 @@
 """The walk kernels against the generic (m, d) reference kernels in ``oracles``.
 
 The library carries the walk state as one coordinate row per simplex
-coordinate in every dimension and sums left to right.  At d = 2 every
-output equals the ``einsum`` reference bit for bit.  At d >= 3 it equals the
-left-fold reference bit for bit, and the ``einsum`` reference, whose
-summation order is numpy's own, to rounding level with the same survivors.
+coordinate in every dimension and sums left to right.  Laws of more than 16
+atoms step by letters: at d = 2 every output equals the ``einsum`` reference
+bit for bit, and at d >= 3 it equals the left-fold reference bit for bit and
+the ``einsum`` reference, whose summation order is numpy's own, to rounding
+level with the same survivors.  Laws of 2 to 16 atoms step by words of b
+letters; against the word-decoding references, which step every letter of
+every word, survivor counts match exactly and values to rounding level.
 """
 
+import itertools
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +31,11 @@ from perfbench.workloads import centered_law  # noqa: E402
 def _law(name: str) -> MatrixLaw:
     if name == "reference":
         return reference_law()
+    if name == "one-atom":
+        return MatrixLaw.from_entries([[[0.5, 0.3], [0.2, 0.4]]])
+    if name == "k3":  # weights with no short binary expansion, so word bins split
+        ref = reference_law().atom_stack
+        return MatrixLaw.from_entries([ref[0], ref[1], [[0.5, 0.7], [0.6, 0.4]]], [0.45, 0.35, 0.2])
     rng = np.random.default_rng(20240917)
     dim = {"random-d2k64": 2, "d3k64": 3, "d4k64": 4}[name]
     spec = centered_law(rng, dim=dim, atoms_count=64, smoke=True)
@@ -33,11 +43,13 @@ def _law(name: str) -> MatrixLaw:
 
 
 # at a = 16 many early steps kill nobody, so the survival kernel's skipped
-# compaction is compared as well
+# compaction is compared as well.  The reference law (b = 8) and the K = 3
+# law (b = 5) step by words, the others by letters
 CASES = [
     ("reference", 1.0),
     ("reference", 8.0),
     ("reference", 16.0),
+    ("k3", 1.0),
     ("random-d2k64", 1.0),
     ("d3k64", 1.0),
     ("d4k64", 1.0),
@@ -49,6 +61,23 @@ SIZE = 5000
 # is about 100 ulp absolute; survivor sums of 5000 paths are held to it
 # relative
 EINSUM_TOL = 1e-12
+
+# distance allowed between a word kernel and the word-decoding reference: a
+# word's log-mass and end point round differently from its letters', by a few
+# ulp per word
+WORD_TOL = 1e-12
+
+
+def _words(law: MatrixLaw) -> bool:
+    return _batch.word_length(law.support_size) > 1
+
+
+def _assert_mid_word_exits(exits: np.ndarray, spans: list) -> None:
+    """Some exit falls strictly inside a drawn word, so the letter replay decided it."""
+    inside = np.zeros(exits.max() + 1, dtype=bool)
+    for start, end in spans:
+        inside[start + 1 : end] = True
+    assert inside[exits[exits > 0]].any()
 
 
 def _assert_close(got, want, rtol: float = 0.0, atol: float = 0.0) -> None:
@@ -93,7 +122,11 @@ def test_draw_indices_matches_searchsorted(K):
 
 @pytest.mark.parametrize("name,a", CASES, ids=[f"{n}-a{a:g}" for n, a in CASES])
 def test_survival_chunk_matches_einsum_reference(name, a):
-    """A one-level tuple is the plain killed walk: row 0 against the reference, bit for bit."""
+    """A one-level tuple is the plain killed walk: row 0 against the reference.
+
+    Letter laws match bit for bit; word laws match the word-decoding
+    reference in every count, and in values to ``WORD_TOL``.
+    """
     law = _law(name)
     x0 = SimplexVector.barycenter(law.dim).coords
     n_values = (1, 2, 3, 10, 50, 200, 400)
@@ -102,11 +135,23 @@ def test_survival_chunk_matches_einsum_reference(name, a):
     got = _batch.survival_chunk(*head, (a,), *tail)
     assert all(g.shape == (1, len(n_values)) for g in got[:3])
     got = [g[0] for g in got[:3]] + [got[3]]
+    # the run must kill paths, or compaction goes unchecked
+    assert 0 < got[0][-1] < SIZE
+    assert len(got[3]) == len(n_values)
+    if _words(law):
+        counts, sums, sums2, samples, exits, spans = oracles.word_survival_chunk(*head, (a,), *tail)
+        assert np.array_equal(got[0], counts[0])
+        _assert_close(got[1], sums[0], rtol=WORD_TOL)
+        _assert_close(got[2], sums2[0], rtol=WORD_TOL)
+        for g, w in zip(got[3], samples, strict=True):
+            _assert_close(g, w, atol=WORD_TOL)
+        _assert_mid_word_exits(exits, spans)
+        return
     einsum = oracles.survival_chunk(*head, a, *tail)
     want = einsum if law.dim == 2 else oracles.survival_chunk(*head, a, *tail, stepper=oracles.left_fold_step)
     for g, w in zip(got[:3], want[:3]):
         assert np.array_equal(g, w)
-    assert len(got[3]) == len(want[3]) == len(n_values)
+    assert len(want[3]) == len(n_values)
     for g, w in zip(got[3], want[3]):
         assert np.array_equal(g, w)
     # the einsum order moves d >= 3 floats at rounding level, never a survivor
@@ -115,14 +160,13 @@ def test_survival_chunk_matches_einsum_reference(name, a):
     _assert_close(got[2], einsum[2], rtol=EINSUM_TOL)
     for g, w in zip(got[3], einsum[3]):
         _assert_close(g, w, atol=EINSUM_TOL)
-    # the run must kill paths, or compaction goes unchecked
-    assert 0 < got[0][-1] < SIZE
 
 
 # levels of a few sigma (0.42 for the reference law, 0.16 for d3k64), so by
 # n = 400 every level loses paths and the top one keeps some
 LEVEL_CASES = [
     ("reference", (0.5, 1.0, 2.5, 6.0)),
+    ("k3", (0.5, 1.0, 2.5, 6.0)),
     ("d3k64", (0.1, 0.3, 0.7, 1.6)),
 ]
 
@@ -136,9 +180,14 @@ def test_multilevel_survival_chunk_matches_masked_reference(name, levels):
     got = _batch.survival_chunk(
         law.atom_stack, law.cum_weights, x0, levels, n_values, False, SIZE, np.random.SeedSequence(13)
     )
-    want = oracles.multilevel_survival_chunk(
-        law.atom_stack, law.cum_weights, x0, levels, n_values, SIZE, np.random.SeedSequence(13), stepper=stepper
-    )
+    head = (law.atom_stack, law.cum_weights, x0, levels, n_values)
+    if _words(law):
+        want = oracles.word_survival_chunk(*head, False, SIZE, np.random.SeedSequence(13), stepper=stepper)
+        # lower levels die inside words too, read by the running minimum
+        for exits in want[4][:-1]:
+            _assert_mid_word_exits(exits, want[5])
+    else:
+        want = oracles.multilevel_survival_chunk(*head, SIZE, np.random.SeedSequence(13), stepper=stepper)
     # the kernel adds a_l - a_0 to a walk carried from a_0, the reference
     # carries a_l itself, so values agree to rounding and survivors exactly
     assert np.array_equal(got[0], want[0])
@@ -148,6 +197,26 @@ def test_multilevel_survival_chunk_matches_masked_reference(name, levels):
     # every level loses paths, the top level keeps some, and the levels differ
     assert np.all(got[0][:, -1] < SIZE) and got[0][-1, -1] > 0
     assert np.all(np.diff(got[0][:, -1]) > 0)
+
+
+@pytest.mark.parametrize("name", ["reference", "k3"])
+def test_word_exits_match_at_every_word_end(name):
+    """Reported at every word end, the kernel's counts place each exit, at every level, in its word.
+
+    With reports every b steps the kernel still steps by words only, and
+    the reference's letter-by-letter exit steps give every count.
+    """
+    law = _law(name)
+    b = _batch.word_length(law.support_size)
+    n_values = tuple(range(b, 401, b))
+    args = (law.atom_stack, law.cum_weights, (0.5, 0.5), (0.5, 1.0, 2.5), n_values, False, SIZE)
+    got = _batch.survival_chunk(*args, np.random.SeedSequence(14))
+    exits, spans = oracles.word_survival_chunk(*args, np.random.SeedSequence(14))[4:]
+    assert spans == [(n - b, n) for n in n_values]
+    alive = (exits[:, :, None] == 0) | (exits[:, :, None] > np.array(n_values))
+    assert np.array_equal(got[0], alive.sum(axis=1))
+    for level_exits in exits:
+        _assert_mid_word_exits(level_exits, spans)
 
 
 # NaN and infinite levels pass the ``np.diff`` check, since every comparison
@@ -168,19 +237,104 @@ def test_walk_chunk_matches_einsum_reference(name, a):
     rho_steps = (1, 5, 6, 59, 60)
     x_steps = (1, 3, 60)
     head = (law.atom_stack, law.cum_weights, x0, a, n, s_steps, rho_steps, x_steps)
+    got = _batch.walk_chunk(*head, True, SIZE, np.random.SeedSequence(12))
+    bare = _batch.walk_chunk(*head, False, SIZE, np.random.SeedSequence(12))
+    assert got[3].shape == (SIZE, law.dim)
+    assert bare[3] is None
+    if _words(law):
+        want = oracles.word_walk_chunk(*head, SIZE, np.random.SeedSequence(12))
+        for g, w in zip(got, want, strict=True):
+            _assert_close(g, w, atol=WORD_TOL)
+        for g, w in zip(bare[:3], got[:3]):
+            assert np.array_equal(g, w)
+        return
     einsum = oracles.walk_chunk(*head, SIZE, np.random.SeedSequence(12))
     want = einsum
     if law.dim > 2:
         want = oracles.walk_chunk(*head, SIZE, np.random.SeedSequence(12), stepper=oracles.left_fold_step)
-    got = _batch.walk_chunk(*head, True, SIZE, np.random.SeedSequence(12))
     for g, w, e in zip(got, want, einsum, strict=True):
         assert np.array_equal(g, w)
         _assert_close(g, e, atol=EINSUM_TOL)
-    assert got[3].shape == (SIZE, law.dim)
-    bare = _batch.walk_chunk(*head, False, SIZE, np.random.SeedSequence(12))
-    assert bare[3] is None
     for g, w in zip(bare[:3], want[:3]):
         assert np.array_equal(g, w)
+
+
+def test_word_length():
+    assert [_batch.word_length(K) for K in (1, 2, 3, 4, 5, 6, 7, 16, 17, 64)] == [1, 8, 5, 4, 3, 3, 2, 2, 1, 1]
+    for K in range(1, 300):
+        assert _batch.word_length(K) == oracles.word_length(K)
+
+
+def test_one_atom_law_steps_by_letters():
+    """b = 1 for one atom: no word stack, and both kernels are the letter kernels, bit for bit."""
+    law = _law("one-atom")
+    assert _batch.word_table(law.atom_stack, law.cum_weights) is None
+    x0 = SimplexVector.barycenter(2).coords
+    head = (law.atom_stack, law.cum_weights, x0)
+    n_values = (5, 50, 400)
+    got = _batch.survival_chunk(*head, (3.0,), n_values, True, 100, np.random.SeedSequence(3))
+    want = oracles.survival_chunk(*head, 3.0, n_values, True, 100, np.random.SeedSequence(3))
+    for g, w in zip(got[:3], want[:3]):
+        assert np.array_equal(g[0], w)
+    assert want[0][0] == 100 and want[0][-1] == 0  # every path steps by log 0.7: all exit at step 9
+    walk = (*head, 0.0, 400, (400,), (), (400,))
+    got = _batch.walk_chunk(*walk, True, 100, np.random.SeedSequence(4))
+    want = oracles.walk_chunk(*walk, 100, np.random.SeedSequence(4))
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", ["reference", "k3"])
+def test_word_table_matches_enumerated_products(name):
+    law = _law(name)
+    K = law.support_size
+    b = _batch.word_length(K)
+    words = _batch.word_table(law.atom_stack, law.cum_weights)
+    assert words.letters.shape == (b, K**b)
+    assert np.array_equal(words.letters.T, list(itertools.product(range(K), repeat=b)))
+    enumerated = oracles.enumerate_word_products(law, b)
+    prods = np.array([[[words.table[i][j][w] for j in range(law.dim)] for i in range(law.dim)] for w in range(K**b)])
+    assert np.allclose(prods, [p for p, _ in enumerated], rtol=1e-13, atol=0.0)
+    word_cum, _ = oracles.word_draw_table(law.cum_weights, b)
+    assert np.array_equal(words.guide[0], word_cum)
+    assert np.allclose(np.diff(word_cum, prepend=0.0), [w for _, w in enumerated], rtol=0.0, atol=1e-14)
+    # the reference law's word bins are all whole; the K = 3 law splits some
+    assert (words.guide[2] is None) == (name == "reference")
+    # the drop bound from the enumerated prefix products of every length
+    drop = np.zeros(K**b)
+    for j in range(1, b + 1):
+        low = np.array([p.sum(axis=0).min() for p, _ in oracles.enumerate_word_products(law, j)])
+        drop = np.maximum(drop, np.repeat(-np.log(low), K ** (b - j)))
+    assert np.allclose(words.drop, drop, rtol=1e-13, atol=1e-15)
+    # and it bounds the fall of every letter walk inside a word
+    rng = np.random.default_rng(8)
+    for w in rng.integers(0, K**b, size=20):
+        x = SimplexVector(rng.dirichlet(np.ones(law.dim)))
+        _, traj = left_product([law.atoms[k] for k in words.letters[:, w]], x, 0.0)
+        assert np.min(traj) >= -words.drop[w] - 1e-12
+
+
+def test_word_table_raises_no_warning():
+    """Products that underflow or overflow get an infinite drop bound and the identity, silently."""
+    law = MatrixLaw.from_entries([np.full((2, 2), 1e-60), np.full((2, 2), 1e60)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = _batch.word_table(law.atom_stack, law.cum_weights)
+        got = _batch.survival_chunk(
+            law.atom_stack, law.cum_weights, (0.5, 0.5), (1.0,), (8, 16), False, 200, np.random.SeedSequence(1)
+        )
+    # a prefix with six more letters of one kind than of the other leaves the
+    # float range; every other word keeps a finite product
+    runs = np.cumsum(np.where(words.letters == 0, -1, 1), axis=0)
+    leaves = np.abs(runs).max(axis=0) >= 6
+    assert leaves.any() and np.array_equal(np.isinf(words.drop), leaves)
+    prods = np.stack([np.stack(row, axis=-1) for row in words.table], axis=-2)
+    assert np.array_equal(prods[leaves], np.broadcast_to(np.eye(2), (leaves.sum(), 2, 2)))
+    assert np.isfinite(prods).all()
+    want = oracles.word_survival_chunk(
+        law.atom_stack, law.cum_weights, (0.5, 0.5), (1.0,), (8, 16), False, 200, np.random.SeedSequence(1)
+    )
+    assert np.array_equal(got[0], want[0])
 
 
 # the id keeps its d = 2 name; the d >= 3 laws run the same step

@@ -145,6 +145,7 @@ def test_config_requires_seed(tmp_path, law_path):
 
 
 _LEVELS = "must hold at least 2 positive, strictly increasing levels"
+_STEPS = "must hold at least one step, each >= 1"
 
 
 @pytest.mark.parametrize(
@@ -176,6 +177,19 @@ _LEVELS = "must hold at least 2 positive, strictly increasing levels"
         ({"check": {"paths": 1}}, {}, {}, "'check.paths' = 1 must be >= 2"),
         ({"simulate": {"sigma2_paths": 1}}, {}, {}, "'simulate.sigma2_paths' = 1 must be >= 2"),
         ({"covariance": {"paths": 1}}, {}, {}, "'covariance.paths' = 1 must be >= 2"),
+        ({"simulate": {"paths": 0}}, {}, {}, "'simulate.paths' = 0 must be >= 1"),
+        ({"simulate": {"v_paths": 0}}, {}, {}, "'simulate.v_paths' = 0 must be >= 1"),
+        ({"simulate": {"a_paths": -5}}, {}, {}, "'simulate.a_paths' = -5 must be >= 1"),
+        ({"simulate": {"conditional_paths": 0}}, {}, {}, "'simulate.conditional_paths' = 0 must be >= 1"),
+        ({"validate": {"martingale_paths": 0}}, {}, {}, "'validate.martingale_paths' = 0 must be >= 1"),
+        ({"check": {"n": 0}}, {}, {}, "'check.n' = 0 must be >= 1"),
+        ({"simulate": {"n_values": [0, 64]}}, {}, {}, f"'simulate.n_values' = [0, 64] {_STEPS}"),
+        ({"simulate": {"v_schedule": []}}, {}, {}, f"'simulate.v_schedule' = [] {_STEPS}"),
+        ({"simulate": {"conditional_n": [64, -1]}}, {}, {}, f"'simulate.conditional_n' = [64, -1] {_STEPS}"),
+        ({"simulate": {"sigma2_n": 0}}, {}, {}, "'simulate.sigma2_n' = 0 must be >= 1"),
+        ({"validate": {"martingale_horizon": 0}}, {}, {}, "'validate.martingale_horizon' = 0 must be >= 1"),
+        ({"covariance": {"burn_in": 0}}, {}, {}, "'covariance.burn_in' = 0 must be >= 1"),
+        ({"covariance": {"max_lag": 0}}, {}, {}, "'covariance.max_lag' = 0 must be >= 1"),
     ],
     ids=[
         "unknown-key", "unknown-threshold", "wrong-type", "wrong-length", "removed-horizon",
@@ -184,7 +198,10 @@ _LEVELS = "must hold at least 2 positive, strictly increasing levels"
         "removed-sigma2-h", "removed-eigen-tol", "negative-sigma-scale", "zero-sigma-scale",
         "decreasing-a-grid", "single-level-a-grid", "zero-a-grid-sigma", "repeated-a-grid-sigma",
         "negative-conv-check-n", "negative-start-level", "one-check-path", "one-sigma2-path",
-        "one-covariance-path",
+        "one-covariance-path", "zero-simulate-paths", "zero-v-paths", "negative-a-paths",
+        "zero-conditional-paths", "zero-martingale-paths", "zero-check-n", "zero-in-n-values",
+        "empty-v-schedule", "negative-conditional-n", "zero-sigma2-n", "zero-martingale-horizon",
+        "zero-burn-in", "zero-max-lag",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, override, env, flags, needle):
