@@ -41,10 +41,13 @@ are the ``K**b`` products of ``b`` letters, so one uniform and one projective
 step through the word stack (``word_table``) cover ``b`` steps.  ``b`` is the
 largest value with ``K**b <= WORD_ATOMS``; it is 1 for a one-atom law and
 for ``K > 16``, and such laws step by letters only, with the same bits as a
-letter kernel.  The letters of a word are the base-K digits of its index,
-the first letter to act the most significant, so the word weights are the
-letter weights multiplied in that order and the word stack decodes back to
-the letter walk.
+letter kernel.  So does a law whose word products leave the normal float
+range: a prefix product with an infinite or subnormal entry, or a column sum
+that is not finite and positive, would step ``X`` and ``S`` inexactly, so
+``word_table`` gives such a law no words.  The letters of a word are the
+base-K digits of its index, the first letter to act the most significant, so
+the word weights are the letter weights multiplied in that order and the
+word stack decodes back to the letter walk.
 
 A word never steps past a recorded or reported step.  In the killed walk the
 exits stay exact by a drop bound: with ``c_j`` the column sums of the
@@ -186,9 +189,7 @@ class Words:
     ``letters[j]`` is the (j+1)-th letter to act, per word; ``table`` and
     ``guide`` are the ``step_table`` of the word products and the
     ``guide_table`` of the word weights; ``drop`` is each word's drop bound
-    ``H(w)``, infinite for a word whose partial products are not finite with
-    positive column sums (such a word is always replayed by letters, and its
-    stack entry is the identity).
+    ``H(w)``.
     """
 
     letters: np.ndarray
@@ -198,7 +199,12 @@ class Words:
 
 
 def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
-    """The word stack of a (K, d, d) atom stack, or None when b = 1.
+    """The word stack of a (K, d, d) atom stack, or None when the law steps by letters.
+
+    That is when b = 1, and when some word's prefix product has an infinite
+    or subnormal entry or a column sum that is not finite and positive: its
+    product would step ``X`` and ``S`` inexactly, so the whole law steps by
+    letters.  No warning is raised either way.
 
     Word ``w`` has letters ``k_1 ... k_b``, the base-K digits of ``w`` with
     ``k_1`` the most significant; it stands for ``g_{k_b} ... g_{k_1}`` and
@@ -215,16 +221,16 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
     prods = np.eye(d)[None]
     w = np.ones(1)
     drop = np.zeros(1)
-    # a product may overflow or underflow; its word then gets an infinite
-    # bound, and no warning is raised
-    with np.errstate(all="ignore"):
-        for _ in range(b):
+    tiny = np.finfo(float).tiny
+    for _ in range(b):
+        with np.errstate(over="ignore", under="ignore"):
             prods = np.matmul(atom_stack[None], prods[:, None]).reshape(-1, d, d)
-            w = (w[:, None] * weights[None]).reshape(-1)
-            low = prods.sum(axis=1).min(axis=1)
-            h = np.where((low > 0.0) & (low < np.inf), -np.log(low), np.inf)
-            drop = np.maximum(np.repeat(drop, K), h)
-    prods[~np.isfinite(drop)] = np.eye(d)
+            cols = prods.sum(axis=1)
+        w = (w[:, None] * weights[None]).reshape(-1)
+        normal = (prods == 0.0) | ((prods >= tiny) & (prods < np.inf))
+        if not normal.all() or not ((cols > 0.0) & (cols < np.inf)).all():
+            return None
+        drop = np.maximum(np.repeat(drop, K), -np.log(cols.min(axis=1)))
     cum = np.minimum(np.cumsum(w), 1.0)
     cum[-1] = 1.0
     index = np.arange(K**b)
@@ -312,7 +318,7 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     return s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None
 
 
-def _word_step(words: Words, table, u, X, S, runmin, floor, rising):
+def _word_step(words: Words, table, u, X, S, runmin, rising):
     """Advance every held path by one word; returns ``X``, ``S``, ``runmin`` and the alive mask.
 
     A path whose start ``S`` less the word's drop bound clears its threshold
@@ -320,8 +326,9 @@ def _word_step(words: Words, table, u, X, S, runmin, floor, rising):
     increasing order, through the running minimum) by ``WORD_MARGIN`` takes
     the word's product and cannot exit inside it.  Every other path replays
     the letters, tracking its own running minimum; it is alive while that
-    minimum stays above ``floor``, the top level's threshold.
+    minimum stays above ``rising[0]``, the top level's threshold.
     """
+    floor = rising[0]
     widx = draw_indices(words.guide, u)
     thr = floor if runmin is None else rising[np.searchsorted(rising, runmin) - 1]
     near = np.flatnonzero(S - words.drop.take(widx) <= thr + WORD_MARGIN)
@@ -378,8 +385,8 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     shift = levels - levels[0]  # a_l - a_0
     thresholds = EXIT_TOL - shift
     top = levels.size - 1
-    floor = thresholds[top]
     rising = thresholds[::-1]
+    floor = rising[0]
     rng = np.random.default_rng(ss)
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
@@ -397,7 +404,7 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
         while step < n and S.shape[0]:
             u = rng.random(S.shape[0])
             if b > 1 and step + b <= n:
-                X, S, runmin, alive = _word_step(words, table, u, X, S, runmin, floor, rising)
+                X, S, runmin, alive = _word_step(words, table, u, X, S, runmin, rising)
                 step += b
             else:
                 X, rho = projective_step(table, draw_indices(guide, u), X)

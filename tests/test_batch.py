@@ -314,27 +314,35 @@ def test_word_table_matches_enumerated_products(name):
         assert np.min(traj) >= -words.drop[w] - 1e-12
 
 
-def test_word_table_raises_no_warning():
-    """Products that underflow or overflow get an infinite drop bound and the identity, silently."""
-    law = MatrixLaw.from_entries([np.full((2, 2), 1e-60), np.full((2, 2), 1e60)])
+# laws whose word products leave the normal float range: the 8-letter
+# products of the 1e-60/1e60 law overflow or underflow wherever one letter
+# leads the other by six; the scaled reference law's overflow, or fall to
+# subnormal numbers while their column sums stay positive
+FLOAT_RANGE_LAWS = {
+    "mixed-1e60": lambda: MatrixLaw.from_entries([np.full((2, 2), 1e-60), np.full((2, 2), 1e60)]),
+    "reference-1e40": lambda: MatrixLaw.from_entries(reference_law().atom_stack * 1e40),
+    "reference-1e-40": lambda: MatrixLaw.from_entries(reference_law().atom_stack * 1e-40),
+}
+
+
+@pytest.mark.parametrize("name", list(FLOAT_RANGE_LAWS))
+def test_word_table_refuses_products_out_of_float_range(name):
+    """No word stack, no warning, and both kernels are the letter kernels, bit for bit."""
+    law = FLOAT_RANGE_LAWS[name]()
+    head = (law.atom_stack, law.cum_weights, (0.5, 0.5))
+    walk = (*head, 0.0, 64, (32, 64), (), (64,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         words = _batch.word_table(law.atom_stack, law.cum_weights)
-        got = _batch.survival_chunk(
-            law.atom_stack, law.cum_weights, (0.5, 0.5), (1.0,), (8, 16), False, 200, np.random.SeedSequence(1)
-        )
-    # a prefix with six more letters of one kind than of the other leaves the
-    # float range; every other word keeps a finite product
-    runs = np.cumsum(np.where(words.letters == 0, -1, 1), axis=0)
-    leaves = np.abs(runs).max(axis=0) >= 6
-    assert leaves.any() and np.array_equal(np.isinf(words.drop), leaves)
-    prods = np.stack([np.stack(row, axis=-1) for row in words.table], axis=-2)
-    assert np.array_equal(prods[leaves], np.broadcast_to(np.eye(2), (leaves.sum(), 2, 2)))
-    assert np.isfinite(prods).all()
-    want = oracles.word_survival_chunk(
-        law.atom_stack, law.cum_weights, (0.5, 0.5), (1.0,), (8, 16), False, 200, np.random.SeedSequence(1)
-    )
-    assert np.array_equal(got[0], want[0])
+        got_walk = _batch.walk_chunk(*walk, True, 200, np.random.SeedSequence(2))
+        got_survival = _batch.survival_chunk(*head, (1.0,), (8, 16), False, 200, np.random.SeedSequence(1))
+    assert words is None
+    want_walk = oracles.walk_chunk(*walk, 200, np.random.SeedSequence(2))
+    for g, w in zip(got_walk, want_walk, strict=True):
+        assert np.array_equal(g, w)
+    want_survival = oracles.survival_chunk(*head, 1.0, (8, 16), False, 200, np.random.SeedSequence(1))
+    for g, w in zip(got_survival[:3], want_survival[:3]):
+        assert np.array_equal(g[0], w)
 
 
 # the id keeps its d = 2 name; the d >= 3 laws run the same step
