@@ -50,19 +50,23 @@ the word weights are the letter weights multiplied in that order and the
 word stack decodes back to the letter walk.
 
 A word never steps past a recorded or reported step.  In the killed walk the
-exits stay exact by a drop bound: with ``c_j`` the column sums of the
-product of the word's first ``j`` letters, ``|p_j x|_1 = c_j . x >= min_i
-c_{j,i}`` on the simplex, so no step inside the word falls more than
-``H(w) = max(0, max_j -log min_i c_{j,i})`` below its start.  A path takes the
-whole word only when ``S - H(w)`` clears the threshold of the lowest level
-still alive for it by ``WORD_MARGIN``; every other path replays the word's
-letters through the letter table, so its exit, its deaths at lower levels
-and its running minimum are those of the letter walk on the same letters.
+exits stay exact by the word's prefix masses: with ``c_j`` the column sums of
+the product ``p_j`` of the word's first ``j`` letters, ``|p_j x|_1 = c_j .
+x``, so the walk inside the word stands at ``S + log(c_j . x)`` after ``j``
+letters.  On the simplex ``c_j . x >= min_i c_{j,i}``, so no step inside the
+word falls more than ``H(w) = max(0, max_j -log min_i c_{j,i})`` below its
+start.  Every path takes the word's product for ``X`` and ``S``.  A path
+whose ``S - H(w)`` clears the threshold of the lowest level still alive for
+it by ``WORD_MARGIN`` cannot exit inside the word; for every other path the
+in-word minimum ``S + log(min_j c_j . x)`` over the prefixes ``j < b``,
+folded with the word-end ``S`` and the running minimum, gives its exit at
+every level and its new running minimum.  No letter is replayed.
 
-Every exit test counts ``S <= EXIT_TOL`` (``2**-30``) as an exit.  A word's
-log-mass differs from the sum of its letters' by rounding, so a walk whose
-letters move it on a lattice, where ``S`` meets 0 exactly, leaves the
-lattice by ulps after a whole word; the tolerance keeps those ties exits.
+Every exit test counts ``S <= EXIT_TOL`` (``2**-30``) as an exit.  The
+log-mass of a word or of a prefix differs from the sum of its letters' by
+rounding, so a walk whose letters move it on a lattice, where ``S`` meets 0
+exactly, leaves the lattice by ulps after a word; the tolerance keeps those
+ties exits.
 """
 
 from __future__ import annotations
@@ -186,16 +190,22 @@ def word_length(K: int) -> int:
 class Words:
     """The b-letter words of a law, as ``word_table`` builds them.
 
-    ``letters[j]`` is the (j+1)-th letter to act, per word; ``table`` and
-    ``guide`` are the ``step_table`` of the word products and the
-    ``guide_table`` of the word weights; ``drop`` is each word's drop bound
-    ``H(w)``.
+    ``table`` and ``guide`` are the ``step_table`` of the word products and
+    the ``guide_table`` of the word weights; ``drop`` is each word's drop
+    bound ``H(w)``.  ``prefix[i]`` is a contiguous (K**b, b - 1) array whose
+    row ``w``, column ``j - 1`` holds ``c_{j,i}``, column sum i of the
+    product of word w's first j letters, for j = 1 .. b - 1.
     """
 
-    letters: np.ndarray
     table: list
     guide: tuple
     drop: np.ndarray
+    prefix: list
+
+    @property
+    def length(self) -> int:
+        """Letters per word, b."""
+        return self.prefix[0].shape[1] + 1
 
 
 def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
@@ -221,6 +231,7 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
     prods = np.eye(d)[None]
     w = np.ones(1)
     drop = np.zeros(1)
+    sums = []
     tiny = np.finfo(float).tiny
     for _ in range(b):
         with np.errstate(over="ignore", under="ignore"):
@@ -231,11 +242,13 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
         if not normal.all() or not ((cols > 0.0) & (cols < np.inf)).all():
             return None
         drop = np.maximum(np.repeat(drop, K), -np.log(cols.min(axis=1)))
+        sums.append(cols)
     cum = np.minimum(np.cumsum(w), 1.0)
     cum[-1] = 1.0
-    index = np.arange(K**b)
-    letters = np.stack([index // K ** (b - 1 - j) % K for j in range(b)])
-    return Words(letters=letters, table=step_table(prods), guide=guide_table(cum), drop=drop)
+    # the j-letter prefixes' sums, each repeated for the K**(b-j) words that extend it
+    expanded = [np.repeat(c, K ** (b - 1 - j), axis=0) for j, c in enumerate(sums[:-1])]
+    prefix = [np.stack([c[:, i] for c in expanded], axis=1) for i in range(d)]
+    return Words(table=step_table(prods), guide=guide_table(cum), drop=drop, prefix=prefix)
 
 
 def _start(atom_stack: np.ndarray, x0, size: int) -> list:
@@ -294,7 +307,7 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     want_rho = {step: i for i, step in enumerate(rho_steps)}
     want_x = {step: i for i, step in enumerate(x_steps)}
     recorded = want_s.keys() | want_rho.keys() | want_x.keys()
-    b = 1 if words is None else words.letters.shape[0]
+    b = 1 if words is None else words.length
     if 0 in want_s:
         s_rec[0] = S
     if 0 in want_x:
@@ -318,15 +331,17 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     return s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None
 
 
-def _word_step(words: Words, table, u, X, S, runmin, rising):
+def _word_step(words: Words, u, X, S, runmin, rising):
     """Advance every held path by one word; returns ``X``, ``S``, ``runmin`` and the alive mask.
 
-    A path whose start ``S`` less the word's drop bound clears its threshold
-    (the lowest alive level's, read from ``rising``, the thresholds in
-    increasing order, through the running minimum) by ``WORD_MARGIN`` takes
-    the word's product and cannot exit inside it.  Every other path replays
-    the letters, tracking its own running minimum; it is alive while that
-    minimum stays above ``rising[0]``, the top level's threshold.
+    Every path takes the word's product.  A path whose start ``S`` less the
+    word's drop bound clears its threshold (the lowest alive level's, read
+    from ``rising``, the thresholds in increasing order, through the running
+    minimum) by ``WORD_MARGIN`` cannot exit inside the word.  For every other
+    path the prefix masses give the lowest point inside the word, ``S +
+    log(min_j c_j . x)``; folded with the word-end ``S`` and the running
+    minimum, it is alive while that minimum stays above ``rising[0]``, the
+    top level's threshold.
     """
     floor = rising[0]
     widx = draw_indices(words.guide, u)
@@ -338,17 +353,12 @@ def _word_step(words: Words, table, u, X, S, runmin, rising):
     if runmin is not None:
         runmin = np.minimum(runmin, S_end)
     if near.size:
-        Xn = [x.take(near) for x in X]
-        Sn = S.take(near)
-        low = np.full(near.size, np.inf) if runmin is None else runmin.take(near)
         wn = widx.take(near)
-        for letter in words.letters:
-            Xn, rho = projective_step(table, letter.take(wn), Xn)
-            Sn = Sn + rho
-            np.minimum(low, Sn, out=low)
-        for x, xn in zip(X_end, Xn, strict=True):
-            x[near] = xn
-        S_end[near] = Sn
+        mass = words.prefix[0].take(wn, axis=0) * X[0].take(near)[:, None]
+        for c, x in zip(words.prefix[1:], X[1:], strict=True):
+            mass += c.take(wn, axis=0) * x.take(near)[:, None]
+        inside = S.take(near) + np.log(mass.min(axis=1))
+        low = np.minimum((S_end if runmin is None else runmin).take(near), inside)
         alive[near] = low > floor
         if runmin is not None:
             runmin[near] = low
@@ -391,7 +401,7 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
     words = word_table(atom_stack, cum_weights)
-    b = 1 if words is None else words.letters.shape[0]
+    b = 1 if words is None else words.length
     X = _start(atom_stack, x0, size)
     S = np.full(size, levels[0])
     runmin = np.full(size, np.inf) if top else None
@@ -404,7 +414,7 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
         while step < n and S.shape[0]:
             u = rng.random(S.shape[0])
             if b > 1 and step + b <= n:
-                X, S, runmin, alive = _word_step(words, table, u, X, S, runmin, rising)
+                X, S, runmin, alive = _word_step(words, u, X, S, runmin, rising)
                 step += b
             else:
                 X, rho = projective_step(table, draw_indices(guide, u), X)

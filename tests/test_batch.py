@@ -73,7 +73,7 @@ def _words(law: MatrixLaw) -> bool:
 
 
 def _assert_mid_word_exits(exits: np.ndarray, spans: list) -> None:
-    """Some exit falls strictly inside a drawn word, so the letter replay decided it."""
+    """Some exit falls strictly inside a drawn word, so the prefix masses decided it."""
     inside = np.zeros(exits.max() + 1, dtype=bool)
     for start, end in spans:
         inside[start + 1 : end] = True
@@ -284,14 +284,19 @@ def test_one_atom_law_steps_by_letters():
         assert np.array_equal(g, w)
 
 
+def _word_letters(K: int, b: int, w: int) -> list:
+    """The letters of word ``w``, first to act first: its base-K digits, most significant first."""
+    return [w // K ** (b - 1 - j) % K for j in range(b)]
+
+
 @pytest.mark.parametrize("name", ["reference", "k3"])
 def test_word_table_matches_enumerated_products(name):
     law = _law(name)
     K = law.support_size
     b = _batch.word_length(K)
     words = _batch.word_table(law.atom_stack, law.cum_weights)
-    assert words.letters.shape == (b, K**b)
-    assert np.array_equal(words.letters.T, list(itertools.product(range(K), repeat=b)))
+    assert words.length == b
+    assert [_word_letters(K, b, w) for w in range(K**b)] == [list(t) for t in itertools.product(range(K), repeat=b)]
     enumerated = oracles.enumerate_word_products(law, b)
     prods = np.array([[[words.table[i][j][w] for j in range(law.dim)] for i in range(law.dim)] for w in range(K**b)])
     assert np.allclose(prods, [p for p, _ in enumerated], rtol=1e-13, atol=0.0)
@@ -310,8 +315,62 @@ def test_word_table_matches_enumerated_products(name):
     rng = np.random.default_rng(8)
     for w in rng.integers(0, K**b, size=20):
         x = SimplexVector(rng.dirichlet(np.ones(law.dim)))
-        _, traj = left_product([law.atoms[k] for k in words.letters[:, w]], x, 0.0)
+        _, traj = left_product([law.atoms[k] for k in _word_letters(K, b, w)], x, 0.0)
         assert np.min(traj) >= -words.drop[w] - 1e-12
+
+
+@pytest.mark.parametrize("name", ["reference", "k3"])
+def test_prefix_table_matches_enumerated_products(name):
+    """Row w, column j - 1 of ``prefix[i]`` is column sum i of word w's j-letter prefix, for j < b."""
+    law = _law(name)
+    K = law.support_size
+    b = _batch.word_length(K)
+    words = _batch.word_table(law.atom_stack, law.cum_weights)
+    assert len(words.prefix) == law.dim
+    for c in words.prefix:
+        assert c.shape == (K**b, b - 1) and c.flags.c_contiguous
+    for j in range(1, b):
+        # every word extending a j-letter prefix, in word order, repeats its sums
+        sums = np.array([p.sum(axis=0) for p, _ in oracles.enumerate_word_products(law, j)])
+        want = np.repeat(sums, K ** (b - j), axis=0)
+        got = np.stack([c[:, j - 1] for c in words.prefix], axis=1)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        # the drop bound covers every prefix's lowest mass on the simplex
+        assert np.all(-np.log(got.min(axis=1)) <= words.drop)
+
+
+# at a vertex of the simplex c_j . x is a single column sum, so a word whose
+# drop bound is set by that column leaves no slack between the bound and the
+# walk's lowest point inside the word.  The tuple's levels lie 0.1 apart,
+# less than many words' drop bounds, so a path near one level's threshold
+# often has a dead level just above it, which only the running minimum
+# keeps dead
+VERTEX_CASES = [
+    (name, x0, levels)
+    for name in ("reference", "k3")
+    for x0 in ((1.0, 0.0), (0.0, 1.0))
+    for levels in ((1.0,), (0.5, 0.6, 0.7, 0.8))
+]
+
+
+@pytest.mark.parametrize(
+    "name,x0,levels", VERTEX_CASES, ids=[f"{n}-x{x[0]:g}{x[1]:g}-{len(lv)}lv" for n, x, lv in VERTEX_CASES]
+)
+def test_survival_chunk_from_a_vertex_matches_word_reference(name, x0, levels):
+    law = _law(name)
+    n_values = (1, 2, 3, 10, 50, 200, 400)
+    args = (law.atom_stack, law.cum_weights, x0, levels, n_values, len(levels) == 1, SIZE)
+    got = _batch.survival_chunk(*args, np.random.SeedSequence(15))
+    want = oracles.word_survival_chunk(*args, np.random.SeedSequence(15))
+    assert np.array_equal(got[0], want[0])
+    _assert_close(got[1], want[1], rtol=WORD_TOL)
+    _assert_close(got[2], want[2], rtol=WORD_TOL)
+    for g, w in zip(got[3], want[3], strict=True):
+        _assert_close(g, w, atol=WORD_TOL)
+    # every level loses paths, some of them inside a word, and the top level keeps some
+    assert np.all(got[0][:, -1] < SIZE) and got[0][-1, -1] > 0
+    for exits in want[4]:
+        _assert_mid_word_exits(exits, want[5])
 
 
 # laws whose word products leave the normal float range: the 8-letter
