@@ -11,18 +11,29 @@ shifted by ``a_l - a_0``, a path is dropped once it is dead at the top
 level, and the levels below the top read a running minimum of the walk.
 
 Paths are processed in fixed-size chunks.  The master seed is expanded with
-``SeedSequence.spawn`` into one substream per chunk and partial results are
-reduced in chunk order, so outputs are bit-identical for any worker count.
-``CHUNK_PATHS`` is part of that reproducibility contract: it is a module
-constant, not configuration, because changing it relays paths onto different
-substreams.
+``SeedSequence.spawn`` into one substream per chunk, each chunk has its own
+result, and callers reduce the results in chunk order.  ``CHUNK_PATHS`` is
+part of the reproducibility contract: it is a module constant, not
+configuration, because changing it relays paths onto different substreams.
+
+``run_chunks`` hands the chunks to the kernels in contiguous groups, at least
+one per worker and at most ``GROUP_PATHS`` paths each, and a kernel builds
+its tables once per group.  The free walk runs a group's chunks one after
+the other.  The killed walk steps them as one batch in which each chunk's
+held paths are one contiguous segment: every step, each chunk draws its
+segment's uniforms from its own substream; every operation of the step acts
+on each path alone; dropping paths keeps their order, so the segments stay
+contiguous; and each chunk's counts, sums and samples are taken over its own
+segment.  A chunk's result therefore does not depend on the chunks that
+share its group, so neither the grouping, nor ``GROUP_PATHS``, nor the
+worker count can move a bit.
 
 Workers are plain module-level functions over (atom stack, cumulative
 weights) arrays so they can be shipped to a process pool.
 
 The walk state is one contiguous (m,) array per simplex coordinate, in
 every dimension, and the step reads each atom entry as a (K,) array built
-once per chunk, so no (m, d, d) stack is gathered per step.  Every sum in
+once per group, so no (m, d, d) stack is gathered per step.  Every sum in
 the step runs left to right over the coordinates; that order is part of the
 reproducibility contract.  For d = 2 each sum is a single addition, which
 commutes, so the d = 2 bits depend on no summation order.
@@ -78,6 +89,10 @@ import numpy as np
 
 CHUNK_PATHS = 16384
 
+# most paths in one kernel call, a whole number of chunks.  It bounds memory
+# only: a group's chunks keep their own substreams and results
+GROUP_PATHS = 2**18
+
 # bins of the atom draw's guide table.  Any value gives the same indices; 4096
 # bins keep the table small and leave few bins split (none for the reference
 # law, 1.5% for 64 atoms)
@@ -111,23 +126,39 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def chunk_groups(count: int, workers: int) -> list[slice]:
+    """Split ``count`` chunks into contiguous groups, one kernel call each.
+
+    There are at least ``min(workers, count)`` groups, so every worker gets
+    one, and no group holds more than ``GROUP_PATHS // CHUNK_PATHS`` chunks;
+    the groups' chunk counts differ by at most one.
+    """
+    most = GROUP_PATHS // CHUNK_PATHS
+    groups = max(min(workers, count), -(-count // most))
+    bounds = [count * g // groups for g in range(groups + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _invoke(job):
-    fn, args, size, ss = job
-    return fn(*args, size, ss)
+    fn, args, sizes, seeds = job
+    return fn(*args, sizes, seeds)
 
 
 def run_chunks(fn, args: tuple, paths: int, seed, workers: int = 1) -> list:
-    """Run ``fn(*args, chunk_size, chunk_seed)`` over the chunk layout.
+    """Run the kernel ``fn(*args, sizes, seeds)`` over the chunk layout, a group of chunks per call.
 
-    Returns the per-chunk results in chunk order regardless of ``workers``.
+    ``fn`` returns one result per chunk of its group.  Returns the per-chunk
+    results in chunk order regardless of ``workers``.
     """
     sizes = chunk_layout(paths)
     seeds = as_seed_sequence(seed).spawn(len(sizes))
-    jobs = [(fn, args, size, ss) for size, ss in zip(sizes, seeds)]
+    jobs = [(fn, args, sizes[g], seeds[g]) for g in chunk_groups(len(sizes), workers)]
     if workers <= 1 or len(jobs) == 1:
-        return [_invoke(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_invoke, jobs, chunksize=1))
+        groups = [_invoke(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(_invoke, jobs, chunksize=1))
+    return [part for group in groups for part in group]
 
 
 def guide_table(cum_weights: np.ndarray):
@@ -138,7 +169,7 @@ def guide_table(cum_weights: np.ndarray):
     edge; the bin is split when a cumulative weight lies inside it, that is
     when the count of weights below its right edge differs from ``lo[b]``.
     The split mask is ``None`` when no bin is split.  Kernels build the table
-    once per chunk.
+    once per group of chunks.
     """
     bins = 1 << GUIDE_BITS
     edges = np.arange(bins + 1) / bins
@@ -172,7 +203,7 @@ def step_table(atom_stack: np.ndarray):
     """What ``projective_step`` reads for a (K, d, d) atom stack.
 
     ``table[i][j]`` holds the entry ``g_ij`` of every atom as a contiguous
-    (K,) array.  Kernels build it once per chunk.
+    (K,) array.  Kernels build it once per group of chunks.
     """
     d = atom_stack.shape[1]
     return [[np.ascontiguousarray(atom_stack[:, i, j]) for j in range(d)] for i in range(d)]
@@ -221,7 +252,7 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
     has weight ``((w_{k_1} w_{k_2}) ...) w_{k_b}``, where the letter weights
     are the steps of ``cum_weights``.  The cumulative word weights are
     clamped and closed at 1 as ``MatrixLaw.cum_weights`` is.  Kernels build
-    the table once per chunk.
+    the table once per group of chunks.
     """
     K, d = atom_stack.shape[:2]
     b = word_length(K)
@@ -279,9 +310,11 @@ def projective_step(table, idx: np.ndarray, X: list):
     return [y / mass for y in Y], np.log(mass)
 
 
-def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, want_points, size, ss):
+def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, want_points, sizes, seeds):
     """Full-horizon walk (no exit filtering) recording selected step data.
 
+    Runs one chunk of ``size`` paths per ``(size, seed)`` of ``sizes`` and
+    ``seeds``, each on its own substream, and returns one result per chunk.
     Records ``S_k`` at steps in ``s_steps``, the raw increment ``rho`` at
     steps in ``rho_steps``, and the first simplex coordinate at steps in
     ``x_steps``; all three are sorted tuples.  Step 0 is the start point,
@@ -292,43 +325,47 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
 
     The walk steps by a word whenever none of the next ``b - 1`` steps is
     recorded and the b-th is not a ``rho_steps`` step, and by a letter
-    otherwise; one uniform per path feeds either.
+    otherwise; one uniform per path feeds either.  No path ever leaves, so
+    the chunks run one after the other on the tables built once.
     """
-    rng = np.random.default_rng(ss)
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
     words = word_table(atom_stack, cum_weights)
-    X = _start(atom_stack, x0, size)
-    S = np.full(size, float(a))
-    s_rec = np.empty((len(s_steps), size))
-    rho_rec = np.empty((len(rho_steps), size))
-    x_rec = np.empty((len(x_steps), size))
     want_s = {step: i for i, step in enumerate(s_steps)}
     want_rho = {step: i for i, step in enumerate(rho_steps)}
     want_x = {step: i for i, step in enumerate(x_steps)}
     recorded = want_s.keys() | want_rho.keys() | want_x.keys()
     b = 1 if words is None else words.length
-    if 0 in want_s:
-        s_rec[0] = S
-    if 0 in want_x:
-        x_rec[0] = X[0]
-    step = 0
-    while step < n:
-        u = rng.random(size)
-        if b > 1 and step + b <= n and step + b not in want_rho and recorded.isdisjoint(range(step + 1, step + b)):
-            X, rho = projective_step(words.table, draw_indices(words.guide, u), X)
-            step += b
-        else:
-            X, rho = projective_step(table, draw_indices(guide, u), X)
-            step += 1
-        S = S + rho
-        if step in want_s:
-            s_rec[want_s[step]] = S
-        if step in want_rho:
-            rho_rec[want_rho[step]] = rho
-        if step in want_x:
-            x_rec[want_x[step]] = X[0]
-    return s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None
+    out = []
+    for size, ss in zip(sizes, seeds, strict=True):
+        rng = np.random.default_rng(ss)
+        X = _start(atom_stack, x0, size)
+        S = np.full(size, float(a))
+        s_rec = np.empty((len(s_steps), size))
+        rho_rec = np.empty((len(rho_steps), size))
+        x_rec = np.empty((len(x_steps), size))
+        if 0 in want_s:
+            s_rec[0] = S
+        if 0 in want_x:
+            x_rec[0] = X[0]
+        step = 0
+        while step < n:
+            u = rng.random(size)
+            if b > 1 and step + b <= n and step + b not in want_rho and recorded.isdisjoint(range(step + 1, step + b)):
+                X, rho = projective_step(words.table, draw_indices(words.guide, u), X)
+                step += b
+            else:
+                X, rho = projective_step(table, draw_indices(guide, u), X)
+                step += 1
+            S = S + rho
+            if step in want_s:
+                s_rec[want_s[step]] = S
+            if step in want_rho:
+                rho_rec[want_rho[step]] = rho
+            if step in want_x:
+                x_rec[want_x[step]] = X[0]
+        out.append((s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None))
+    return out
 
 
 def _word_step(words: Words, u, X, S, runmin, rising):
@@ -337,16 +374,20 @@ def _word_step(words: Words, u, X, S, runmin, rising):
     Every path takes the word's product.  A path whose start ``S`` less the
     word's drop bound clears its threshold (the lowest alive level's, read
     from ``rising``, the thresholds in increasing order, through the running
-    minimum) by ``WORD_MARGIN`` cannot exit inside the word.  For every other
-    path the prefix masses give the lowest point inside the word, ``S +
-    log(min_j c_j . x)``; folded with the word-end ``S`` and the running
-    minimum, it is alive while that minimum stays above ``rising[0]``, the
-    top level's threshold.
+    minimum) by ``WORD_MARGIN`` cannot exit inside the word.  No threshold
+    exceeds ``rising[-1]``, so only the paths that do not clear that one are
+    searched for their own.  For every other path the prefix masses give the
+    lowest point inside the word, ``S + log(min_j c_j . x)``; folded with the
+    word-end ``S`` and the running minimum, it is alive while that minimum
+    stays above ``rising[0]``, the top level's threshold.
     """
     floor = rising[0]
     widx = draw_indices(words.guide, u)
-    thr = floor if runmin is None else rising[np.searchsorted(rising, runmin) - 1]
-    near = np.flatnonzero(S - words.drop.take(widx) <= thr + WORD_MARGIN)
+    room = S - words.drop.take(widx)
+    near = np.flatnonzero(room <= rising[-1] + WORD_MARGIN)
+    if runmin is not None and near.size:
+        thr = rising[np.searchsorted(rising, runmin.take(near)) - 1]
+        near = near[room.take(near) <= thr + WORD_MARGIN]
     X_end, rho = projective_step(words.table, widx, X)
     S_end = S + rho
     alive = S_end > floor
@@ -365,8 +406,16 @@ def _word_step(words: Words, u, X, S, runmin, rising):
     return X_end, S_end, runmin, alive
 
 
-def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, size, ss):
+def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, sizes, seeds):
     """Killed walk: paths exit at the first step with ``S <= EXIT_TOL``.
+
+    Runs one chunk of ``size`` paths per ``(size, seed)`` of ``sizes`` and
+    ``seeds`` and returns one result per chunk.  The chunks step as one
+    batch: each chunk's held paths are one contiguous segment of the state,
+    in chunk order, and each chunk draws its segment's uniforms from its own
+    substream, nothing once it holds no path.  Dropping paths keeps the
+    order, so the segments stay contiguous, and every chunk reports from its
+    own segment: its results are bit for bit those of the chunk run alone.
 
     ``levels`` is a non-empty, strictly increasing sequence of finite start
     levels ``a_0 < ... < a_top``; one level is a one-element sequence.  The
@@ -378,7 +427,7 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     alive while the running minimum of ``S`` stays above its threshold; that
     minimum is kept only when there is such a level.
 
-    At each ``n`` in ``n_values`` (sorted, 1-based) the chunk reports, per
+    At each ``n`` in ``n_values`` (sorted, 1-based) each chunk reports, per
     level, the survivor count and the survivor sums of the value and its
     square (paths already dead contribute zero, which is exactly the killed
     expectation), as ``(len(levels), len(n_values))`` arrays.  With
@@ -397,22 +446,29 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     top = levels.size - 1
     rising = thresholds[::-1]
     floor = rising[0]
-    rng = np.random.default_rng(ss)
+    rngs = [np.random.default_rng(ss) for ss in seeds]
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
     words = word_table(atom_stack, cum_weights)
     b = 1 if words is None else words.length
+    held = list(sizes)  # each chunk's held paths
+    size = sum(held)
     X = _start(atom_stack, x0, size)
     S = np.full(size, levels[0])
     runmin = np.full(size, np.inf) if top else None
-    counts = np.zeros((levels.size, len(n_values)), dtype=np.int64)
+    counts = np.zeros((len(held), levels.size, len(n_values)), dtype=np.int64)
     sums = np.zeros(counts.shape)
     sums2 = np.zeros(counts.shape)
-    samples: list = [np.empty(0)] * len(n_values) if want_samples else []
+    samples = [[np.empty(0)] * len(n_values) if want_samples else [] for _ in held]
     step = 0
     for pos, n in enumerate(n_values):
         while step < n and S.shape[0]:
-            u = rng.random(S.shape[0])
+            u = np.empty(S.shape[0])
+            lo = 0
+            for rng, k in zip(rngs, held, strict=True):
+                if k:
+                    rng.random(k, out=u[lo : lo + k])
+                    lo += k
             if b > 1 and step + b <= n:
                 X, S, runmin, alive = _word_step(words, u, X, S, runmin, rising)
                 step += b
@@ -428,12 +484,22 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
                 S = S[alive]
                 if top:
                     runmin = runmin[alive]
+                lo = 0
+                for c, k in enumerate(held):
+                    held[c] = np.count_nonzero(alive[lo : lo + k])
+                    lo += k
         step = n
-        for l, off in enumerate(shift):
-            value = (S if l == top else S[runmin > thresholds[l]]) + off
-            counts[l, pos] = value.shape[0]
-            sums[l, pos] = value.sum()
-            sums2[l, pos] = np.square(value).sum()
-        if want_samples:
-            samples[pos] = value
-    return counts, sums, sums2, samples
+        # no view of S outlives the report: it would keep the whole array
+        # alive after the next compaction replaces it
+        lo = 0
+        for c, k in enumerate(held):
+            hi = lo + k
+            for l, off in enumerate(shift):
+                value = (S[lo:hi] if l == top else S[lo:hi][runmin[lo:hi] > thresholds[l]]) + off
+                counts[c, l, pos] = value.shape[0]
+                sums[c, l, pos] = value.sum()
+                sums2[c, l, pos] = np.square(value).sum()
+            if want_samples:
+                samples[c][pos] = value
+            lo = hi
+    return list(zip(counts, sums, sums2, samples, strict=True))

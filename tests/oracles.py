@@ -460,6 +460,124 @@ def word_survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samp
 
 
 # ---------------------------------------------------------------------------
+# the killed walk one chunk at a time
+#
+# ``_batch.survival_chunk`` steps a group of chunks as one batch.  These are
+# its kernel and word step as they ran one chunk per call, before chunks were
+# grouped and before the word step searched only the paths near the highest
+# threshold for their own; every chunk of a group must report these numbers
+# bit for bit.
+
+
+def chunk_word_step(words: _batch.Words, u, X, S, runmin, rising):
+    """Advance every held path by one word; returns ``X``, ``S``, ``runmin`` and the alive mask.
+
+    Every path takes the word's product.  A path whose start ``S`` less the
+    word's drop bound clears its threshold (the lowest alive level's, read
+    from ``rising``, the thresholds in increasing order, through the running
+    minimum) by ``WORD_MARGIN`` cannot exit inside the word.  For every other
+    path the prefix masses give the lowest point inside the word, ``S +
+    log(min_j c_j . x)``; folded with the word-end ``S`` and the running
+    minimum, it is alive while that minimum stays above ``rising[0]``, the
+    top level's threshold.
+    """
+    floor = rising[0]
+    widx = _batch.draw_indices(words.guide, u)
+    thr = floor if runmin is None else rising[np.searchsorted(rising, runmin) - 1]
+    near = np.flatnonzero(S - words.drop.take(widx) <= thr + _batch.WORD_MARGIN)
+    X_end, rho = _batch.projective_step(words.table, widx, X)
+    S_end = S + rho
+    alive = S_end > floor
+    if runmin is not None:
+        runmin = np.minimum(runmin, S_end)
+    if near.size:
+        wn = widx.take(near)
+        mass = words.prefix[0].take(wn, axis=0) * X[0].take(near)[:, None]
+        for c, x in zip(words.prefix[1:], X[1:], strict=True):
+            mass += c.take(wn, axis=0) * x.take(near)[:, None]
+        inside = S.take(near) + np.log(mass.min(axis=1))
+        low = np.minimum((S_end if runmin is None else runmin).take(near), inside)
+        alive[near] = low > floor
+        if runmin is not None:
+            runmin[near] = low
+    return X_end, S_end, runmin, alive
+
+
+def chunk_survival(atom_stack, cum_weights, x0, levels, n_values, want_samples, size, ss):
+    """Killed walk: paths exit at the first step with ``S <= EXIT_TOL``.
+
+    ``levels`` is a non-empty, strictly increasing sequence of finite start
+    levels ``a_0 < ... < a_top``; one level is a one-element sequence.  The
+    increments do not depend on the level, so one path set, carried from
+    ``a_0``, serves them all: level l's value is ``S + (a_l - a_0)``, and it
+    is dead once ``S`` falls to its threshold ``EXIT_TOL - (a_l - a_0)``.  A
+    path is dropped once dead at the top level, so cost tracks the alive
+    count there and every path still held is alive there.  A lower level is
+    alive while the running minimum of ``S`` stays above its threshold; that
+    minimum is kept only when there is such a level.
+
+    At each ``n`` in ``n_values`` (sorted, 1-based) the chunk reports, per
+    level, the survivor count and the survivor sums of the value and its
+    square (paths already dead contribute zero, which is exactly the killed
+    expectation), as ``(len(levels), len(n_values))`` arrays.  With
+    ``want_samples`` (one level only) the survivor values come as well.
+
+    The walk steps by a word whenever the word ends by the next ``n``
+    (see ``chunk_word_step``), and by a letter otherwise.
+    """
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or not levels.size or not np.isfinite(levels).all() or np.any(np.diff(levels) <= 0.0):
+        raise ValueError("levels must be a non-empty, strictly increasing sequence of finite numbers")
+    if want_samples and levels.size > 1:
+        raise ValueError("survivor samples are returned for one level only")
+    shift = levels - levels[0]  # a_l - a_0
+    thresholds = _batch.EXIT_TOL - shift
+    top = levels.size - 1
+    rising = thresholds[::-1]
+    floor = rising[0]
+    rng = np.random.default_rng(ss)
+    table = _batch.step_table(atom_stack)
+    guide = _batch.guide_table(cum_weights)
+    words = _batch.word_table(atom_stack, cum_weights)
+    b = 1 if words is None else words.length
+    X = _batch._start(atom_stack, x0, size)
+    S = np.full(size, levels[0])
+    runmin = np.full(size, np.inf) if top else None
+    counts = np.zeros((levels.size, len(n_values)), dtype=np.int64)
+    sums = np.zeros(counts.shape)
+    sums2 = np.zeros(counts.shape)
+    samples: list = [np.empty(0)] * len(n_values) if want_samples else []
+    step = 0
+    for pos, n in enumerate(n_values):
+        while step < n and S.shape[0]:
+            u = rng.random(S.shape[0])
+            if b > 1 and step + b <= n:
+                X, S, runmin, alive = chunk_word_step(words, u, X, S, runmin, rising)
+                step += b
+            else:
+                X, rho = _batch.projective_step(table, _batch.draw_indices(guide, u), X)
+                S = S + rho
+                step += 1
+                alive = S > floor
+                if top:
+                    np.minimum(runmin, S, out=runmin)
+            if not alive.all():
+                X = [x[alive] for x in X]
+                S = S[alive]
+                if top:
+                    runmin = runmin[alive]
+        step = n
+        for l, off in enumerate(shift):
+            value = (S if l == top else S[runmin > thresholds[l]]) + off
+            counts[l, pos] = value.shape[0]
+            sums[l, pos] = value.sum()
+            sums2[l, pos] = np.square(value).sum()
+        if want_samples:
+            samples[pos] = value
+    return counts, sums, sums2, samples
+
+
+# ---------------------------------------------------------------------------
 # reference path records
 #
 # One record per path, cut out of the free walk's rows, and the martingale

@@ -68,6 +68,13 @@ EINSUM_TOL = 1e-12
 WORD_TOL = 1e-12
 
 
+def _one_chunk(kernel, *args):
+    """One chunk through a group kernel; ``args`` end with the chunk's size and seed."""
+    *head, size, ss = args
+    (result,) = kernel(*head, [size], [ss])
+    return result
+
+
 def _words(law: MatrixLaw) -> bool:
     return _batch.word_length(law.support_size) > 1
 
@@ -132,7 +139,7 @@ def test_survival_chunk_matches_einsum_reference(name, a):
     n_values = (1, 2, 3, 10, 50, 200, 400)
     head = (law.atom_stack, law.cum_weights, x0)
     tail = (n_values, True, SIZE, np.random.SeedSequence(11))
-    got = _batch.survival_chunk(*head, (a,), *tail)
+    got = _one_chunk(_batch.survival_chunk, *head, (a,), *tail)
     assert all(g.shape == (1, len(n_values)) for g in got[:3])
     got = [g[0] for g in got[:3]] + [got[3]]
     # the run must kill paths, or compaction goes unchecked
@@ -177,9 +184,8 @@ def test_multilevel_survival_chunk_matches_masked_reference(name, levels):
     x0 = SimplexVector.barycenter(law.dim).coords
     n_values = (1, 2, 3, 10, 50, 200, 400)
     stepper = oracles.projective_step if law.dim == 2 else oracles.left_fold_step
-    got = _batch.survival_chunk(
-        law.atom_stack, law.cum_weights, x0, levels, n_values, False, SIZE, np.random.SeedSequence(13)
-    )
+    args = (law.atom_stack, law.cum_weights, x0, levels, n_values, False, SIZE)
+    got = _one_chunk(_batch.survival_chunk, *args, np.random.SeedSequence(13))
     head = (law.atom_stack, law.cum_weights, x0, levels, n_values)
     if _words(law):
         want = oracles.word_survival_chunk(*head, False, SIZE, np.random.SeedSequence(13), stepper=stepper)
@@ -210,7 +216,7 @@ def test_word_exits_match_at_every_word_end(name):
     b = _batch.word_length(law.support_size)
     n_values = tuple(range(b, 401, b))
     args = (law.atom_stack, law.cum_weights, (0.5, 0.5), (0.5, 1.0, 2.5), n_values, False, SIZE)
-    got = _batch.survival_chunk(*args, np.random.SeedSequence(14))
+    got = _one_chunk(_batch.survival_chunk, *args, np.random.SeedSequence(14))
     exits, spans = oracles.word_survival_chunk(*args, np.random.SeedSequence(14))[4:]
     assert spans == [(n - b, n) for n in n_values]
     alive = (exits[:, :, None] == 0) | (exits[:, :, None] > np.array(n_values))
@@ -225,7 +231,7 @@ def test_word_exits_match_at_every_word_end(name):
 def test_survival_chunk_refuses_bad_levels(levels):
     law = _law("reference")
     with pytest.raises(ValueError, match="strictly increasing sequence of finite numbers"):
-        _batch.survival_chunk(law.atom_stack, law.cum_weights, (0.5, 0.5), levels, (1,), False, 10, 0)
+        _one_chunk(_batch.survival_chunk, law.atom_stack, law.cum_weights, (0.5, 0.5), levels, (1,), False, 10, 0)
 
 
 @pytest.mark.parametrize("name,a", CASES, ids=[f"{n}-a{a:g}" for n, a in CASES])
@@ -237,8 +243,8 @@ def test_walk_chunk_matches_einsum_reference(name, a):
     rho_steps = (1, 5, 6, 59, 60)
     x_steps = (1, 3, 60)
     head = (law.atom_stack, law.cum_weights, x0, a, n, s_steps, rho_steps, x_steps)
-    got = _batch.walk_chunk(*head, True, SIZE, np.random.SeedSequence(12))
-    bare = _batch.walk_chunk(*head, False, SIZE, np.random.SeedSequence(12))
+    got = _one_chunk(_batch.walk_chunk, *head, True, SIZE, np.random.SeedSequence(12))
+    bare = _one_chunk(_batch.walk_chunk, *head, False, SIZE, np.random.SeedSequence(12))
     assert got[3].shape == (SIZE, law.dim)
     assert bare[3] is None
     if _words(law):
@@ -272,13 +278,13 @@ def test_one_atom_law_steps_by_letters():
     x0 = SimplexVector.barycenter(2).coords
     head = (law.atom_stack, law.cum_weights, x0)
     n_values = (5, 50, 400)
-    got = _batch.survival_chunk(*head, (3.0,), n_values, True, 100, np.random.SeedSequence(3))
+    got = _one_chunk(_batch.survival_chunk, *head, (3.0,), n_values, True, 100, np.random.SeedSequence(3))
     want = oracles.survival_chunk(*head, 3.0, n_values, True, 100, np.random.SeedSequence(3))
     for g, w in zip(got[:3], want[:3]):
         assert np.array_equal(g[0], w)
     assert want[0][0] == 100 and want[0][-1] == 0  # every path steps by log 0.7: all exit at step 9
     walk = (*head, 0.0, 400, (400,), (), (400,))
-    got = _batch.walk_chunk(*walk, True, 100, np.random.SeedSequence(4))
+    got = _one_chunk(_batch.walk_chunk, *walk, True, 100, np.random.SeedSequence(4))
     want = oracles.walk_chunk(*walk, 100, np.random.SeedSequence(4))
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
@@ -360,7 +366,7 @@ def test_survival_chunk_from_a_vertex_matches_word_reference(name, x0, levels):
     law = _law(name)
     n_values = (1, 2, 3, 10, 50, 200, 400)
     args = (law.atom_stack, law.cum_weights, x0, levels, n_values, len(levels) == 1, SIZE)
-    got = _batch.survival_chunk(*args, np.random.SeedSequence(15))
+    got = _one_chunk(_batch.survival_chunk, *args, np.random.SeedSequence(15))
     want = oracles.word_survival_chunk(*args, np.random.SeedSequence(15))
     assert np.array_equal(got[0], want[0])
     _assert_close(got[1], want[1], rtol=WORD_TOL)
@@ -393,8 +399,8 @@ def test_word_table_refuses_products_out_of_float_range(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         words = _batch.word_table(law.atom_stack, law.cum_weights)
-        got_walk = _batch.walk_chunk(*walk, True, 200, np.random.SeedSequence(2))
-        got_survival = _batch.survival_chunk(*head, (1.0,), (8, 16), False, 200, np.random.SeedSequence(1))
+        got_walk = _one_chunk(_batch.walk_chunk, *walk, True, 200, np.random.SeedSequence(2))
+        got_survival = _one_chunk(_batch.survival_chunk, *head, (1.0,), (8, 16), False, 200, np.random.SeedSequence(1))
     assert words is None
     want_walk = oracles.walk_chunk(*walk, 200, np.random.SeedSequence(2))
     for g, w in zip(got_walk, want_walk, strict=True):
@@ -421,3 +427,120 @@ def test_d2_step_follows_left_product(name):
         end, traj = left_product([law.atoms[k] for k in words[:, p]], x, 0.5)
         assert abs(S[p] - traj[-1]) < 1e-12
         assert np.max(np.abs(points[p] - end.coords)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# groups of chunks
+#
+# ``survival_chunk`` steps a group of chunks as one batch.  Each chunk must
+# report bit for bit what ``oracles.chunk_survival``, the kernel that ran one
+# chunk per call, reports for it: whatever the group, the law and the stepping
+
+
+GROUP_LAWS = {
+    "reference": lambda: _law("reference"),  # words of b = 8 letters
+    "k3": lambda: _law("k3"),  # words of b = 5, split bins
+    "d3k64": lambda: _law("d3k64"),  # d = 3, K = 64: letters
+    "mixed-1e60": FLOAT_RANGE_LAWS["mixed-1e60"],  # word products out of the float range: letters
+}
+
+# ascending level tuples, the first level of each also run alone with
+# survivor samples; every letter of the mixed law moves S by log(2e60) = 138.8
+# or log(2e-60) = -137.5
+GROUP_LEVELS = {
+    "reference": (0.5, 1.0, 2.5, 6.0),
+    "k3": (0.5, 1.0, 2.5, 6.0),
+    "d3k64": (0.1, 0.3, 0.7, 1.6),
+    "mixed-1e60": (0.5, 140.0, 280.0, 420.0),
+}
+
+# single paths and a few, most of which die out long before the last n, and
+# whole chunks
+CHUNK_LISTS = {
+    "tiny": (1, 1, 5, 3, 700, 4096, 1, 1),
+    "whole": (_batch.CHUNK_PATHS, _batch.CHUNK_PATHS, 3392),
+}
+
+GROUP_CASES = [(name, many, sizes) for name in GROUP_LAWS for many in (False, True) for sizes in CHUNK_LISTS]
+
+
+def _assert_same_chunks(got: list, want: list) -> None:
+    """Every output of every chunk is equal, bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want, strict=True):
+        assert len(g) == len(w) == 4
+        for a, b in zip(g[:3], w[:3], strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert len(g[3]) == len(w[3])
+        for a, b in zip(g[3], w[3], strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "name,many,sizes", GROUP_CASES, ids=[f"{n}-{'4lv' if m else '1lv'}-{s}" for n, m, s in GROUP_CASES]
+)
+def test_grouped_survival_matches_chunk_oracle(name, many, sizes):
+    law = GROUP_LAWS[name]()
+    x0 = SimplexVector.barycenter(law.dim).coords
+    levels = GROUP_LEVELS[name] if many else GROUP_LEVELS[name][:1]
+    n_values = (1, 2, 3, 10, 50, 200, 400)
+    sizes = CHUNK_LISTS[sizes]
+    seeds = np.random.SeedSequence(21).spawn(len(sizes))
+    head = (law.atom_stack, law.cum_weights, x0, levels, n_values, not many)
+    got = _batch.survival_chunk(*head, list(sizes), seeds)
+    want = [oracles.chunk_survival(*head, size, ss) for size, ss in zip(sizes, seeds)]
+    _assert_same_chunks(got, want)
+    counts = np.array([w[0] for w in want])  # (chunk, level, n)
+    # paths die, and the largest chunk holds some at the end
+    assert counts[:, 0, -1].sum() < sum(sizes) and counts[int(np.argmax(sizes)), -1, -1] > 0
+    if not many and len(sizes) > 3:
+        # chunks die out while the group steps on
+        assert np.any(counts[:, 0, -2] == 0)
+
+
+def test_grouped_survival_is_partition_invariant():
+    """One group, a group per chunk and uneven splits give the same results, bit for bit."""
+    law = _law("reference")
+    sizes = CHUNK_LISTS["tiny"]
+    seeds = np.random.SeedSequence(22).spawn(len(sizes))
+    head = (law.atom_stack, law.cum_weights, (0.5, 0.5), (0.5,), (1, 2, 3, 10, 50, 200, 400), True)
+    whole = _batch.survival_chunk(*head, list(sizes), seeds)
+    for bounds in ([0, 1, 2, 3, 4, 5, 6, 7, 8], [0, 3, 8], [0, 1, 6, 8], [0, 5, 6, 7, 8]):
+        parts = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            parts += _batch.survival_chunk(*head, list(sizes[lo:hi]), seeds[lo:hi])
+        _assert_same_chunks(parts, whole)
+
+
+def test_chunk_groups_cover_the_layout():
+    most = _batch.GROUP_PATHS // _batch.CHUNK_PATHS
+    for count, workers in itertools.product(range(1, 41), (1, 2, 3, 4)):
+        groups = _batch.chunk_groups(count, workers)
+        # contiguous, in order, and covering every chunk once
+        assert [g.start for g in groups] == [0] + [g.stop for g in groups[:-1]] and groups[-1].stop == count
+        sizes = [g.stop - g.start for g in groups]
+        assert len(groups) >= min(workers, count) and max(sizes) <= most and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_chunks_returns_each_chunk_in_order(workers):
+    """A budget over ``GROUP_PATHS`` runs as several groups at any worker count, with one result per chunk."""
+    law = _law("reference")
+    paths = _batch.GROUP_PATHS + 5000
+    sizes = _batch.chunk_layout(paths)
+    seeds = np.random.SeedSequence(23).spawn(len(sizes))
+    args = (law.atom_stack, law.cum_weights, (0.5, 0.5), (0.5,), (1, 9, 12), True)
+    got = _batch.run_chunks(_batch.survival_chunk, args, paths, np.random.SeedSequence(23), workers)
+    want = [oracles.chunk_survival(*args, size, ss) for size, ss in zip(sizes, seeds)]
+    assert len(_batch.chunk_groups(len(sizes), workers)) >= 2
+    _assert_same_chunks(got, want)
+    # the free walk: three chunks, as one group at one worker and as groups of 1 and 2 at two
+    walk = (law.atom_stack, law.cum_weights, (0.5, 0.5), 0.5, 12, (1, 9, 12), (12,), (2,), True)
+    paths = 2 * _batch.CHUNK_PATHS + 3000
+    got = _batch.run_chunks(_batch.walk_chunk, walk, paths, np.random.SeedSequence(24), workers)
+    seeds = np.random.SeedSequence(24).spawn(3)
+    want = [_one_chunk(_batch.walk_chunk, *walk, size, ss) for size, ss in zip(_batch.chunk_layout(paths), seeds)]
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want, strict=True):
+        for a, b in zip(g, w, strict=True):
+            assert np.array_equal(a, b)
