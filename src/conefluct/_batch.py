@@ -156,7 +156,8 @@ def run_chunks(fn, args: tuple, paths: int, seed, workers: int = 1) -> list:
     if workers <= 1 or len(jobs) == 1:
         groups = [_invoke(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a pool starts all of its processes up front, so it gets no more than there are groups
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             groups = list(pool.map(_invoke, jobs, chunksize=1))
     return [part for group in groups for part in group]
 

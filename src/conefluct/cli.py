@@ -21,7 +21,10 @@ increment covariances with the geometric-rate fit).
 exit code 1 and the single verdict ``hypotheses: false``.  Otherwise it reuses
 the ``simulate`` stages, its verdicts are exactly ``ValidationReport.verdicts()``
 and the exit code is nonzero unless all pass.  Malformed laws and configs
-(unknown keys, wrong types) exit with code 2.
+exit with code 2: ``_SCHEMA`` holds one row per config key with its
+default, the JSON types it takes and its range rule, and a refused value
+(unknown key, wrong type, not finite, out of range) is named by the key,
+environment variable or flag that set it.
 
 Each command returns its exit code and its artifacts, and ``main`` writes
 them: nothing in ``--out`` is created, deleted or written until the command
@@ -34,8 +37,7 @@ byte-identical artifacts wherever the files live and whatever the worker
 count.  No timestamps are recorded.
 Environment overrides: ``CONEFLUCT_SEED``, ``CONEFLUCT_WORKERS``,
 ``CONEFLUCT_OUT``, ``CONEFLUCT_FORCE`` (flags still win); a seed or worker
-count that is not an integer, or a worker count below 1, exits with code 2
-and names its source.
+count that is not an integer exits with code 2 and names its variable.
 """
 
 from __future__ import annotations
@@ -172,43 +174,73 @@ def law_fingerprint(law: MatrixLaw) -> str:
 # config
 
 
-_DEFAULTS: dict = {
-    "law": None,
-    "seed": None,
-    "workers": 1,
-    "out": "out",
-    "start": {"x": "barycenter", "a": 1.0},
-    "grid": {"resolution": 512},
-    "spectral": {
-        "nu_tol": 1e-10,
-        "poisson_tol": 1e-10,
-        "max_iter": 20000,
-    },
-    "check": {
-        "delta0": 1.0,
-        "p3_cap": 16,
-        "n": 1024,
-        "paths": 20000,
-        "gamma_tol": 1e-3,
-        "sigma2_threshold": 1e-6,
-    },
-    "simulate": {
-        "n_values": [64, 128, 256, 512, 1024],
-        "paths": 100000,
-        "v_schedule": [16, 32, 64, 128, 256, 512, 1024],
-        "v_paths": 100000,
-        "a_grid": None,
-        "a_grid_sigmas": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0],
-        "a_paths": 30000,
-        "conditional_n": [64, 256, 1024],
-        "conditional_paths": 200000,
-        "sigma2_n": 1024,
-        "sigma2_paths": 30000,
-    },
-    "covariance": {"burn_in": 50, "max_lag": 6, "paths": 200000, "conv_check_n": 4},
-    "validate": {"sigma_scale": 1.0, "martingale_paths": 4000, "martingale_horizon": 512},
-    "thresholds": {},
-}
+# range rules: a message and a predicate on a value of the leaf's JSON type
+def _at_least(k: int, reason: str = ""):
+    return f"must be >= {k}{reason}", lambda v: v >= k
+
+
+_POSITIVE = ("must be positive", lambda v: v > 0)
+_VARIANCE = _at_least(2, " (it feeds a sample variance)")
+_STEPS = ("must hold at least one step, each >= 1", lambda v: len(v) > 0 and min(v) >= 1)
+_LEVELS = (
+    "must hold at least 2 positive, strictly increasing levels",
+    lambda v: len(v) >= 2 and v[0] > 0 and all(a < b for a, b in zip(v, v[1:])),
+)
+
+# One row per config leaf: dotted key, default, an example value of a second
+# JSON type the leaf accepts, and the range rule.  No rule applies to None.
+_SCHEMA = (
+    ("law", None, "law.json", None),
+    ("seed", None, 0, _at_least(0)),
+    ("workers", 1, None, _at_least(1)),
+    ("out", "out", None, None),
+    ("start.x", "barycenter", [0.5], None),
+    ("start.a", 1.0, None, _at_least(0)),
+    ("grid.resolution", 512, None, _at_least(2)),
+    ("spectral.nu_tol", 1e-10, None, _POSITIVE),
+    ("spectral.poisson_tol", 1e-10, None, _POSITIVE),
+    ("spectral.max_iter", 20000, None, _at_least(1)),
+    ("check.delta0", 1.0, None, _POSITIVE),
+    ("check.p3_cap", 16, None, _at_least(1)),
+    ("check.n", 1024, None, _at_least(1)),
+    ("check.paths", 20000, None, _VARIANCE),
+    ("check.gamma_tol", 1e-3, None, None),
+    ("check.sigma2_threshold", 1e-6, None, _at_least(0, " (below 0 the non-degeneracy check cannot fail)")),
+    ("simulate.n_values", [64, 128, 256, 512, 1024], None, _STEPS),
+    ("simulate.paths", 100000, None, _at_least(1)),
+    ("simulate.v_schedule", [16, 32, 64, 128, 256, 512, 1024], None, _STEPS),
+    ("simulate.v_paths", 100000, None, _at_least(1)),
+    ("simulate.a_grid", None, [1.0], _LEVELS),
+    ("simulate.a_grid_sigmas", [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0], None, _LEVELS),
+    ("simulate.a_paths", 30000, None, _at_least(1)),
+    ("simulate.conditional_n", [64, 256, 1024], None, _STEPS),
+    ("simulate.conditional_paths", 200000, None, _at_least(1)),
+    ("simulate.sigma2_n", 1024, None, _at_least(1)),
+    ("simulate.sigma2_paths", 30000, None, _VARIANCE),
+    ("covariance.burn_in", 50, None, _at_least(1)),
+    ("covariance.max_lag", 6, None, _at_least(1)),
+    ("covariance.paths", 200000, None, _VARIANCE),
+    ("covariance.conv_check_n", 4, None, _at_least(0, " (0 skips the check)")),
+    ("validate.sigma_scale", 1.0, None, _POSITIVE),
+    ("validate.martingale_paths", 4000, None, _at_least(1)),
+    ("validate.martingale_horizon", 512, None, _at_least(1)),
+)
+_ROWS = {row[0]: row for row in _SCHEMA}
+
+# ``thresholds`` takes the ValidationThresholds fields; a config keeps only its overrides
+_THRESHOLD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(tval.ValidationThresholds)}
+
+
+def _nest(flat: dict) -> dict:
+    """The config object for a map of dotted keys to values."""
+    out = {"thresholds": {}}
+    for key, value in flat.items():
+        section, _, leaf = key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[leaf] = value
+    return out
+
+
+_DEFAULTS = _nest({key: default for key, default, _, _ in _SCHEMA})
 
 # fixed per-operation salts so every estimator gets its own substream
 _SALTS = {
@@ -221,11 +253,6 @@ _SALTS = {
     "martingale": 7,
     "a_grid": 8,
 }
-
-# Leaves that also accept a second JSON type, shown by an example value of it.
-_LEAF_ALTERNATIVES = {"law": "law.json", "seed": 0, "start.x": [0.5], "simulate.a_grid": [1.0]}
-
-_THRESHOLD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(tval.ValidationThresholds)}
 
 
 def _type_ok(default, value) -> bool:
@@ -250,29 +277,30 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-def _merge(defaults: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(defaults)
-    for key, value in override.items():
+def _check(name: str, value, default, alt=None, rule=None) -> None:
+    """Refuse a leaf value of neither the default's nor ``alt``'s JSON type, not finite, or refused by ``rule``."""
+    if not (_type_ok(default, value) or (alt is not None and _type_ok(alt, value))):
+        raise LawFormatError(f"{name} = {value!r} has the wrong type (default {default!r})")
+    if not _finite(value):
+        raise LawFormatError(f"{name} = {value!r} is not a finite number")
+    if rule is not None and value is not None and not rule[1](value):
+        raise LawFormatError(f"{name} = {value!r} {rule[0]}")
+
+
+def _merge(flat: dict, obj: dict, defaults: dict = _DEFAULTS, path: str = "") -> None:
+    """Copy the leaves of a config file object into ``flat``, refusing unknown keys and wrong types."""
+    for key, value in obj.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise LawFormatError(f"config: unknown key {where!r}")
         if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise LawFormatError(f"config: {where!r} must be an object")
-            if key == "thresholds":
-                # checked against the ValidationThresholds fields; only overrides are kept
-                _merge(_THRESHOLD_DEFAULTS, value, where)
-                out[key] = copy.deepcopy(value)
-            else:
-                out[key] = _merge(defaults[key], value, where)
+            _merge(flat, value, _THRESHOLD_DEFAULTS if where == "thresholds" else defaults[key], where)
         else:
-            default = defaults[key]
-            if not (_type_ok(default, value) or _type_ok(_LEAF_ALTERNATIVES.get(where, default), value)):
-                raise LawFormatError(f"config: {where!r} = {value!r} has the wrong type (default {default!r})")
-            if not _finite(value):
-                raise LawFormatError(f"config: {where!r} = {value!r} is not a finite number")
-            out[key] = value
-    return out
+            alt = _ROWS[where][2] if where in _ROWS else None
+            _check(f"config key {where!r}", value, defaults[key], alt)
+            flat[where] = value
 
 
 def _env_int(name: str) -> int:
@@ -282,65 +310,17 @@ def _env_int(name: str) -> int:
         raise LawFormatError(f"{name} = {os.environ[name]!r} is not an integer") from None
 
 
-# path budgets and step counts that no run can use below 1
-_AT_LEAST_ONE = (
-    ("simulate", "paths"),
-    ("simulate", "v_paths"),
-    ("simulate", "a_paths"),
-    ("simulate", "conditional_paths"),
-    ("validate", "martingale_paths"),
-    ("check", "n"),
-    ("simulate", "sigma2_n"),
-    ("validate", "martingale_horizon"),
-    ("covariance", "burn_in"),
-    ("covariance", "max_lag"),
-)
-
-
-def _check_ranges(cfg: dict, scale_from: str) -> None:
-    """Refuse leaves of the right type that no run can use, before any stage runs."""
-    scale = cfg["validate"]["sigma_scale"]
-    if scale <= 0:
-        raise LawFormatError(f"{scale_from} = {scale!r} must be positive")
-    n_conv = cfg["covariance"]["conv_check_n"]
-    if n_conv < 0:
-        raise LawFormatError(f"config: 'covariance.conv_check_n' = {n_conv!r} must be >= 0 (0 skips the check)")
-    start_a = cfg["start"]["a"]
-    if start_a < 0:
-        raise LawFormatError(f"config: 'start.a' = {start_a!r} must be >= 0")
-    for section, key in (("check", "paths"), ("simulate", "sigma2_paths"), ("covariance", "paths")):
-        paths = cfg[section][key]
-        if paths < 2:
-            raise LawFormatError(f"config: '{section}.{key}' = {paths!r} must be >= 2 (it feeds a sample variance)")
-    for section, key in _AT_LEAST_ONE:
-        value = cfg[section][key]
-        if value < 1:
-            raise LawFormatError(f"config: '{section}.{key}' = {value!r} must be >= 1")
-    for key in ("n_values", "v_schedule", "conditional_n"):
-        steps = cfg["simulate"][key]
-        if not steps or min(steps) < 1:
-            raise LawFormatError(f"config: 'simulate.{key}' = {steps!r} must hold at least one step, each >= 1")
-    for key in ("a_grid", "a_grid_sigmas"):
-        levels = cfg["simulate"][key]
-        if levels is None:
-            continue
-        if len(levels) < 2 or levels[0] <= 0 or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise LawFormatError(
-                f"config: 'simulate.{key}' = {levels!r} must hold at least 2 positive, strictly increasing levels"
-            )
-
-
 def load_config(path=None, overrides: dict | None = None) -> dict:
     """Assemble the effective config: defaults < file < env < overrides.
 
     ``overrides`` are the command-line flags (``--law``, ``--seed``,
-    ``--workers``, ``--out``, and ``sigma_scale`` for ``--sigma-scale``); a
-    worker count below 1, a sigma scale that is not positive, a negative
-    start level, a variance estimate from fewer than 2 paths, a path budget
-    or step count below 1 and a level grid that is not increasing are
-    refused with the name of the key, variable or flag that set them.
+    ``--workers``, ``--out``, and ``sigma_scale`` for ``--sigma-scale``).
+    Unknown keys and wrong JSON types in the file are refused as it is read.
+    Once all sources are merged, each ``_SCHEMA`` row checks its leaf's type,
+    finiteness and range, and a refusal names the key, variable or flag that
+    set the value.
     """
-    cfg = copy.deepcopy(_DEFAULTS)
+    flat = {key: copy.deepcopy(default) for key, default, _, _ in _SCHEMA}
     if path is not None:
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -350,39 +330,26 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise LawFormatError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise LawFormatError(f"config {path}: top level must be an object")
-        cfg = _merge(cfg, obj)
-    workers_from = "config key 'workers'"
-    scale_from = "config: 'validate.sigma_scale'"
-    if os.environ.get("CONEFLUCT_SEED"):
-        cfg["seed"] = _env_int("CONEFLUCT_SEED")
-    if os.environ.get("CONEFLUCT_WORKERS"):
-        cfg["workers"] = _env_int("CONEFLUCT_WORKERS")
-        workers_from = "CONEFLUCT_WORKERS"
-    if os.environ.get("CONEFLUCT_OUT"):
-        cfg["out"] = os.environ["CONEFLUCT_OUT"]
+        _merge(flat, obj)
+    source = {}
+    for key in ("seed", "workers", "out"):
+        name = f"CONEFLUCT_{key.upper()}"
+        if os.environ.get(name):
+            flat[key] = os.environ[name] if key == "out" else _env_int(name)
+            source[key] = name
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "sigma_scale":
-            if not _finite(value):
-                raise LawFormatError(f"--sigma-scale = {value!r} is not a finite number")
-            cfg["validate"]["sigma_scale"] = value
-            scale_from = "--sigma-scale"
-        else:
-            cfg[key] = value
-        if key == "workers":
-            workers_from = "--workers"
-    if cfg["law"] is None:
+        if value is not None:
+            dotted = "validate.sigma_scale" if key == "sigma_scale" else key
+            flat[dotted] = value
+            source[dotted] = "--" + key.replace("_", "-")
+    if flat["law"] is None:
         raise LawFormatError("no law file given (config key 'law' or --law)")
-    if cfg["seed"] is None:
+    if flat["seed"] is None:
         raise LawFormatError("no seed given (config key 'seed', CONEFLUCT_SEED, or --seed); "
                              "wall-clock seeding is not supported")
-    cfg["seed"] = int(cfg["seed"])
-    cfg["workers"] = int(cfg["workers"])
-    if cfg["workers"] < 1:
-        raise LawFormatError(f"{workers_from} = {cfg['workers']}: the worker count must be at least 1")
-    _check_ranges(cfg, scale_from)
-    return cfg
+    for key, default, alt, rule in _SCHEMA:
+        _check(source.get(key, f"config key {key!r}"), flat[key], default, alt, rule)
+    return _nest(flat)
 
 
 def _config_hash(cfg: dict, law: MatrixLaw) -> str:

@@ -13,6 +13,7 @@ every word, survivor counts match exactly and values to rounding level.
 import itertools
 import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +542,33 @@ def test_run_chunks_returns_each_chunk_in_order(workers):
     seeds = np.random.SeedSequence(24).spawn(3)
     want = [_one_chunk(_batch.walk_chunk, *walk, size, ss) for size, ss in zip(_batch.chunk_layout(paths), seeds)]
     assert len(got) == len(want) == 3
+    for g, w in zip(got, want, strict=True):
+        for a, b in zip(g, w, strict=True):
+            assert np.array_equal(a, b)
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """A process pool that records the size it is asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_run_chunks_pool_has_no_more_processes_than_groups(monkeypatch, workers):
+    """A stage of two chunks starts a pool of two processes at any worker count, with the same results."""
+    law = _law("reference")
+    walk = (law.atom_stack, law.cum_weights, (0.5, 0.5), 0.5, 12, (1, 9, 12), (12,), (2,), True)
+    paths = _batch.CHUNK_PATHS + 3000
+    want = _batch.run_chunks(_batch.walk_chunk, walk, paths, np.random.SeedSequence(25), 1)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_batch, "ProcessPoolExecutor", _RecordingPool)
+    got = _batch.run_chunks(_batch.walk_chunk, walk, paths, np.random.SeedSequence(25), workers)
+    assert _RecordingPool.sizes == [2]
+    assert len(got) == len(want) == 2
     for g, w in zip(got, want, strict=True):
         for a, b in zip(g, w, strict=True):
             assert np.array_equal(a, b)

@@ -13,7 +13,9 @@ import pytest
 
 import conefluct
 from conefluct import MatrixLaw, SimplexVector, mc_sigma2
-from conefluct.cli import LawFormatError, _fmt, _fmt_column, law_fingerprint, load_config, load_law, main, save_law
+from conefluct.cli import (
+    _SCHEMA, LawFormatError, _fmt, _fmt_column, law_fingerprint, load_config, load_law, main, save_law,
+)
 from conefluct.fixtures import reference_law_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -190,6 +192,15 @@ _STEPS = "must hold at least one step, each >= 1"
         ({"validate": {"martingale_horizon": 0}}, {}, {}, "'validate.martingale_horizon' = 0 must be >= 1"),
         ({"covariance": {"burn_in": 0}}, {}, {}, "'covariance.burn_in' = 0 must be >= 1"),
         ({"covariance": {"max_lag": 0}}, {}, {}, "'covariance.max_lag' = 0 must be >= 1"),
+        ({"spectral": {"max_iter": 0}}, {}, {}, "'spectral.max_iter' = 0 must be >= 1"),
+        ({"spectral": {"nu_tol": -1}}, {}, {}, "'spectral.nu_tol' = -1 must be positive"),
+        ({"spectral": {"poisson_tol": 0}}, {}, {}, "'spectral.poisson_tol' = 0 must be positive"),
+        ({"grid": {"resolution": 1}}, {}, {}, "'grid.resolution' = 1 must be >= 2"),
+        ({"check": {"delta0": 0}}, {}, {}, "'check.delta0' = 0 must be positive"),
+        ({"check": {"p3_cap": 0}}, {}, {}, "'check.p3_cap' = 0 must be >= 1"),
+        ({}, {}, {"seed": -1}, "--seed = -1 must be >= 0"),
+        ({}, {"CONEFLUCT_SEED": "-1"}, {}, "CONEFLUCT_SEED = -1 must be >= 0"),
+        ({"check": {"sigma2_threshold": -1}}, {}, {}, "'check.sigma2_threshold' = -1 must be >= 0"),
     ],
     ids=[
         "unknown-key", "unknown-threshold", "wrong-type", "wrong-length", "removed-horizon",
@@ -201,7 +212,9 @@ _STEPS = "must hold at least one step, each >= 1"
         "one-covariance-path", "zero-simulate-paths", "zero-v-paths", "negative-a-paths",
         "zero-conditional-paths", "zero-martingale-paths", "zero-check-n", "zero-in-n-values",
         "empty-v-schedule", "negative-conditional-n", "zero-sigma2-n", "zero-martingale-horizon",
-        "zero-burn-in", "zero-max-lag",
+        "zero-burn-in", "zero-max-lag", "zero-max-iter", "negative-nu-tol", "zero-poisson-tol",
+        "one-grid-node", "zero-delta0", "zero-p3-cap", "flag-seed-negative", "env-seed-negative",
+        "negative-sigma2-threshold",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, override, env, flags, needle):
@@ -248,6 +261,13 @@ def test_config_precedence(tmp_path, law_path, monkeypatch):
     assert cfg["seed"] == 5 and cfg["workers"] == 3
     cfg = load_config(p, overrides={"seed": 9})
     assert cfg["seed"] == 9 and cfg["workers"] == 3
+
+
+def test_readme_config_table_lists_every_schema_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config files") : readme.index("### Artifacts")]
+    rows = {m.group(1) for m in re.finditer(r"^\| `([^`]+)` \|", section, re.MULTILINE)}
+    assert {key for key, *_ in _SCHEMA} <= rows
 
 
 # ---------------------------------------------------------------------------
