@@ -28,8 +28,17 @@ segment.  A chunk's result therefore does not depend on the chunks that
 share its group, so neither the grouping, nor ``GROUP_PATHS``, nor the
 worker count can move a bit.
 
-Workers are plain module-level functions over (atom stack, cumulative
-weights) arrays so they can be shipped to a process pool.
+``workers=N`` means N processes compute, the calling process included.
+``run_chunks`` hands groups 1.. to a pool of ``N - 1`` processes, runs group
+0 in the calling process and then, last first, every group no pool process
+has taken yet, and collects the results in chunk order.  Inside a
+``pool_scope(N)`` block every call at N workers shares one pool, started
+(forked once) by the first call with more than one group and shut down when
+the block ends, however it ends; the CLI opens one scope per command.  A
+call outside such a scope starts a pool of ``min(N, groups) - 1`` processes
+for itself, through the same code.  Which process runs a group moves no bit.
+The kernels are plain module-level functions over (atom stack, cumulative
+weights) arrays so they can be shipped to the pool.
 
 The walk state is one contiguous (m,) array per simplex coordinate, in
 every dimension, and the step reads each atom entry as a (K,) array built
@@ -82,6 +91,8 @@ ties exits.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -144,21 +155,78 @@ def _invoke(job):
     return fn(*args, sizes, seeds)
 
 
+class _Pool:
+    """``workers - 1`` pool processes beside the calling process, started at first need."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor = None
+
+    def run(self, jobs: list) -> list:
+        """Each job's result, in job order.
+
+        Jobs 1.. go to the pool and job 0 runs here; then this process also
+        runs, last first, every job that no pool process has taken yet.
+        """
+        if self.workers <= 1 or len(jobs) == 1:
+            return [_invoke(job) for job in jobs]
+        if self._executor is None:
+            # with the fork start method every process is forked here, once
+            self._executor = ProcessPoolExecutor(max_workers=self.workers - 1)
+        futures = [self._executor.submit(_invoke, job) for job in jobs[1:]]
+        first = _invoke(jobs[0])
+        # the pool takes jobs first to last, so this process takes them last first
+        mine = {f: _invoke(job) for f, job in reversed(list(zip(futures, jobs[1:]))) if f.cancel()}
+        return [first] + [mine[f] if f in mine else f.result() for f in futures]
+
+    def close(self) -> None:
+        """Cancel the jobs not started, wait for the rest, and reap every pool process."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+
+# the pool of the innermost open ``pool_scope``; ``run_chunks`` keeps its
+# signature, so the pool reaches it through the context, not an argument
+_scope: contextvars.ContextVar = contextvars.ContextVar("pool_scope", default=None)
+
+
+@contextlib.contextmanager
+def pool_scope(workers: int):
+    """Share one pool among the ``run_chunks`` calls at ``workers`` inside the block.
+
+    The pool starts at the first call with more than one group, so a block
+    that has none forks nothing, and it is shut down when the block ends, on
+    an exception too, with every pool process reaped.
+    """
+    pool = _Pool(workers)
+    token = _scope.set(pool)
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+        pool.close()
+
+
 def run_chunks(fn, args: tuple, paths: int, seed, workers: int = 1) -> list:
     """Run the kernel ``fn(*args, sizes, seeds)`` over the chunk layout, a group of chunks per call.
 
     ``fn`` returns one result per chunk of its group.  Returns the per-chunk
-    results in chunk order regardless of ``workers``.
+    results in chunk order regardless of ``workers``.  ``workers`` processes
+    compute, the calling process included: the pool of the open
+    ``pool_scope`` at this worker count, else a pool of this call's own.
     """
     sizes = chunk_layout(paths)
     seeds = as_seed_sequence(seed).spawn(len(sizes))
     jobs = [(fn, args, sizes[g], seeds[g]) for g in chunk_groups(len(sizes), workers)]
-    if workers <= 1 or len(jobs) == 1:
-        groups = [_invoke(job) for job in jobs]
+    shared = _scope.get()
+    if shared is not None and shared.workers == workers:
+        pool = contextlib.nullcontext(shared)
     else:
-        # a pool starts all of its processes up front, so it gets no more than there are groups
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            groups = list(pool.map(_invoke, jobs, chunksize=1))
+        # a pool starts all of its processes up front, so it gets no more than the groups need
+        pool = contextlib.closing(_Pool(min(workers, len(jobs))))
+    with pool as p:
+        groups = p.run(jobs)
     return [part for group in groups for part in group]
 
 

@@ -35,6 +35,8 @@ takes the law by its fingerprint, not its path, and leaves out the worker
 count and ``--out``, so identical (config, law, seed) runs produce
 byte-identical artifacts wherever the files live and whatever the worker
 count.  No timestamps are recorded.
+``main`` runs each command inside one ``_batch.pool_scope``: its Monte Carlo
+stages share one worker pool, which is shut down when the command ends.
 Environment overrides: ``CONEFLUCT_SEED``, ``CONEFLUCT_WORKERS``,
 ``CONEFLUCT_OUT``, ``CONEFLUCT_FORCE`` (flags still win); a seed or worker
 count that is not an integer exits with code 2 and names its variable.
@@ -56,7 +58,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, _batch
 from .matrix_core import SimplexVector
 from .matrix_law import ENUMERATION_BUDGET, MatrixLaw, check_P3, convolution_contraction, hypothesis_report
 from .matrix_law import estimate_lyapunov  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
@@ -186,6 +188,8 @@ _LEVELS = (
     "must hold at least 2 positive, strictly increasing levels",
     lambda v: len(v) >= 2 and v[0] > 0 and all(a < b for a, b in zip(v, v[1:])),
 )
+_UNIT = ("must lie in (0, 1)", lambda v: 0 < v < 1)
+_BAND = ("must be two positive numbers, lo < hi", lambda v: 0 < v[0] < v[1])
 
 # One row per config leaf: dotted key, default, an example value of a second
 # JSON type the leaf accepts, and the range rule.  No rule applies to None.
@@ -227,8 +231,24 @@ _SCHEMA = (
 )
 _ROWS = {row[0]: row for row in _SCHEMA}
 
-# ``thresholds`` takes the ValidationThresholds fields; a config keeps only its overrides
+# ``thresholds`` takes the ValidationThresholds fields, one row each in the
+# layout of ``_SCHEMA`` with the rule named here; a config keeps only its
+# overrides, so these rows check a leaf only when a source set it
+_THRESHOLD_RULES = {
+    "ratio_band": _BAND,
+    "ratio_z": _POSITIVE,
+    "flat_z": _POSITIVE,
+    "ks_threshold": _UNIT,
+    "ks_rise_allowance": _at_least(0),
+    "negative_control_min": _UNIT,
+    "min_survivors": _at_least(1),
+    "bound_z": _POSITIVE,
+    "slope_band": _BAND,
+}
 _THRESHOLD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(tval.ValidationThresholds)}
+_THRESHOLD_SCHEMA = tuple(
+    (f"thresholds.{name}", default, None, _THRESHOLD_RULES[name]) for name, default in _THRESHOLD_DEFAULTS.items()
+)
 
 
 def _nest(flat: dict) -> dict:
@@ -316,9 +336,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     ``overrides`` are the command-line flags (``--law``, ``--seed``,
     ``--workers``, ``--out``, and ``sigma_scale`` for ``--sigma-scale``).
     Unknown keys and wrong JSON types in the file are refused as it is read.
-    Once all sources are merged, each ``_SCHEMA`` row checks its leaf's type,
-    finiteness and range, and a refusal names the key, variable or flag that
-    set the value.
+    Once all sources are merged, each ``_SCHEMA`` row, and each
+    ``thresholds`` row whose leaf was set, checks its leaf's type, finiteness
+    and range, and a refusal names the key, variable or flag that set the
+    value.
     """
     flat = {key: copy.deepcopy(default) for key, default, _, _ in _SCHEMA}
     if path is not None:
@@ -347,8 +368,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if flat["seed"] is None:
         raise LawFormatError("no seed given (config key 'seed', CONEFLUCT_SEED, or --seed); "
                              "wall-clock seeding is not supported")
-    for key, default, alt, rule in _SCHEMA:
-        _check(source.get(key, f"config key {key!r}"), flat[key], default, alt, rule)
+    for key, default, alt, rule in _SCHEMA + _THRESHOLD_SCHEMA:
+        if key in flat:
+            _check(source.get(key, f"config key {key!r}"), flat[key], default, alt, rule)
     return _nest(flat)
 
 
@@ -821,7 +843,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         law, _ = load_law(cfg["law"])
         stale = _prepare_out(cfg, force=args.force)
-        code, artifacts = args.run(cfg, law)
+        # one worker pool for the whole command, reaped however the command ends
+        with _batch.pool_scope(cfg["workers"]):
+            code, artifacts = args.run(cfg, law)
         _write_run(cfg, law, args.command, stale, artifacts)
         return code
     except (LawFormatError, ConvergenceError, DegenerateLawError, ValueError) as exc:

@@ -11,6 +11,8 @@ every word, survivor counts match exactly and values to rounding level.
 """
 
 import itertools
+import multiprocessing
+import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -557,18 +559,93 @@ class _RecordingPool(ProcessPoolExecutor):
         super().__init__(max_workers=max_workers, **kwargs)
 
 
+def _walk_args():
+    law = _law("reference")
+    return (law.atom_stack, law.cum_weights, (0.5, 0.5), 0.5, 12, (1, 9, 12), (12,), (2,), True)
+
+
+def _assert_same_walks(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want, strict=True):
+        for a, b in zip(g, w, strict=True):
+            assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_run_chunks_pool_has_no_more_processes_than_groups(monkeypatch, workers):
-    """A stage of two chunks starts a pool of two processes at any worker count, with the same results."""
-    law = _law("reference")
-    walk = (law.atom_stack, law.cum_weights, (0.5, 0.5), 0.5, 12, (1, 9, 12), (12,), (2,), True)
+    """A stage of two chunks forks one process at any worker count: the calling process runs the other group."""
+    walk = _walk_args()
     paths = _batch.CHUNK_PATHS + 3000
     want = _batch.run_chunks(_batch.walk_chunk, walk, paths, np.random.SeedSequence(25), 1)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_batch, "ProcessPoolExecutor", _RecordingPool)
     got = _batch.run_chunks(_batch.walk_chunk, walk, paths, np.random.SeedSequence(25), workers)
-    assert _RecordingPool.sizes == [2]
-    assert len(got) == len(want) == 2
+    assert len(_batch.chunk_groups(2, workers)) == 2
+    assert _RecordingPool.sizes == [1]
+    assert len(got) == 2
+    _assert_same_walks(got, want)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_scope_forks_once_for_every_call(monkeypatch, workers):
+    """Inside a scope, every call of more than one group shares the one pool of ``workers - 1`` processes."""
+    walk = _walk_args()
+    budgets = (3000, 2 * _batch.CHUNK_PATHS + 3000, _batch.CHUNK_PATHS + 1, 5 * _batch.CHUNK_PATHS)
+
+    def run_all(w):
+        seeds = [np.random.SeedSequence(26 + i) for i in range(len(budgets))]
+        return [_batch.run_chunks(_batch.walk_chunk, walk, p, ss, w) for p, ss in zip(budgets, seeds)]
+
+    want = run_all(1)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_batch, "ProcessPoolExecutor", _RecordingPool)
+    with _batch.pool_scope(workers):
+        got = run_all(workers)
+        assert _RecordingPool.sizes == [workers - 1] and len(multiprocessing.active_children()) == workers - 1
+    assert not multiprocessing.active_children()
     for g, w in zip(got, want, strict=True):
-        for a, b in zip(g, w, strict=True):
-            assert np.array_equal(a, b)
+        _assert_same_walks(g, w)
+
+
+def _walk_with_pid(*args):
+    """``walk_chunk``, each chunk's result tagged with the process that ran it."""
+    return [(os.getpid(), part) for part in _batch.walk_chunk(*args)]
+
+
+def test_pool_scope_caller_takes_the_groups_the_pool_has_not(monkeypatch):
+    """With more groups than workers the calling process runs several, and no bit moves."""
+    monkeypatch.setattr(_batch, "GROUP_PATHS", _batch.CHUNK_PATHS)  # one chunk per group
+    walk = _walk_args()
+    paths = 11 * _batch.CHUNK_PATHS + 100
+    want = _batch.run_chunks(_batch.walk_chunk, walk, paths, np.random.SeedSequence(27), 1)
+    with _batch.pool_scope(2):
+        got = _batch.run_chunks(_walk_with_pid, walk, paths, np.random.SeedSequence(27), 2)
+    pids = [pid for pid, _ in got]
+    # group 0 is the caller's; by the time it is done, the one pool process has not taken all eleven others
+    assert len(got) == 12 and pids[0] == os.getpid() and len(set(pids)) <= 2 and pids.count(os.getpid()) >= 2
+    _assert_same_walks([part for _, part in got], want)
+    assert not multiprocessing.active_children()
+
+
+def test_pool_scope_reaps_the_pool_on_an_exception():
+    walk = _walk_args()
+    with pytest.raises(RuntimeError, match="stage failed"):
+        with _batch.pool_scope(2):
+            _batch.run_chunks(_batch.walk_chunk, walk, _batch.CHUNK_PATHS + 1, np.random.SeedSequence(28), 2)
+            assert multiprocessing.active_children()
+            raise RuntimeError("stage failed")
+    assert not multiprocessing.active_children()
+
+
+def test_pool_scope_leaves_other_worker_counts_their_own_pools(monkeypatch):
+    """A call at another worker count than the scope's starts, and reaps, a pool of its own."""
+    walk = _walk_args()
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_batch, "ProcessPoolExecutor", _RecordingPool)
+    with _batch.pool_scope(2):
+        _batch.run_chunks(_batch.walk_chunk, walk, 2 * _batch.CHUNK_PATHS + 1, np.random.SeedSequence(29), 3)
+        assert _RecordingPool.sizes == [2] and not multiprocessing.active_children()
+        _batch.run_chunks(_batch.walk_chunk, walk, 2 * _batch.CHUNK_PATHS + 1, np.random.SeedSequence(29), 2)
+        assert _RecordingPool.sizes == [2, 1]
+    assert not multiprocessing.active_children()

@@ -2,24 +2,27 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import conefluct
-from conefluct import MatrixLaw, SimplexVector, mc_sigma2
+from conefluct import MatrixLaw, SimplexVector, _batch, fluctuation_sim, mc_sigma2
 from conefluct.cli import (
-    _SCHEMA, LawFormatError, _fmt, _fmt_column, law_fingerprint, load_config, load_law, main, save_law,
+    _SCHEMA, _THRESHOLD_SCHEMA, LawFormatError, _fmt, _fmt_column, law_fingerprint, load_config, load_law, main,
+    save_law,
 )
 from conefluct.fixtures import reference_law_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench.workloads import weak_law  # noqa: E402
+from perfbench.workloads import centered_law, weak_law  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,8 @@ def test_config_requires_seed(tmp_path, law_path):
 
 _LEVELS = "must hold at least 2 positive, strictly increasing levels"
 _STEPS = "must hold at least one step, each >= 1"
+_UNIT = "must lie in (0, 1)"
+_BAND = "must be two positive numbers, lo < hi"
 
 
 @pytest.mark.parametrize(
@@ -201,6 +206,18 @@ _STEPS = "must hold at least one step, each >= 1"
         ({}, {}, {"seed": -1}, "--seed = -1 must be >= 0"),
         ({}, {"CONEFLUCT_SEED": "-1"}, {}, "CONEFLUCT_SEED = -1 must be >= 0"),
         ({"check": {"sigma2_threshold": -1}}, {}, {}, "'check.sigma2_threshold' = -1 must be >= 0"),
+        ({"thresholds": {"negative_control_min": -1}}, {}, {}, f"'thresholds.negative_control_min' = -1 {_UNIT}"),
+        ({"thresholds": {"negative_control_min": 1}}, {}, {}, f"'thresholds.negative_control_min' = 1 {_UNIT}"),
+        ({"thresholds": {"ks_threshold": 0}}, {}, {}, f"'thresholds.ks_threshold' = 0 {_UNIT}"),
+        ({"thresholds": {"ks_threshold": 1.5}}, {}, {}, f"'thresholds.ks_threshold' = 1.5 {_UNIT}"),
+        ({"thresholds": {"ratio_z": 0}}, {}, {}, "'thresholds.ratio_z' = 0 must be positive"),
+        ({"thresholds": {"flat_z": -3.0}}, {}, {}, "'thresholds.flat_z' = -3.0 must be positive"),
+        ({"thresholds": {"bound_z": 0.0}}, {}, {}, "'thresholds.bound_z' = 0.0 must be positive"),
+        ({"thresholds": {"min_survivors": 0}}, {}, {}, "'thresholds.min_survivors' = 0 must be >= 1"),
+        ({"thresholds": {"ks_rise_allowance": -0.5}}, {}, {}, "'thresholds.ks_rise_allowance' = -0.5 must be >= 0"),
+        ({"thresholds": {"ratio_band": [1.15, 0.85]}}, {}, {}, f"'thresholds.ratio_band' = [1.15, 0.85] {_BAND}"),
+        ({"thresholds": {"ratio_band": [1.0, 1.0]}}, {}, {}, f"'thresholds.ratio_band' = [1.0, 1.0] {_BAND}"),
+        ({"thresholds": {"slope_band": [0, 1.1]}}, {}, {}, f"'thresholds.slope_band' = [0, 1.1] {_BAND}"),
     ],
     ids=[
         "unknown-key", "unknown-threshold", "wrong-type", "wrong-length", "removed-horizon",
@@ -214,7 +231,10 @@ _STEPS = "must hold at least one step, each >= 1"
         "empty-v-schedule", "negative-conditional-n", "zero-sigma2-n", "zero-martingale-horizon",
         "zero-burn-in", "zero-max-lag", "zero-max-iter", "negative-nu-tol", "zero-poisson-tol",
         "one-grid-node", "zero-delta0", "zero-p3-cap", "flag-seed-negative", "env-seed-negative",
-        "negative-sigma2-threshold",
+        "negative-sigma2-threshold", "negative-control-min-negative", "negative-control-min-one",
+        "zero-ks-threshold", "ks-threshold-over-one", "zero-ratio-z", "negative-flat-z", "zero-bound-z",
+        "zero-min-survivors", "negative-ks-rise-allowance", "reversed-ratio-band", "empty-ratio-band",
+        "zero-slope-band-lo",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, override, env, flags, needle):
@@ -267,7 +287,7 @@ def test_readme_config_table_lists_every_schema_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("### Config files") : readme.index("### Artifacts")]
     rows = {m.group(1) for m in re.finditer(r"^\| `([^`]+)` \|", section, re.MULTILINE)}
-    assert {key for key, *_ in _SCHEMA} <= rows
+    assert {key for key, *_ in _SCHEMA + _THRESHOLD_SCHEMA} <= rows
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +594,94 @@ def test_validate_identical_across_workers(config_path, tmp_path):
     assert names == ["ks_table.csv", "manifest.json", "ratio_table.csv", "report.json", "v_table.csv"]
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def d3k64_config_path(tmp_path_factory) -> Path:
+    """The benchmark's d = 3, K = 64 law at seed 7, with budgets of two and three chunks."""
+    root = tmp_path_factory.mktemp("d3k64")
+    (root / "law.json").write_text(json.dumps(centered_law(np.random.default_rng(7))), encoding="utf-8")
+    two, three = _batch.CHUNK_PATHS + 3000, 2 * _batch.CHUNK_PATHS + 3000
+    cfg = {
+        "law": str(root / "law.json"),
+        "seed": 7,
+        "check": {"n": 64, "paths": two},
+        "simulate": {
+            "n_values": [16, 32],
+            "paths": two,
+            "v_schedule": [16, 32],
+            "v_paths": two,
+            "a_grid_sigmas": [1.0, 2.0, 4.0, 8.0],
+            "a_paths": two,
+            "conditional_n": [16, 32],
+            "conditional_paths": three,
+            "sigma2_n": 32,
+            "sigma2_paths": two,
+        },
+        "covariance": {"paths": three, "conv_check_n": 2},
+    }
+    (root / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    return root / "cfg.json"
+
+
+class _CountingPool(ProcessPoolExecutor):
+    """A process pool that records the size of every pool started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the pools started and the ``run_chunks`` calls made."""
+    calls = []
+    run_chunks = _batch.run_chunks
+    monkeypatch.setattr(_CountingPool, "sizes", [])
+    monkeypatch.setattr(_batch, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_batch, "run_chunks", lambda *args, **kwargs: calls.append(1) or run_chunks(*args, **kwargs))
+    return _CountingPool.sizes, calls
+
+
+@pytest.mark.parametrize("workers, pools", [(1, []), (2, [1]), (3, [2])])
+def test_command_starts_one_pool(d3k64_config_path, tmp_path, counted, workers, pools):
+    """Six multi-chunk stages of ``simulate`` share one pool of ``workers - 1`` processes, reaped at the end."""
+    sizes, calls = counted
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(d3k64_config_path), "--out", str(out), "--workers", str(workers)]) == 0
+    assert len(calls) == 6 and sizes == pools
+    assert not multiprocessing.active_children()
+
+
+def test_command_reaps_its_pool_on_an_error(d3k64_config_path, tmp_path, capsys, counted, monkeypatch):
+    """A stage that fails after the pool started exits 2, with every pool process gone."""
+    sizes, calls = counted
+
+    def fail(*args, **kwargs):
+        assert multiprocessing.active_children()  # the pool is open
+        raise ValueError("stage failed")
+
+    monkeypatch.setattr(fluctuation_sim, "conditional_endpoint_samples", fail)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(d3k64_config_path), "--out", str(out), "--workers", "2"]) == 2
+    assert capsys.readouterr().err == "error: stage failed\n"
+    assert sizes == [1] and len(calls) == 3 and not out.exists()
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "covariance"])
+def test_d3k64_artifacts_identical_across_workers(d3k64_config_path, tmp_path, command):
+    outs = [tmp_path / f"w{w}" for w in (1, 2, 3)]
+    for w, out in zip((1, 2, 3), outs):
+        assert main([command, "--config", str(d3k64_config_path), "--out", str(out), "--workers", str(w)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "manifest.json" in names and len(names) >= 2
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (out.name, name)
 
 
 def test_validate_negative_control(config_path, tmp_path):
