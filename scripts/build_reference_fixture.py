@@ -9,7 +9,9 @@ Run from the repository root:
     python scripts/build_reference_fixture.py
 
 Overwrites src/conefluct/fixtures/reference_law.json and
-src/conefluct/fixtures/reference_manifest.json.
+src/conefluct/fixtures/reference_manifest.json.  ``build()`` computes the
+law, its metadata and the manifest without writing anything; the test suite
+compares its result with the committed manifest.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ V_PATHS = 200_000
 V_SEED = 20240901
 
 
-def main() -> None:
+def build() -> tuple[MatrixLaw, dict, dict]:
+    """The calibrated law, its file metadata and the manifest of pinned quantities."""
     base = MatrixLaw.from_entries(
         [np.array(m) for m in BASE_ENTRIES], np.array(WEIGHTS)
     )
@@ -87,8 +90,6 @@ def main() -> None:
             "grid_resolution": GRID_RESOLUTION,
         },
     }
-    save_law(law, FIXTURE_DIR / "reference_law.json", metadata=metadata)
-
     manifest = {
         "law_fingerprint": law_fingerprint(law),
         "grid_resolution": GRID_RESOLUTION,
@@ -120,18 +121,26 @@ def main() -> None:
             "tolerance_stderrs": 4.0,
         },
     }
+    return law, metadata, manifest
+
+
+def main() -> None:
+    law, metadata, manifest = build()
+    save_law(law, FIXTURE_DIR / "reference_law.json", metadata=metadata)
     (FIXTURE_DIR / "reference_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    print(f"gamma_base           = {gamma_base!r}")
-    print(f"gamma_after          = {gamma_after!r}")
-    print(f"sigma2               = {sigma2!r}")
-    print(f"A                    = {poisson.A!r}")
-    print(f"kappa_power          = {kappa_power!r}")
-    print(f"V_hat({A_START})     = {v_est.V_hat!r} +- {v_est.V_stderr!r} (plateau n={v_est.plateau_n})")
-    print(f"conv contraction     = {[round(conv[n], 6) for n in sorted(conv)]}")
-    print(f"fingerprint          = {law_fingerprint(law)}")
+    V = manifest["V"]
+    conv = manifest["convolution_contraction"]
+    print(f"gamma_base           = {manifest['gamma_base']!r}")
+    print(f"gamma_after          = {manifest['gamma_after_calibration']!r}")
+    print(f"sigma2               = {manifest['sigma2']!r}")
+    print(f"A                    = {manifest['A']!r}")
+    print(f"kappa_power          = {manifest['kappa_power']!r}")
+    print(f"V_hat({A_START})     = {V['value']!r} +- {V['stderr']!r} (plateau n={V['plateau_n']})")
+    print(f"conv contraction     = {[round(conv[n], 6) for n in sorted(conv, key=int)]}")
+    print(f"fingerprint          = {manifest['law_fingerprint']}")
 
 
 if __name__ == "__main__":

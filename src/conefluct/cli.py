@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -189,7 +188,6 @@ _LEVELS = (
     lambda v: len(v) >= 2 and v[0] > 0 and all(a < b for a, b in zip(v, v[1:])),
 )
 _UNIT = ("must lie in (0, 1)", lambda v: 0 < v < 1)
-_BAND = ("must be two positive numbers, lo < hi", lambda v: 0 < v[0] < v[1])
 
 # One row per config leaf: dotted key, default, an example value of a second
 # JSON type the leaf accepts, and the range rule.  No rule applies to None.
@@ -208,8 +206,6 @@ _SCHEMA = (
     ("check.p3_cap", 16, None, _at_least(1)),
     ("check.n", 1024, None, _at_least(1)),
     ("check.paths", 20000, None, _VARIANCE),
-    ("check.gamma_tol", 1e-3, None, None),
-    ("check.sigma2_threshold", 1e-6, None, _at_least(0, " (below 0 the non-degeneracy check cannot fail)")),
     ("simulate.n_values", [64, 128, 256, 512, 1024], None, _STEPS),
     ("simulate.paths", 100000, None, _at_least(1)),
     ("simulate.v_schedule", [16, 32, 64, 128, 256, 512, 1024], None, _STEPS),
@@ -228,32 +224,18 @@ _SCHEMA = (
     ("validate.sigma_scale", 1.0, None, _POSITIVE),
     ("validate.martingale_paths", 4000, None, _at_least(1)),
     ("validate.martingale_horizon", 512, None, _at_least(1)),
+    # the KS distance is not scaled by the survivor count, so a small budget
+    # needs its own bar; every other verdict band is a ValidationThresholds
+    # default that no config can move
+    ("thresholds.ks_threshold", tval.ValidationThresholds.ks_threshold, None, _UNIT),
+    ("thresholds.min_survivors", tval.ValidationThresholds.min_survivors, None, _at_least(1)),
 )
 _ROWS = {row[0]: row for row in _SCHEMA}
-
-# ``thresholds`` takes the ValidationThresholds fields, one row each in the
-# layout of ``_SCHEMA`` with the rule named here; a config keeps only its
-# overrides, so these rows check a leaf only when a source set it
-_THRESHOLD_RULES = {
-    "ratio_band": _BAND,
-    "ratio_z": _POSITIVE,
-    "flat_z": _POSITIVE,
-    "ks_threshold": _UNIT,
-    "ks_rise_allowance": _at_least(0),
-    "negative_control_min": _UNIT,
-    "min_survivors": _at_least(1),
-    "bound_z": _POSITIVE,
-    "slope_band": _BAND,
-}
-_THRESHOLD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(tval.ValidationThresholds)}
-_THRESHOLD_SCHEMA = tuple(
-    (f"thresholds.{name}", default, None, _THRESHOLD_RULES[name]) for name, default in _THRESHOLD_DEFAULTS.items()
-)
 
 
 def _nest(flat: dict) -> dict:
     """The config object for a map of dotted keys to values."""
-    out = {"thresholds": {}}
+    out = {}
     for key, value in flat.items():
         section, _, leaf = key.rpartition(".")
         (out.setdefault(section, {}) if section else out)[leaf] = value
@@ -276,13 +258,11 @@ _SALTS = {
 
 
 def _type_ok(default, value) -> bool:
-    """Whether ``value`` has the JSON type of ``default``: ints pass for floats, tuples are fixed-length lists."""
+    """Whether ``value`` has the JSON type of ``default``: ints pass for floats."""
     if default is None:
         return value is None
-    if isinstance(default, (list, tuple)):
-        if not isinstance(value, list) or (isinstance(default, tuple) and len(value) != len(default)):
-            return False
-        return all(_type_ok(default[0], v) for v in value)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_type_ok(default[0], v) for v in value)
     if isinstance(value, bool):
         return isinstance(default, bool)
     if isinstance(default, float):
@@ -316,10 +296,9 @@ def _merge(flat: dict, obj: dict, defaults: dict = _DEFAULTS, path: str = "") ->
         if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise LawFormatError(f"config: {where!r} must be an object")
-            _merge(flat, value, _THRESHOLD_DEFAULTS if where == "thresholds" else defaults[key], where)
+            _merge(flat, value, defaults[key], where)
         else:
-            alt = _ROWS[where][2] if where in _ROWS else None
-            _check(f"config key {where!r}", value, defaults[key], alt)
+            _check(f"config key {where!r}", value, defaults[key], _ROWS[where][2])
             flat[where] = value
 
 
@@ -336,10 +315,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     ``overrides`` are the command-line flags (``--law``, ``--seed``,
     ``--workers``, ``--out``, and ``sigma_scale`` for ``--sigma-scale``).
     Unknown keys and wrong JSON types in the file are refused as it is read.
-    Once all sources are merged, each ``_SCHEMA`` row, and each
-    ``thresholds`` row whose leaf was set, checks its leaf's type, finiteness
-    and range, and a refusal names the key, variable or flag that set the
-    value.
+    Once all sources are merged, each ``_SCHEMA`` row checks its leaf's
+    type, finiteness and range, and a refusal names the key, variable or
+    flag that set the value.
     """
     flat = {key: copy.deepcopy(default) for key, default, _, _ in _SCHEMA}
     if path is not None:
@@ -368,9 +346,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if flat["seed"] is None:
         raise LawFormatError("no seed given (config key 'seed', CONEFLUCT_SEED, or --seed); "
                              "wall-clock seeding is not supported")
-    for key, default, alt, rule in _SCHEMA + _THRESHOLD_SCHEMA:
-        if key in flat:
-            _check(source.get(key, f"config key {key!r}"), flat[key], default, alt, rule)
+    for key, default, alt, rule in _SCHEMA:
+        _check(source.get(key, f"config key {key!r}"), flat[key], default, alt, rule)
     return _nest(flat)
 
 
@@ -418,8 +395,6 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, np.random.SeedSequence):
         return {"entropy": _jsonable(obj.entropy), "spawn_key": _jsonable(list(obj.spawn_key))}
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     if hasattr(obj, "__dataclass_fields__"):
         return {name: _jsonable(getattr(obj, name)) for name in obj.__dataclass_fields__}
     return obj

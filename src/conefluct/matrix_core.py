@@ -15,7 +15,6 @@ kernels built on top of it live in the simulation layer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,37 +200,19 @@ def hennion_distance(x: SimplexVector, y: SimplexVector) -> float:
     return float(hennion_distances(x.coords, y.coords))
 
 
-def contraction_coeff(g: PositiveMatrix, check_pairs: int = 0, rng=None) -> float:
+def contraction_coeff(g: PositiveMatrix) -> float:
     """Projective contraction coefficient ``c(g) = sup_{x,y} d(g.x, g.y)``.
 
     The image of the simplex under ``g . `` is the projective convex hull of
     the normalized columns (the images of the vertices), so the supremum is
-    evaluated over vertex pairs.  With ``check_pairs > 0`` the vertex value
-    is cross-checked against that many random simplex pairs; if a sampled
-    pair exceeds it beyond 1e-12 the sampled maximum is returned and a
-    warning is emitted.
+    evaluated over vertex pairs.
 
     ``c(g) <= 1`` always, ``c(g) < 1`` iff every entry of ``g`` is positive,
     and ``d(g.x, g.y) <= c(g) d(x, y)`` for all pairs.
     """
     pts = (g.entries / g.entries.sum(axis=0)).T
     i, j = np.triu_indices(g.dim, 1)
-    best = float(hennion_distances(pts[i], pts[j]).max())
-    if check_pairs > 0:
-        rng = np.random.default_rng(rng)
-        sampled = 0.0
-        for _ in range(check_pairs):
-            x = random_simplex_point(g.dim, rng)
-            y = random_simplex_point(g.dim, rng)
-            sampled = max(sampled, hennion_distance(act(g, x)[0], act(g, y)[0]))
-        if sampled > best + 1e-12:
-            warnings.warn(
-                f"sampled contraction {sampled!r} exceeds vertex value {best!r}; "
-                "reporting the sampled maximum",
-                RuntimeWarning,
-            )
-            return sampled
-    return best
+    return float(hennion_distances(pts[i], pts[j]).max())
 
 
 def random_simplex_point(dim: int, rng=None) -> SimplexVector:

@@ -95,7 +95,15 @@ def ks_statistic(sample, cdf) -> float:
 
 @dataclass(frozen=True)
 class ValidationThresholds:
-    """Pass/fail bands for the validation verdicts (all overridable)."""
+    """Pass/fail bands for the validation verdicts.
+
+    Library callers may pass their own; the command line takes only
+    ``ks_threshold`` and ``min_survivors`` from a config, because the KS
+    distance is not scaled by the survivor count and a small budget needs its
+    own bar.  Every other band is scaled by the run's standard error or
+    survivor count, or is a fixed bias band or floor, so no budget needs
+    another value.
+    """
 
     ratio_band: tuple = (0.85, 1.15)
     ratio_z: float = 1.96

@@ -16,8 +16,7 @@ import pytest
 import conefluct
 from conefluct import MatrixLaw, SimplexVector, _batch, fluctuation_sim, mc_sigma2
 from conefluct.cli import (
-    _SCHEMA, _THRESHOLD_SCHEMA, LawFormatError, _fmt, _fmt_column, law_fingerprint, load_config, load_law, main,
-    save_law,
+    _SCHEMA, LawFormatError, _fmt, _fmt_column, law_fingerprint, load_config, load_law, main, save_law,
 )
 from conefluct.fixtures import reference_law_text
 
@@ -152,7 +151,6 @@ def test_config_requires_seed(tmp_path, law_path):
 _LEVELS = "must hold at least 2 positive, strictly increasing levels"
 _STEPS = "must hold at least one step, each >= 1"
 _UNIT = "must lie in (0, 1)"
-_BAND = "must be two positive numbers, lo < hi"
 
 
 @pytest.mark.parametrize(
@@ -161,7 +159,7 @@ _BAND = "must be two positive numbers, lo < hi"
         ({"simulate": {"pathz": 7}}, {}, {}, "pathz"),
         ({"thresholds": {"ks_treshold": 0.1}}, {}, {}, "thresholds.ks_treshold"),
         ({"check": {"paths": "many"}}, {}, {}, "check.paths"),
-        ({"thresholds": {"ratio_band": [0.8, 0.9, 1.2]}}, {}, {}, "thresholds.ratio_band"),
+        ({"thresholds": {"ratio_band": [0.8, 0.9, 1.2]}}, {}, {}, "unknown key 'thresholds.ratio_band'"),
         ({"simulate": {"horizon": 1000000}}, {}, {}, "simulate.horizon"),
         ({}, {"CONEFLUCT_SEED": "abc"}, {}, "CONEFLUCT_SEED"),
         ({}, {"CONEFLUCT_WORKERS": "two"}, {}, "CONEFLUCT_WORKERS"),
@@ -205,19 +203,22 @@ _BAND = "must be two positive numbers, lo < hi"
         ({"check": {"p3_cap": 0}}, {}, {}, "'check.p3_cap' = 0 must be >= 1"),
         ({}, {}, {"seed": -1}, "--seed = -1 must be >= 0"),
         ({}, {"CONEFLUCT_SEED": "-1"}, {}, "CONEFLUCT_SEED = -1 must be >= 0"),
-        ({"check": {"sigma2_threshold": -1}}, {}, {}, "'check.sigma2_threshold' = -1 must be >= 0"),
-        ({"thresholds": {"negative_control_min": -1}}, {}, {}, f"'thresholds.negative_control_min' = -1 {_UNIT}"),
-        ({"thresholds": {"negative_control_min": 1}}, {}, {}, f"'thresholds.negative_control_min' = 1 {_UNIT}"),
+        # the verdict bands other than the KS check's are library constants,
+        # so a config that sets one is refused as setting an unknown key
+        ({"check": {"sigma2_threshold": -1}}, {}, {}, "unknown key 'check.sigma2_threshold'"),
+        ({"thresholds": {"negative_control_min": -1}}, {}, {}, "unknown key 'thresholds.negative_control_min'"),
+        ({"thresholds": {"negative_control_min": 1}}, {}, {}, "unknown key 'thresholds.negative_control_min'"),
         ({"thresholds": {"ks_threshold": 0}}, {}, {}, f"'thresholds.ks_threshold' = 0 {_UNIT}"),
         ({"thresholds": {"ks_threshold": 1.5}}, {}, {}, f"'thresholds.ks_threshold' = 1.5 {_UNIT}"),
-        ({"thresholds": {"ratio_z": 0}}, {}, {}, "'thresholds.ratio_z' = 0 must be positive"),
-        ({"thresholds": {"flat_z": -3.0}}, {}, {}, "'thresholds.flat_z' = -3.0 must be positive"),
-        ({"thresholds": {"bound_z": 0.0}}, {}, {}, "'thresholds.bound_z' = 0.0 must be positive"),
+        ({"thresholds": {"ratio_z": 0}}, {}, {}, "unknown key 'thresholds.ratio_z'"),
+        ({"thresholds": {"flat_z": -3.0}}, {}, {}, "unknown key 'thresholds.flat_z'"),
+        ({"thresholds": {"bound_z": 0.0}}, {}, {}, "unknown key 'thresholds.bound_z'"),
         ({"thresholds": {"min_survivors": 0}}, {}, {}, "'thresholds.min_survivors' = 0 must be >= 1"),
-        ({"thresholds": {"ks_rise_allowance": -0.5}}, {}, {}, "'thresholds.ks_rise_allowance' = -0.5 must be >= 0"),
-        ({"thresholds": {"ratio_band": [1.15, 0.85]}}, {}, {}, f"'thresholds.ratio_band' = [1.15, 0.85] {_BAND}"),
-        ({"thresholds": {"ratio_band": [1.0, 1.0]}}, {}, {}, f"'thresholds.ratio_band' = [1.0, 1.0] {_BAND}"),
-        ({"thresholds": {"slope_band": [0, 1.1]}}, {}, {}, f"'thresholds.slope_band' = [0, 1.1] {_BAND}"),
+        ({"thresholds": {"ks_rise_allowance": -0.5}}, {}, {}, "unknown key 'thresholds.ks_rise_allowance'"),
+        ({"thresholds": {"ratio_band": [1.15, 0.85]}}, {}, {}, "unknown key 'thresholds.ratio_band'"),
+        ({"thresholds": {"ratio_band": [1.0, 1.0]}}, {}, {}, "unknown key 'thresholds.ratio_band'"),
+        ({"thresholds": {"slope_band": [0, 1.1]}}, {}, {}, "unknown key 'thresholds.slope_band'"),
+        ({"check": {"gamma_tol": 1e9}}, {}, {}, "unknown key 'check.gamma_tol'"),
     ],
     ids=[
         "unknown-key", "unknown-threshold", "wrong-type", "wrong-length", "removed-horizon",
@@ -234,7 +235,7 @@ _BAND = "must be two positive numbers, lo < hi"
         "negative-sigma2-threshold", "negative-control-min-negative", "negative-control-min-one",
         "zero-ks-threshold", "ks-threshold-over-one", "zero-ratio-z", "negative-flat-z", "zero-bound-z",
         "zero-min-survivors", "negative-ks-rise-allowance", "reversed-ratio-band", "empty-ratio-band",
-        "zero-slope-band-lo",
+        "zero-slope-band-lo", "removed-gamma-tol",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, law_path, capsys, monkeypatch, override, env, flags, needle):
@@ -287,7 +288,37 @@ def test_readme_config_table_lists_every_schema_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("### Config files") : readme.index("### Artifacts")]
     rows = {m.group(1) for m in re.finditer(r"^\| `([^`]+)` \|", section, re.MULTILINE)}
-    assert {key for key, *_ in _SCHEMA + _THRESHOLD_SCHEMA} <= rows
+    assert {key for key, *_ in _SCHEMA} == rows
+
+
+def test_config_cannot_switch_a_verdict_off(tmp_path, law_path, ref_law, capsys):
+    """The configs that turned a failing verdict into a pass are refused before any stage runs.
+
+    Every atom of the reference law scaled by 1.05 drifts (gamma_hat about
+    0.049), so ``check`` fails it at the default drift tolerance; with
+    ``--sigma-scale 1.01`` the negative-control verdict fails at the default
+    KS floor, because that budget cannot tell sigma * 1.01 from sigma.
+    """
+    drifting = tmp_path / "drifting.json"
+    save_law(MatrixLaw.from_entries([g.entries * 1.05 for g in ref_law.atoms], ref_law.weights), drifting)
+    assert main(["check", "--law", str(drifting), "--seed", "7", "--out", str(tmp_path / "drift")]) == 1
+    assert "FAIL drift" in capsys.readouterr().out
+    runs = (
+        (["check", "--law", str(drifting)], {"check": {"gamma_tol": 1e9}}, "check.gamma_tol"),
+        (
+            ["validate", "--law", str(law_path), "--sigma-scale", "1.01"],
+            {"thresholds": {"negative_control_min": 1e-9}},
+            "thresholds.negative_control_min",
+        ),
+    )
+    for k, (argv, override, key) in enumerate(runs):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(json.dumps(override), encoding="utf-8")
+        out = tmp_path / f"out{k}"
+        assert main([*argv, "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config: unknown key {key!r}\n"
+        assert captured.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------
