@@ -8,7 +8,8 @@ increasing tuple of start levels, one level being a one-element tuple.
 The increments do not depend on the level, so one path set carried from
 the lowest level ``a_0`` is the killed walk at every level: level l is
 shifted by ``a_l - a_0``, a path is dropped once it is dead at the top
-level, and the levels below the top read a running minimum of the walk.
+level, and each path keeps the threshold of its lowest level still alive,
+lowered only when the walk reaches it.
 
 Paths are processed in fixed-size chunks.  The master seed is expanded with
 ``SeedSequence.spawn`` into one substream per chunk, each chunk has its own
@@ -49,25 +50,29 @@ commutes, so the d = 2 bits depend on no summation order.
 
 The atom draw is an indexed search (Chen & Asau, AIIE Transactions 6, 1974)
 that returns exactly the index ``np.searchsorted(cum_weights, u,
-side="right")`` would.  ``[0, 1)`` is cut into ``2**GUIDE_BITS`` equal bins;
-scaling ``u`` by that power of two is exact, so truncation finds the bin of
-``u`` without rounding.  A bin that holds no cumulative weight maps every
-uniform in it to one index, read from a table; only uniforms in a bin that
-holds one (a split bin) fall back to the binary search.
+side="right")`` would.  ``[0, 1)`` is cut into a power of two of equal bins,
+``2**GUIDE_BITS`` or 16 per entry of a longer stack, at most
+``2**GUIDE_MAX_BITS``; scaling ``u`` by that power of two is exact, so
+truncation finds the bin of ``u`` without rounding.  A bin that holds no
+cumulative weight maps every uniform in it to one index, read from a table;
+only uniforms in a bin that holds one (a split bin) fall back to the binary
+search.  Sizing the table to the stack keeps split bins rare: a 4096-word
+stack splits 84% of 2**12 bins and 6% of 2**16.
 
-Both kernels step by words of ``b`` letters where they can.  The walk
-sampled every ``b`` steps is the walk of the b-fold convolution, whose atoms
-are the ``K**b`` products of ``b`` letters, so one uniform and one projective
-step through the word stack (``word_table``) cover ``b`` steps.  ``b`` is the
-largest value with ``K**b <= WORD_ATOMS``; it is 1 for a one-atom law and
-for ``K > 16``, and such laws step by letters only, with the same bits as a
-letter kernel.  So does a law whose word products leave the normal float
-range: a prefix product with an infinite or subnormal entry, or a column sum
-that is not finite and positive, would step ``X`` and ``S`` inexactly, so
-``word_table`` gives such a law no words.  The letters of a word are the
-base-K digits of its index, the first letter to act the most significant, so
-the word weights are the letter weights multiplied in that order and the
-word stack decodes back to the letter walk.
+Both kernels step by words of ``b`` letters where they can.  The walk sampled
+every ``b`` steps is the walk of the b-fold convolution, whose atoms are the
+``K**b`` products of ``b`` letters, so one uniform and one projective step
+through the word stack (``word_table``) cover ``b`` steps.  ``b`` is the
+largest value up to ``WORD_LETTERS`` with ``K**b <= WORD_ATOMS``: 8 for ``K =
+2``, 2 for ``17 <= K <= 64``.  It is 1 for a one-atom law and for ``K > 64``,
+and such laws step by letters only, with the same bits as a letter kernel.  So
+does a law whose word products leave the normal float range: a prefix product
+with an infinite or subnormal entry, or a column sum that is not finite and
+positive, would step ``X`` and ``S`` inexactly, so ``word_table`` gives such a
+law no words.  The letters of a word are the base-K digits of its index, the
+first letter to act the most significant, so the word weights are the letter
+weights multiplied in that order and the word stack decodes back to the letter
+walk.
 
 A word never steps past a recorded or reported step.  In the killed walk the
 exits stay exact by the word's prefix masses: with ``c_j`` the column sums of
@@ -78,9 +83,9 @@ word falls more than ``H(w) = max(0, max_j -log min_i c_{j,i})`` below its
 start.  Every path takes the word's product for ``X`` and ``S``.  A path
 whose ``S - H(w)`` clears the threshold of the lowest level still alive for
 it by ``WORD_MARGIN`` cannot exit inside the word; for every other path the
-in-word minimum ``S + log(min_j c_j . x)`` over the prefixes ``j < b``,
-folded with the word-end ``S`` and the running minimum, gives its exit at
-every level and its new running minimum.  No letter is replayed.
+in-word minimum ``S + log(min_j c_j . x)`` over the prefixes ``j < b``, with
+the word-end ``S``, gives its exit at every level and its new lowest live
+level.  No letter is replayed.
 
 Every exit test counts ``S <= EXIT_TOL`` (``2**-30``) as an exit.  The
 log-mass of a word or of a prefix differs from the sum of its letters' by
@@ -104,14 +109,19 @@ CHUNK_PATHS = 16384
 # only: a group's chunks keep their own substreams and results
 GROUP_PATHS = 2**18
 
-# bins of the atom draw's guide table.  Any value gives the same indices; 4096
-# bins keep the table small and leave few bins split (none for the reference
-# law, 1.5% for 64 atoms)
+# bins of the atom draw's guide table: 2**GUIDE_BITS, or 16 per entry of a
+# longer stack, at most 2**GUIDE_MAX_BITS.  Any size gives the same indices.
+# A bin that holds a cumulative weight falls back to a binary search, so the
+# table grows with the stack: 4096 bins split none of the reference law's,
+# and 1.5% for 64 atoms, but 84% for 4096 words, which 2**16 bins cut to 6%
 GUIDE_BITS = 12
+GUIDE_MAX_BITS = 16
 
-# most atoms of a word stack: a K-atom law steps by words of the largest b
-# with K**b <= WORD_ATOMS letters (8 for K = 2, 1 from K = 17 on)
-WORD_ATOMS = 256
+# most atoms of a word stack: a K-atom law steps by words of the largest b <=
+# WORD_LETTERS with K**b <= WORD_ATOMS (8 for K = 2, 2 for K = 17 to 64, 1
+# from K = 65 on).  The cap keeps the two-atom reference law at 256 words
+WORD_ATOMS = 4096
+WORD_LETTERS = 8
 
 # every exit test counts S <= EXIT_TOL as an exit (see the module docstring)
 EXIT_TOL = 2.0**-30
@@ -233,18 +243,32 @@ def run_chunks(fn, args: tuple, paths: int, seed, workers: int = 1) -> list:
 def guide_table(cum_weights: np.ndarray):
     """The guide table ``draw_indices`` reads for these cumulative weights.
 
-    Bin ``b`` covers ``[b/B, (b+1)/B)`` with ``B = 2**GUIDE_BITS``.  ``lo[b]``
-    is the atom ``searchsorted(..., side="right")`` gives at the bin's left
-    edge; the bin is split when a cumulative weight lies inside it, that is
-    when the count of weights below its right edge differs from ``lo[b]``.
-    The split mask is ``None`` when no bin is split.  Kernels build the table
-    once per group of chunks.
+    The table has ``B = 2**bits`` bins, ``bits`` the larger of
+    ``GUIDE_BITS`` and ``ceil(log2 N) + 4`` for ``N`` weights (at least 16
+    bins per weight), at most ``GUIDE_MAX_BITS``.  Bin ``b`` covers ``[b/B,
+    (b+1)/B)``.  ``lo[b]`` is the atom ``searchsorted(..., side="right")``
+    gives at the bin's left edge, the count of weights ``w`` with ``w * B <=
+    b``, that is with ``ceil(w * B) <= b``.  The bin is split when a weight
+    lies strictly inside it, that is when ``floor(w * B) = b`` and ``w * B``
+    is not a whole number; ``lo`` holds the marker ``N + 1``, which no count
+    reaches, for a split bin.  ``B`` is a power of two, so ``w * B`` is exact
+    and both tests are exact.  ``lo`` has the narrowest unsigned type that
+    holds the marker.  The guide is ``(cum_weights, lo, marker, B)``, with
+    the marker ``None`` when no bin is split.  Kernels build the table once
+    per group of chunks.
     """
-    bins = 1 << GUIDE_BITS
-    edges = np.arange(bins + 1) / bins
-    lo = np.searchsorted(cum_weights, edges[:-1], side="right")
-    split = lo != np.searchsorted(cum_weights, edges[1:], side="left")
-    return cum_weights, lo, split if split.any() else None
+    count = cum_weights.shape[0]
+    bits = min(GUIDE_MAX_BITS, max(GUIDE_BITS, (count - 1).bit_length() + 4))
+    scale = 1 << bits
+    scaled = cum_weights * scale
+    marker = count + 1
+    # weight i sends every bin from ceil(w_i * B) on to an atom past i
+    first = np.ceil(scaled).astype(np.intp)
+    lo = np.repeat(np.arange(marker, dtype=np.min_scalar_type(marker)), np.diff(first, prepend=0, append=scale))
+    split = np.floor(scaled)
+    split = split[split != scaled].astype(np.intp)
+    lo[split] = marker
+    return cum_weights, lo, marker if split.size else None, scale
 
 
 def draw_indices(guide, u: np.ndarray) -> np.ndarray:
@@ -253,18 +277,18 @@ def draw_indices(guide, u: np.ndarray) -> np.ndarray:
     ``guide`` comes from ``guide_table``.  The result equals
     ``np.searchsorted(cum_weights, u, side="right")``, the count of weights
     ``<= u``, exactly: ``u * B`` is exact because ``B`` is a power of two,
-    and truncation is the floor for ``u >= 0``, so ``b`` is the bin that
-    holds ``u``.  For ``u`` in bin ``b`` that count lies between ``lo[b]``,
-    the count ``<= b/B``, and the count ``< (b+1)/B``; in an unsplit bin the
-    two agree.  Only uniforms in split bins go through ``searchsorted``.
+    and truncation is the floor for ``u >= 0``, so it is the bin that holds
+    ``u``.  For ``u`` in bin ``b`` that count lies between ``lo[b]``, the
+    count ``<= b/B``, and the count ``< (b+1)/B``; in an unsplit bin the two
+    agree.  Only uniforms in split bins go through ``searchsorted``.
     """
-    cum_weights, lo, split = guide
-    b = (u * (1 << GUIDE_BITS)).astype(np.intp)
-    idx = lo.take(b)
-    if split is not None:
-        fix = np.flatnonzero(split.take(b))
-        if fix.size:
-            idx[fix] = np.searchsorted(cum_weights, u.take(fix), side="right")
+    cum_weights, lo, marker, scale = guide
+    idx = lo.take((u * scale).astype(np.intp))
+    fix = None if marker is None else np.flatnonzero(idx == marker)
+    # ``take`` converts narrower indices on every call, so they widen here, once
+    idx = idx.astype(np.intp)
+    if fix is not None and fix.size:
+        idx[fix] = np.searchsorted(cum_weights, u.take(fix), side="right")
     return idx
 
 
@@ -279,9 +303,9 @@ def step_table(atom_stack: np.ndarray):
 
 
 def word_length(K: int) -> int:
-    """Letters per word for a K-atom law: the largest b with ``K**b <= WORD_ATOMS``."""
+    """Letters per word for a K-atom law: the largest b <= ``WORD_LETTERS`` with ``K**b <= WORD_ATOMS``."""
     b = 1
-    while K > 1 and K ** (b + 1) <= WORD_ATOMS:
+    while K > 1 and b < WORD_LETTERS and K ** (b + 1) <= WORD_ATOMS:
         b += 1
     return b
 
@@ -331,9 +355,9 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
     prods = np.eye(d)[None]
     w = np.ones(1)
     drop = np.zeros(1)
-    sums = []
+    prefix = [np.empty((K**b, b - 1)) for _ in range(d)]
     tiny = np.finfo(float).tiny
-    for _ in range(b):
+    for j in range(1, b + 1):
         with np.errstate(over="ignore", under="ignore"):
             prods = np.matmul(atom_stack[None], prods[:, None]).reshape(-1, d, d)
             cols = prods.sum(axis=1)
@@ -342,13 +366,15 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
         if not normal.all() or not ((cols > 0.0) & (cols < np.inf)).all():
             return None
         drop = np.maximum(np.repeat(drop, K), -np.log(cols.min(axis=1)))
-        sums.append(cols)
+        if j < b:
+            # the j-letter prefixes' sums, each repeated for the K**(b-j) words that extend it
+            for i, c in enumerate(prefix):
+                c[:, j - 1] = np.repeat(cols[:, i], K ** (b - j))
+    table = step_table(prods)
+    del prods, cols  # the step table holds copies
     cum = np.minimum(np.cumsum(w), 1.0)
     cum[-1] = 1.0
-    # the j-letter prefixes' sums, each repeated for the K**(b-j) words that extend it
-    expanded = [np.repeat(c, K ** (b - 1 - j), axis=0) for j, c in enumerate(sums[:-1])]
-    prefix = [np.stack([c[:, i] for c in expanded], axis=1) for i in range(d)]
-    return Words(table=step_table(prods), guide=guide_table(cum), drop=drop, prefix=prefix)
+    return Words(table=table, guide=guide_table(cum), drop=drop, prefix=prefix)
 
 
 def _start(atom_stack: np.ndarray, x0, size: int) -> list:
@@ -419,13 +445,12 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
             x_rec[0] = X[0]
         step = 0
         while step < n:
-            u = rng.random(size)
             if b > 1 and step + b <= n and step + b not in want_rho and recorded.isdisjoint(range(step + 1, step + b)):
-                X, rho = projective_step(words.table, draw_indices(words.guide, u), X)
-                step += b
+                stack, draw, step = words.table, words.guide, step + b
             else:
-                X, rho = projective_step(table, draw_indices(guide, u), X)
-                step += 1
+                stack, draw, step = table, guide, step + 1
+            # the uniforms are dropped once drawn, before the step allocates
+            X, rho = projective_step(stack, draw_indices(draw, rng.random(size)), X)
             S = S + rho
             if step in want_s:
                 s_rec[want_s[step]] = S
@@ -437,42 +462,62 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     return out
 
 
-def _word_step(words: Words, u, X, S, runmin, rising):
-    """Advance every held path by one word; returns ``X``, ``S``, ``runmin`` and the alive mask.
+def _lower(thr: np.ndarray, low: np.ndarray, rising: np.ndarray, at: np.ndarray | None = None) -> None:
+    """Lower the live thresholds ``thr`` in place wherever a path's new low reaches its own.
 
+    ``low`` holds the lows of the paths ``at``, of every path when ``at`` is
+    None.  A path whose low is ``<=`` its threshold has lost that level; its
+    new threshold is the highest of ``rising`` (the thresholds in increasing
+    order) below the low.  A low that reaches ``rising[0]`` kills the path,
+    which is dropped before its threshold is read again.
+    """
+    dip = np.flatnonzero(low <= (thr if at is None else thr.take(at)))
+    if dip.size:
+        thr[dip if at is None else at.take(dip)] = rising[np.searchsorted(rising, low.take(dip)) - 1]
+
+
+def _word_step(words: Words, widx, X, S, thr, rising):
+    """Advance every held path by the words ``widx``; returns ``X``, ``S`` and the alive mask.
+
+    ``thr`` is each path's live threshold, that of its lowest level still
+    alive, updated in place; with one level it is the scalar ``rising[0]``.
     Every path takes the word's product.  A path whose start ``S`` less the
-    word's drop bound clears its threshold (the lowest alive level's, read
-    from ``rising``, the thresholds in increasing order, through the running
-    minimum) by ``WORD_MARGIN`` cannot exit inside the word.  No threshold
-    exceeds ``rising[-1]``, so only the paths that do not clear that one are
-    searched for their own.  For every other path the prefix masses give the
-    lowest point inside the word, ``S + log(min_j c_j . x)``; folded with the
-    word-end ``S`` and the running minimum, it is alive while that minimum
-    stays above ``rising[0]``, the top level's threshold.
+    word's drop bound clears ``thr`` by ``WORD_MARGIN`` cannot exit inside
+    the word.  For every other path the prefix masses give the lowest point
+    inside the word, ``S + log(min_j c_j . x)``.  The lower of that point
+    and the word-end ``S`` is the path's low over the word: it is alive
+    while its low stays above ``rising[0]``, the top level's threshold.
     """
     floor = rising[0]
-    widx = draw_indices(words.guide, u)
-    room = S - words.drop.take(widx)
-    near = np.flatnonzero(room <= rising[-1] + WORD_MARGIN)
-    if runmin is not None and near.size:
-        thr = rising[np.searchsorted(rising, runmin.take(near)) - 1]
-        near = near[room.take(near) <= thr + WORD_MARGIN]
-    X_end, rho = projective_step(words.table, widx, X)
-    S_end = S + rho
-    alive = S_end > floor
-    if runmin is not None:
-        runmin = np.minimum(runmin, S_end)
+    room = words.drop.take(widx)
+    np.subtract(S, room, out=room)
+    near = np.flatnonzero(room <= thr + WORD_MARGIN)
+    del room
     if near.size:
         wn = widx.take(near)
-        mass = words.prefix[0].take(wn, axis=0) * X[0].take(near)[:, None]
+        mass = words.prefix[0].take(wn, axis=0)
+        mass *= X[0].take(near)[:, None]
         for c, x in zip(words.prefix[1:], X[1:], strict=True):
-            mass += c.take(wn, axis=0) * x.take(near)[:, None]
-        inside = S.take(near) + np.log(mass.min(axis=1))
-        low = np.minimum((S_end if runmin is None else runmin).take(near), inside)
+            term = c.take(wn, axis=0)
+            term *= x.take(near)[:, None]
+            mass += term
+        # the lowest point inside the word, from the start state
+        low = np.log(mass.min(axis=1))
+        low += S.take(near)
+        del wn, mass, term  # before the step allocates the end state
+    X_end, S_end = projective_step(words.table, widx, X)
+    S_end += S
+    alive = S_end > floor
+    many = isinstance(thr, np.ndarray)
+    if near.size:
+        np.minimum(low, S_end.take(near), out=low)
         alive[near] = low > floor
-        if runmin is not None:
-            runmin[near] = low
-    return X_end, S_end, runmin, alive
+        if many:
+            _lower(thr, low, rising, near)
+    if many:
+        # a near path's threshold is now below its word-end S, so only far paths can move here
+        _lower(thr, S_end, rising)
+    return X_end, S_end, alive
 
 
 def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, sizes, seeds):
@@ -493,8 +538,11 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     is dead once ``S`` falls to its threshold ``EXIT_TOL - (a_l - a_0)``.  A
     path is dropped once dead at the top level, so cost tracks the alive
     count there and every path still held is alive there.  A lower level is
-    alive while the running minimum of ``S`` stays above its threshold; that
-    minimum is kept only when there is such a level.
+    alive while the running minimum of ``S`` stays above its threshold, so
+    the live levels of a path are those whose threshold is at most that of
+    its lowest live level.  Each path keeps that live threshold, lowered
+    only when the walk reaches it, and only when there is more than one
+    level.
 
     At each ``n`` in ``n_values`` (sorted, 1-based) each chunk reports, per
     level, the survivor count and the survivor sums of the value and its
@@ -524,7 +572,7 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     size = sum(held)
     X = _start(atom_stack, x0, size)
     S = np.full(size, levels[0])
-    runmin = np.full(size, np.inf) if top else None
+    thr = np.full(size, rising[-1]) if top else floor
     counts = np.zeros((len(held), levels.size, len(n_values)), dtype=np.int64)
     sums = np.zeros(counts.shape)
     sums2 = np.zeros(counts.shape)
@@ -538,21 +586,25 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
                 if k:
                     rng.random(k, out=u[lo : lo + k])
                     lo += k
-            if b > 1 and step + b <= n:
-                X, S, runmin, alive = _word_step(words, u, X, S, runmin, rising)
+            word = b > 1 and step + b <= n
+            idx = draw_indices(words.guide if word else guide, u)
+            del u  # before the step allocates
+            if word:
+                X, S, alive = _word_step(words, idx, X, S, thr, rising)
                 step += b
             else:
-                X, rho = projective_step(table, draw_indices(guide, u), X)
-                S = S + rho
+                X, rho = projective_step(table, idx, X)
+                rho += S
+                S = rho
                 step += 1
                 alive = S > floor
                 if top:
-                    np.minimum(runmin, S, out=runmin)
+                    _lower(thr, S, rising)
             if not alive.all():
                 X = [x[alive] for x in X]
                 S = S[alive]
                 if top:
-                    runmin = runmin[alive]
+                    thr = thr[alive]
                 lo = 0
                 for c, k in enumerate(held):
                     held[c] = np.count_nonzero(alive[lo : lo + k])
@@ -564,7 +616,7 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
         for c, k in enumerate(held):
             hi = lo + k
             for l, off in enumerate(shift):
-                value = (S[lo:hi] if l == top else S[lo:hi][runmin[lo:hi] > thresholds[l]]) + off
+                value = (S[lo:hi] if l == top else S[lo:hi][thr[lo:hi] >= thresholds[l]]) + off
                 counts[c, l, pos] = value.shape[0]
                 sums[c, l, pos] = value.sum()
                 sums2[c, l, pos] = np.square(value).sum()

@@ -371,7 +371,16 @@ def covariance_decay(
         seed,
         workers,
     )
-    rho = np.concatenate([r for _, r, _, _ in parts], axis=1)
+    # one (lags, paths) array filled chunk by chunk; each chunk's rows are
+    # freed as they are copied, so the chunks and the whole are never both held
+    rho = np.empty((len(steps), paths))
+    lo = 0
+    parts.reverse()
+    while parts:
+        chunk = parts.pop()[1]
+        rho[:, lo : lo + chunk.shape[1]] = chunk
+        lo += chunk.shape[1]
+        del chunk
     base = rho[0] - rho[0].mean()
     lags = np.arange(max_lag + 1)
     cov = np.empty(max_lag + 1)

@@ -335,18 +335,27 @@ def multilevel_survival_chunk(atom_stack, cum_weights, x0, levels, n_values, siz
 # ---------------------------------------------------------------------------
 # word-decoding reference kernels
 #
-# The library steps a law of K atoms by words of b letters, b the largest with
-# K**b <= 256, through a stack of word products and a drop bound.  These
-# references draw the same one uniform per held path per word, look the word
-# up in cumulative word weights built by a loop over ``itertools.product``,
-# and step its letters one at a time with ``stepper``, testing every exit
-# after every letter; they use no word product and no bound.  A word is taken
-# where the library takes one, by the same rule written out again here.
+# The library steps a law of K atoms by words of b letters, b the largest up
+# to 8 with K**b <= 4096, through a stack of word products and a drop bound.
+# These references draw the same one uniform per held path per word, look the
+# word up in cumulative word weights built by a loop over
+# ``itertools.product``, and step its letters one at a time with ``stepper``,
+# testing every exit after every letter; they use no word product and no
+# bound.  A word is taken where the library takes one, by the same rule
+# written out again here.
 
 
 def word_length(K: int) -> int:
-    """The largest b with ``K**b <= 256``, at least 1; 1 for a one-atom law."""
-    return max((b for b in range(1, 9) if K**b <= 256), default=1) if K > 1 else 1
+    """The largest b <= 8 with ``K**b <= 4096``, at least 1; 1 for a one-atom law.
+
+    Counts down from 8, where the library counts up from 1.
+    """
+    if K == 1:
+        return 1
+    b = 8
+    while b > 1 and K**b > 4096:
+        b -= 1
+    return b
 
 
 def word_draw_table(cum_weights: np.ndarray, b: int):

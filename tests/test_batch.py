@@ -1,11 +1,12 @@
 """The walk kernels against the generic (m, d) reference kernels in ``oracles``.
 
 The library carries the walk state as one coordinate row per simplex
-coordinate in every dimension and sums left to right.  Laws of more than 16
-atoms step by letters: at d = 2 every output equals the ``einsum`` reference
-bit for bit, and at d >= 3 it equals the left-fold reference bit for bit and
-the ``einsum`` reference, whose summation order is numpy's own, to rounding
-level with the same survivors.  Laws of 2 to 16 atoms step by words of b
+coordinate in every dimension and sums left to right.  Laws that step by
+letters (one atom, more than 64 atoms, or word products out of the float
+range): at d = 2 every output equals the ``einsum`` reference bit for bit,
+and at d >= 3 it equals the left-fold reference bit for bit and the
+``einsum`` reference, whose summation order is numpy's own, to rounding
+level with the same survivors.  Laws of 2 to 64 atoms step by words of b
 letters; against the word-decoding references, which step every letter of
 every word, survivor counts match exactly and values to rounding level.
 """
@@ -46,8 +47,10 @@ def _law(name: str) -> MatrixLaw:
 
 
 # at a = 16 many early steps kill nobody, so the survival kernel's skipped
-# compaction is compared as well.  The reference law (b = 8) and the K = 3
-# law (b = 5) step by words, the others by letters
+# compaction is compared as well.  Every law but the one-atom law steps by
+# words, against the word-decoding references: the reference law by b = 8
+# letters, the K = 3 law by b = 7 and the 64-atom laws by b = 2, drawn from
+# 4096 words through a 2**16-bin guide with split bins
 CASES = [
     ("reference", 1.0),
     ("reference", 8.0),
@@ -95,10 +98,10 @@ def _assert_close(got, want, rtol: float = 0.0, atol: float = 0.0) -> None:
     assert np.allclose(got, want, rtol=rtol, atol=atol)
 
 
-def _probes(cum: np.ndarray, rng) -> np.ndarray:
-    """Random uniforms, every bin edge and its predecessor, each cumulative
-    weight and its neighbours one ulp away, and both ends of [0, 1)."""
-    bins = 1 << _batch.GUIDE_BITS
+def _probes(cum: np.ndarray, guide, rng) -> np.ndarray:
+    """Random uniforms, every bin edge of ``guide`` and its predecessor, each
+    cumulative weight and its neighbours one ulp away, and both ends of [0, 1)."""
+    bins = guide[3]
     edges = np.arange(bins + 1) / bins
     u = np.concatenate(
         [
@@ -125,9 +128,27 @@ def test_draw_indices_matches_searchsorted(K):
         weights = rng.random(K) + 0.01
         weights /= weights.sum()
     cum = MatrixLaw.from_entries([np.ones((2, 2))] * len(weights), weights).cum_weights
-    u = _probes(cum, rng)
-    got = _batch.draw_indices(_batch.guide_table(cum), u)
+    guide = _batch.guide_table(cum)
+    u = _probes(cum, guide, rng)
+    got = _batch.draw_indices(guide, u)
     assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+
+
+def test_guide_table_grows_with_the_stack():
+    """4096 words split at most 1/8 of their guide's bins; no guide exceeds 2**16 bins."""
+    law = _law("d3k64")
+    words = _batch.word_table(law.atom_stack, law.cum_weights)
+    assert words.length == 2 and words.guide[0].shape == (4096,)
+    _, lo, marker, bins = words.guide
+    assert bins == 2**16 and lo.shape == (bins,) and lo.dtype.itemsize <= 4
+    assert 0 < np.count_nonzero(lo == marker) <= bins // 8
+    # a law of 256 atoms or words keeps 2**12 bins
+    assert _batch.guide_table(reference_law().cum_weights)[3] == 2**12
+    assert _batch.word_table(reference_law().atom_stack, reference_law().cum_weights).guide[3] == 2**12
+    weights = np.random.default_rng(18).random(20000) + 0.01
+    cum = MatrixLaw.from_entries([np.ones((2, 2))] * weights.size, weights / weights.sum()).cum_weights
+    _, lo, _, bins = _batch.guide_table(cum)
+    assert bins == 2**16 and lo.shape == (bins,)
 
 
 @pytest.mark.parametrize("name,a", CASES, ids=[f"{n}-a{a:g}" for n, a in CASES])
@@ -269,7 +290,8 @@ def test_walk_chunk_matches_einsum_reference(name, a):
 
 
 def test_word_length():
-    assert [_batch.word_length(K) for K in (1, 2, 3, 4, 5, 6, 7, 16, 17, 64)] == [1, 8, 5, 4, 3, 3, 2, 2, 1, 1]
+    Ks = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 64, 65)
+    assert [_batch.word_length(K) for K in Ks] == [1, 8, 7, 6, 5, 4, 4, 4, 3, 3, 2, 2, 1]
     for K in range(1, 300):
         assert _batch.word_length(K) == oracles.word_length(K)
 
@@ -442,8 +464,8 @@ def test_d2_step_follows_left_product(name):
 
 GROUP_LAWS = {
     "reference": lambda: _law("reference"),  # words of b = 8 letters
-    "k3": lambda: _law("k3"),  # words of b = 5, split bins
-    "d3k64": lambda: _law("d3k64"),  # d = 3, K = 64: letters
+    "k3": lambda: _law("k3"),  # words of b = 7, split bins
+    "d3k64": lambda: _law("d3k64"),  # d = 3, K = 64: words of b = 2, split bins
     "mixed-1e60": FLOAT_RANGE_LAWS["mixed-1e60"],  # word products out of the float range: letters
 }
 
