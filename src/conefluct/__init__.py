@@ -56,6 +56,7 @@ from .fluctuation_sim import (
     estimate_V,
     exit_ordering_violations,
     martingale_gap,
+    martingale_guards,
     mc_sigma2,
     simulate_paths,
     survival_probability,

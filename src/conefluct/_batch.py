@@ -1,15 +1,16 @@
 """Vectorized projective-walk kernels shared by the law and simulation layers.
 
-There are two walk kernels, both built on ``draw_indices`` and
+There are three walk kernels, all built on ``draw_indices`` and
 ``projective_step``: ``walk_chunk`` runs the free walk over the full horizon
-and records selected steps, and ``survival_chunk`` runs the killed walk,
-dropping each path at its exit.  The killed walk always takes a strictly
-increasing tuple of start levels, one level being a one-element tuple.
-The increments do not depend on the level, so one path set carried from
-the lowest level ``a_0`` is the killed walk at every level: level l is
-shifted by ``a_l - a_0``, a path is dropped once it is dead at the top
-level, and each path keeps the threshold of its lowest level still alive,
-lowered only when the walk reaches it.
+and records selected steps, ``martingale_chunk`` runs it over the full
+horizon and reduces the two martingale guards as it steps, keeping O(paths)
+state, and ``survival_chunk`` runs the killed walk, dropping each path at its
+exit.  The killed walk always takes a strictly increasing tuple of start
+levels, one level being a one-element tuple.  The increments do not depend
+on the level, so one path set carried from the lowest level ``a_0`` is the
+killed walk at every level: level l is shifted by ``a_l - a_0``, a path is
+dropped once it is dead at the top level, and each path keeps the threshold
+of its lowest level still alive, lowered only when the walk reaches it.
 
 Paths are processed in fixed-size chunks.  The master seed is expanded with
 ``SeedSequence.spawn`` into one substream per chunk, each chunk has its own
@@ -59,10 +60,11 @@ only uniforms in a bin that holds one (a split bin) fall back to the binary
 search.  Sizing the table to the stack keeps split bins rare: a 4096-word
 stack splits 84% of 2**12 bins and 6% of 2**16.
 
-Both kernels step by words of ``b`` letters where they can.  The walk sampled
-every ``b`` steps is the walk of the b-fold convolution, whose atoms are the
-``K**b`` products of ``b`` letters, so one uniform and one projective step
-through the word stack (``word_table``) cover ``b`` steps.  ``b`` is the
+``walk_chunk`` and ``survival_chunk`` step by words of ``b`` letters where
+they can; ``martingale_chunk`` reads every step, so it steps by letters.  The
+walk sampled every ``b`` steps is the walk of the b-fold convolution, whose
+atoms are the ``K**b`` products of ``b`` letters, so one uniform and one
+projective step through the word stack (``word_table``) cover ``b`` steps.  ``b`` is the
 largest value up to ``WORD_LETTERS`` with ``K**b <= WORD_ATOMS``: 8 for ``K =
 2``, 2 for ``17 <= K <= 64``.  It is 1 for a one-atom law and for ``K > 64``,
 and such laws step by letters only, with the same bits as a letter kernel.  So
@@ -459,6 +461,47 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
             if step in want_x:
                 x_rec[want_x[step]] = X[0]
         out.append((s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None))
+    return out
+
+
+def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes, seeds):
+    """Full-horizon walk (no exit filtering) that reduces the martingale guards as it steps.
+
+    ``params`` and ``theta`` tabulate the d = 2 potential on the grid, read
+    at the first simplex coordinate by ``np.interp``.  At every step n the
+    compensated walk is ``M_n = (S_n + Theta(X_n)) - Theta(x_0)``.  Runs one
+    chunk of ``size`` paths per ``(size, seed)`` of ``sizes`` and ``seeds``
+    and returns one ``(gap, late)`` per chunk: ``gap`` is each path's
+    ``sup_n |S_n - M_n|``, a (size,) array, and ``late`` the count of paths
+    whose first step with ``M_n <= -A + EXIT_TOL`` has no step ``<= n`` with
+    ``S <= EXIT_TOL`` (the exit ordering fails).  Every step is read, so the
+    walk steps by letters only; memory is O(size), not O(size * n).
+    """
+    table = step_table(atom_stack)
+    guide = guide_table(cum_weights)
+    shifted = -A + EXIT_TOL
+    out = []
+    for size, ss in zip(sizes, seeds, strict=True):
+        rng = np.random.default_rng(ss)
+        X = _start(atom_stack, x0, size)
+        theta0 = np.interp(X[0][0], params, theta)
+        S = np.full(size, float(a))
+        gap = np.zeros(size)
+        # paths on which S has not exited and M has not crossed the shifted level
+        pending = np.ones(size, dtype=bool)
+        late = 0
+        for _ in range(n):
+            X, rho = projective_step(table, draw_indices(guide, rng.random(size)), X)
+            S = S + rho
+            M = S + np.interp(X[0], params, theta)
+            M -= theta0
+            crossed = M <= shifted
+            pending &= S > EXIT_TOL
+            late += int(np.count_nonzero(crossed & pending))
+            pending &= ~crossed
+            np.subtract(S, M, out=M)
+            np.maximum(gap, np.abs(M, out=M), out=gap)
+        out.append((gap, late))
     return out
 
 

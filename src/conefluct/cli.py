@@ -735,11 +735,10 @@ def cmd_validate(cfg: dict, law: MatrixLaw):
         a_grid, [e.V_hat for e in estimates], [e.V_stderr for e in estimates], poisson.A, thresholds
     )
 
-    batches = fsim.simulate_paths(
+    gap, gap_violations, ordering_violations = fsim.martingale_guards(
         law, x, a, val["martingale_horizon"], val["martingale_paths"], _seed_for(cfg, "martingale"),
-        poisson=poisson, workers=cfg["workers"],
+        poisson, poisson.A, slack=poisson.interp_slack, workers=cfg["workers"],
     )
-    gap, gap_violations = fsim.martingale_gap(batches, poisson.A, slack=poisson.interp_slack)
     report = tval.ValidationReport(
         law_fingerprint=law_fingerprint(law),
         gamma={"quadrature": spectral["gamma"], "monte_carlo": [hypotheses.gamma_hat, hypotheses.gamma_stderr]},
@@ -755,7 +754,7 @@ def cmd_validate(cfg: dict, law: MatrixLaw):
         checklist={
             "hypotheses": True,
             "martingale_bound": gap_violations == 0,
-            "exit_ordering": fsim.exit_ordering_violations(batches, poisson.A) == 0,
+            "exit_ordering": ordering_violations == 0,
             "sigma2_agreement": tval.sigma2_agreement(sigma2, sigma2_mc, sigma2_mc_se),
             "gamma_agreement": tval.gamma_agreement(
                 spectral["gamma"], hypotheses.gamma_hat, hypotheses.gamma_stderr, hypotheses.gamma_tol

@@ -10,16 +10,19 @@ fluctuation variance, increment covariances, and the martingale
 approximation ``M_n = S_n + Theta(X_n) - Theta(X_0)`` built from a tabulated
 potential, with ``sup_n |S_n - M_n| <= A = 2 sup |Theta|`` checked pathwise.
 
-Everything runs on the two chunked kernels of ``_batch``.  The killed walk
+Everything runs on the three chunked kernels of ``_batch``.  The killed walk
 ``survival_chunk`` runs a tuple of start levels: one level for survival and
 the conditional endpoints, all the levels of ``estimate_V`` on one path set,
 and every ``HarmonicEstimate`` carries ``P(tau > n)`` from its own paths.
 The free walk ``walk_chunk`` feeds the variance, the covariances and
-``simulate_paths``.  ``simulate_paths`` keeps each chunk's recorded rows as
-one ``PathBatch`` of step-major arrays and builds ``M``, ``tau`` and ``T`` on
-them; the two martingale guards are array reductions over those batches.
-Results are reproducible bit for bit for a given seed regardless of worker
-count.
+``simulate_paths``.  ``martingale_guards`` runs the free walk in
+``martingale_chunk``, which reduces the two martingale guards while the
+paths step, in O(paths) memory; this is the route ``validate`` takes.
+``simulate_paths`` is the trajectory API: it keeps each chunk's recorded
+rows as one ``PathBatch`` of step-major arrays and builds ``M``, ``tau`` and
+``T`` on them, and ``martingale_gap`` and ``exit_ordering_violations``
+reduce those batches to the numbers ``martingale_guards`` gives.  Results
+are reproducible bit for bit for a given seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "conditional_endpoint_samples",
     "mc_sigma2",
     "covariance_decay",
+    "martingale_guards",
     "martingale_gap",
     "exit_ordering_violations",
 ]
@@ -410,6 +414,46 @@ def covariance_decay(
         paths=paths,
         note=note,
     )
+
+
+def martingale_guards(
+    law: MatrixLaw,
+    x: SimplexVector,
+    a: float,
+    horizon: int,
+    paths: int,
+    seed,
+    poisson: PoissonSolution,
+    A: float,
+    slack: float = 0.0,
+    workers: int = 1,
+):
+    """Both martingale guards, reduced while the paths step: no trajectory is kept.
+
+    Returns ``(max_gap, over, late)``: the sup of ``|S - M|`` over every path
+    and step, the count of paths whose sup exceeds ``A + slack``, and the
+    count of paths on which ``M`` reaches ``-A`` before ``S`` exits.  These
+    are ``martingale_gap(batches, A, slack)`` and
+    ``exit_ordering_violations(batches, A)`` over ``simulate_paths`` with the
+    same arguments, bit for bit, in ``O(paths)`` memory.  d = 2 only.
+    """
+    if law.dim != 2:
+        raise ValueError("compensated trajectories need the d = 2 tabulated potential")
+    theta = poisson.theta
+    parts = _batch.run_chunks(
+        _batch.martingale_chunk,
+        (law.atom_stack, law.cum_weights, x.coords, a, horizon, theta.grid.params, theta.values, A),
+        paths,
+        seed,
+        workers,
+    )
+    max_gap = 0.0
+    over = late = 0
+    for gap, chunk_late in parts:
+        max_gap = max(max_gap, float(gap.max()))
+        over += int(np.count_nonzero(gap > A + slack))
+        late += chunk_late
+    return max_gap, over, late
 
 
 def martingale_gap(batches, A: float, slack: float = 0.0):

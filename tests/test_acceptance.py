@@ -25,13 +25,11 @@ from conefluct import (
     contraction_coeff,
     covariance_decay,
     estimate_V,
-    exit_ordering_violations,
     hennion_distance,
-    martingale_gap,
+    martingale_guards,
     mc_sigma2,
     random_simplex_point,
     rayleigh_cdf,
-    simulate_paths,
     solve_poisson,
     stationary_measure,
     survival_probability,
@@ -180,14 +178,13 @@ def test_criterion_04_variance_two_routes(ref_law, barycenter, ref_manifest):
 
 def test_criterion_05_martingale_comparison(ref_law, barycenter, ref_poisson):
     """1e4 paths x 1e3 steps: |S - M| <= A with zero violations and the exit
-    ordering tau_a <= T_{a+A} with zero violations."""
+    ordering tau_a <= T_{a+A} with zero violations, streamed as validate runs them."""
     start = time.perf_counter()
-    records = simulate_paths(
-        ref_law, barycenter, 1.0, 1000, 10_000, seed=514, poisson=ref_poisson
+    gap, violations, ordering = martingale_guards(
+        ref_law, barycenter, 1.0, 1000, 10_000, seed=514, poisson=ref_poisson,
+        A=ref_poisson.A, slack=ref_poisson.interp_slack,
     )
-    gap, violations = martingale_gap(records, ref_poisson.A, slack=ref_poisson.interp_slack)
     assert violations == 0, f"{violations} paths violate |S - M| <= A"
-    ordering = exit_ordering_violations(records, ref_poisson.A)
     assert ordering == 0, f"{ordering} paths exit after the shifted compensated walk"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"martingale check took {elapsed:.1f}s, budget 120s"

@@ -41,16 +41,17 @@ def _law(name: str) -> MatrixLaw:
         ref = reference_law().atom_stack
         return MatrixLaw.from_entries([ref[0], ref[1], [[0.5, 0.7], [0.6, 0.4]]], [0.45, 0.35, 0.2])
     rng = np.random.default_rng(20240917)
-    dim = {"random-d2k64": 2, "d3k64": 3, "d4k64": 4}[name]
-    spec = centered_law(rng, dim=dim, atoms_count=64, smoke=True)
+    dim, atoms_count = {"random-d2k64": (2, 64), "d3k64": (3, 64), "d4k64": (4, 64), "d3k65": (3, 65)}[name]
+    spec = centered_law(rng, dim=dim, atoms_count=atoms_count, smoke=True)
     return MatrixLaw.from_entries(spec["atoms"], spec["weights"])
 
 
 # at a = 16 many early steps kill nobody, so the survival kernel's skipped
-# compaction is compared as well.  Every law but the one-atom law steps by
-# words, against the word-decoding references: the reference law by b = 8
-# letters, the K = 3 law by b = 7 and the 64-atom laws by b = 2, drawn from
-# 4096 words through a 2**16-bin guide with split bins
+# compaction is compared as well.  Every law but d3k65 steps by words, against
+# the word-decoding references: the reference law by b = 8 letters, the K = 3
+# law by b = 7 and the 64-atom laws by b = 2, drawn from 4096 words through a
+# 2**16-bin guide with split bins.  d3k65 has 65 atoms, so b = 1: it holds
+# the d = 3 letter step to the left-fold reference bit for bit
 CASES = [
     ("reference", 1.0),
     ("reference", 8.0),
@@ -58,6 +59,7 @@ CASES = [
     ("k3", 1.0),
     ("random-d2k64", 1.0),
     ("d3k64", 1.0),
+    ("d3k65", 1.0),
     ("d4k64", 1.0),
 ]
 SIZE = 5000
@@ -199,6 +201,7 @@ LEVEL_CASES = [
     ("reference", (0.5, 1.0, 2.5, 6.0)),
     ("k3", (0.5, 1.0, 2.5, 6.0)),
     ("d3k64", (0.1, 0.3, 0.7, 1.6)),
+    ("d3k65", (0.1, 0.3, 0.7, 1.6)),
 ]
 
 

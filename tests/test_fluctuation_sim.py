@@ -3,6 +3,7 @@ reproducibility across worker counts, and the martingale comparison."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conefluct import (
     estimate_lyapunov,
     exit_ordering_violations,
     martingale_gap,
+    martingale_guards,
     mc_sigma2,
     simulate_paths,
     solve_poisson,
@@ -122,8 +124,11 @@ def test_batches_match_per_path_records(ref_law, barycenter, ref_poisson, worker
     violations = []
     for A in (ref_poisson.A, ref_poisson.A / 20):
         gap = martingale_gap(batches, A, slack=slack)
+        late = oracles.exit_ordering_violations(records, A)
         assert gap == oracles.martingale_gap(records, A, slack=slack)
-        assert exit_ordering_violations(batches, A) == oracles.exit_ordering_violations(records, A)
+        assert exit_ordering_violations(batches, A) == late
+        # the streamed guards, through the pool at three workers, are the same numbers
+        assert martingale_guards(ref_law, barycenter, 1.0, A=A, slack=slack, **kw) == (*gap, late)
         violations.append(gap[1])
     assert violations[0] == 0 and violations[1] > 0
 
@@ -273,6 +278,8 @@ def test_martingale_guards_can_fail(ref_law, barycenter, ref_poisson):
     gap, violations = martingale_gap(batches, ref_poisson.A / 20)
     assert violations > 0 and gap > ref_poisson.A / 20
     assert (gap, violations) == oracles.martingale_gap(records, ref_poisson.A / 20)
+    want = (gap, violations, oracles.exit_ordering_violations(records, ref_poisson.A / 20))
+    assert martingale_guards(ref_law, barycenter, 1.0, poisson=ref_poisson, A=ref_poisson.A / 20, **kw) == want
     # a potential twenty times too large lets M reach -A while S is still positive
     scaled = dataclasses.replace(
         ref_poisson, theta=GridFunction(ref_poisson.theta.grid, 20.0 * ref_poisson.theta.values)
@@ -281,6 +288,28 @@ def test_martingale_guards_can_fail(ref_law, barycenter, ref_poisson):
     records = oracles.simulate_paths(ref_law, barycenter, 1.0, poisson=scaled, **kw)
     bad = exit_ordering_violations(batches, ref_poisson.A)
     assert bad > 0 and bad == oracles.exit_ordering_violations(records, ref_poisson.A)
+    want = (*oracles.martingale_gap(records, ref_poisson.A), bad)
+    assert martingale_guards(ref_law, barycenter, 1.0, poisson=scaled, A=ref_poisson.A, **kw) == want
+
+
+def test_martingale_guards_hold_no_trajectory(ref_law, barycenter, ref_poisson):
+    """At validate's default budget, 4000 paths x 512 steps, the guards allocate
+    O(paths): a (horizon + 1, paths) float row pair would be 33 MB."""
+    kw = dict(horizon=_DEFAULTS["validate"]["martingale_horizon"], paths=_DEFAULTS["validate"]["martingale_paths"])
+    assert (kw["horizon"], kw["paths"]) == (512, 4000)
+    tracemalloc.start()
+    try:
+        martingale_guards(ref_law, barycenter, 1.0, seed=51, poisson=ref_poisson, A=ref_poisson.A, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_martingale_guards_refuse_d3(barycenter, ref_poisson):
+    law = MatrixLaw.from_entries(np.random.default_rng(36).random((4, 3, 3)) + 0.05)
+    with pytest.raises(ValueError, match="d = 2 tabulated potential"):
+        martingale_guards(law, SimplexVector.barycenter(3), 1.0, 8, 10, 0, ref_poisson, ref_poisson.A)
 
 
 def test_martingale_mean_is_conserved(ref_law, barycenter, ref_poisson):
