@@ -737,7 +737,7 @@ def cmd_validate(cfg: dict, law: MatrixLaw):
 
     gap, gap_violations, ordering_violations = fsim.martingale_guards(
         law, x, a, val["martingale_horizon"], val["martingale_paths"], _seed_for(cfg, "martingale"),
-        poisson, poisson.A, slack=poisson.interp_slack, workers=cfg["workers"],
+        poisson, workers=cfg["workers"],
     )
     report = tval.ValidationReport(
         law_fingerprint=law_fingerprint(law),

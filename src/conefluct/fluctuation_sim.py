@@ -424,22 +424,21 @@ def martingale_guards(
     paths: int,
     seed,
     poisson: PoissonSolution,
-    A: float,
-    slack: float = 0.0,
     workers: int = 1,
 ):
     """Both martingale guards, reduced while the paths step: no trajectory is kept.
 
-    Returns ``(max_gap, over, late)``: the sup of ``|S - M|`` over every path
-    and step, the count of paths whose sup exceeds ``A + slack``, and the
-    count of paths on which ``M`` reaches ``-A`` before ``S`` exits.  These
-    are ``martingale_gap(batches, A, slack)`` and
+    With ``A = poisson.A`` and ``slack = poisson.interp_slack``, returns
+    ``(max_gap, over, late)``: the sup of ``|S - M|`` over every path and
+    step, the count of paths whose sup exceeds ``A + slack``, and the count
+    of paths on which ``M`` reaches ``-A`` before ``S`` exits.  These are
+    ``martingale_gap(batches, A, slack)`` and
     ``exit_ordering_violations(batches, A)`` over ``simulate_paths`` with the
     same arguments, bit for bit, in ``O(paths)`` memory.  d = 2 only.
     """
     if law.dim != 2:
         raise ValueError("compensated trajectories need the d = 2 tabulated potential")
-    theta = poisson.theta
+    theta, A = poisson.theta, poisson.A
     parts = _batch.run_chunks(
         _batch.martingale_chunk,
         (law.atom_stack, law.cum_weights, x.coords, a, horizon, theta.grid.params, theta.values, A),
@@ -451,7 +450,7 @@ def martingale_guards(
     over = late = 0
     for gap, chunk_late in parts:
         max_gap = max(max_gap, float(gap.max()))
-        over += int(np.count_nonzero(gap > A + slack))
+        over += int(np.count_nonzero(gap > A + poisson.interp_slack))
         late += chunk_late
     return max_gap, over, late
 

@@ -181,8 +181,7 @@ def test_criterion_05_martingale_comparison(ref_law, barycenter, ref_poisson):
     ordering tau_a <= T_{a+A} with zero violations, streamed as validate runs them."""
     start = time.perf_counter()
     gap, violations, ordering = martingale_guards(
-        ref_law, barycenter, 1.0, 1000, 10_000, seed=514, poisson=ref_poisson,
-        A=ref_poisson.A, slack=ref_poisson.interp_slack,
+        ref_law, barycenter, 1.0, 1000, 10_000, seed=514, poisson=ref_poisson
     )
     assert violations == 0, f"{violations} paths violate |S - M| <= A"
     assert ordering == 0, f"{ordering} paths exit after the shifted compensated walk"

@@ -115,20 +115,21 @@ def test_batch_paths_match_shapes(ref_law, barycenter, ref_poisson):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_batches_match_per_path_records(ref_law, barycenter, ref_poisson, workers):
-    kw = dict(horizon=32, paths=40000, seed=35, poisson=ref_poisson, workers=workers)
-    batches = simulate_paths(ref_law, barycenter, 1.0, **kw)
-    records = oracles.simulate_paths(ref_law, barycenter, 1.0, **kw)
+    kw = dict(horizon=32, paths=40000, seed=35, workers=workers)
+    batches = simulate_paths(ref_law, barycenter, 1.0, poisson=ref_poisson, **kw)
+    records = oracles.simulate_paths(ref_law, barycenter, 1.0, poisson=ref_poisson, **kw)
     assert [b.S.shape[1] for b in batches] == chunk_layout(40000) == [16384, 16384, 7232]
     _assert_same_paths(batches, records)
     slack = ref_poisson.interp_slack
     violations = []
-    for A in (ref_poisson.A, ref_poisson.A / 20):
+    for poisson in (ref_poisson, dataclasses.replace(ref_poisson, A=ref_poisson.A / 20)):
+        A = poisson.A
         gap = martingale_gap(batches, A, slack=slack)
         late = oracles.exit_ordering_violations(records, A)
         assert gap == oracles.martingale_gap(records, A, slack=slack)
         assert exit_ordering_violations(batches, A) == late
         # the streamed guards, through the pool at three workers, are the same numbers
-        assert martingale_guards(ref_law, barycenter, 1.0, A=A, slack=slack, **kw) == (*gap, late)
+        assert martingale_guards(ref_law, barycenter, 1.0, poisson=poisson, **kw) == (*gap, late)
         violations.append(gap[1])
     assert violations[0] == 0 and violations[1] > 0
 
@@ -273,13 +274,15 @@ def test_martingale_guards_can_fail(ref_law, barycenter, ref_poisson):
     kw = dict(horizon=256, paths=2000, seed=51)
     # on this law |S - M| = |Theta(X_n) - Theta(X_0)| reaches about A / 9, so
     # the bound fails once A is shrunk to A / 20
+    slack = ref_poisson.interp_slack
     batches = simulate_paths(ref_law, barycenter, 1.0, poisson=ref_poisson, **kw)
     records = oracles.simulate_paths(ref_law, barycenter, 1.0, poisson=ref_poisson, **kw)
-    gap, violations = martingale_gap(batches, ref_poisson.A / 20)
+    gap, violations = martingale_gap(batches, ref_poisson.A / 20, slack=slack)
     assert violations > 0 and gap > ref_poisson.A / 20
-    assert (gap, violations) == oracles.martingale_gap(records, ref_poisson.A / 20)
+    assert (gap, violations) == oracles.martingale_gap(records, ref_poisson.A / 20, slack=slack)
     want = (gap, violations, oracles.exit_ordering_violations(records, ref_poisson.A / 20))
-    assert martingale_guards(ref_law, barycenter, 1.0, poisson=ref_poisson, A=ref_poisson.A / 20, **kw) == want
+    shrunk = dataclasses.replace(ref_poisson, A=ref_poisson.A / 20)
+    assert martingale_guards(ref_law, barycenter, 1.0, poisson=shrunk, **kw) == want
     # a potential twenty times too large lets M reach -A while S is still positive
     scaled = dataclasses.replace(
         ref_poisson, theta=GridFunction(ref_poisson.theta.grid, 20.0 * ref_poisson.theta.values)
@@ -288,8 +291,8 @@ def test_martingale_guards_can_fail(ref_law, barycenter, ref_poisson):
     records = oracles.simulate_paths(ref_law, barycenter, 1.0, poisson=scaled, **kw)
     bad = exit_ordering_violations(batches, ref_poisson.A)
     assert bad > 0 and bad == oracles.exit_ordering_violations(records, ref_poisson.A)
-    want = (*oracles.martingale_gap(records, ref_poisson.A), bad)
-    assert martingale_guards(ref_law, barycenter, 1.0, poisson=scaled, A=ref_poisson.A, **kw) == want
+    want = (*oracles.martingale_gap(records, ref_poisson.A, slack=slack), bad)
+    assert martingale_guards(ref_law, barycenter, 1.0, poisson=scaled, **kw) == want
 
 
 def test_martingale_guards_hold_no_trajectory(ref_law, barycenter, ref_poisson):
@@ -299,7 +302,7 @@ def test_martingale_guards_hold_no_trajectory(ref_law, barycenter, ref_poisson):
     assert (kw["horizon"], kw["paths"]) == (512, 4000)
     tracemalloc.start()
     try:
-        martingale_guards(ref_law, barycenter, 1.0, seed=51, poisson=ref_poisson, A=ref_poisson.A, **kw)
+        martingale_guards(ref_law, barycenter, 1.0, seed=51, poisson=ref_poisson, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,7 +312,7 @@ def test_martingale_guards_hold_no_trajectory(ref_law, barycenter, ref_poisson):
 def test_martingale_guards_refuse_d3(barycenter, ref_poisson):
     law = MatrixLaw.from_entries(np.random.default_rng(36).random((4, 3, 3)) + 0.05)
     with pytest.raises(ValueError, match="d = 2 tabulated potential"):
-        martingale_guards(law, SimplexVector.barycenter(3), 1.0, 8, 10, 0, ref_poisson, ref_poisson.A)
+        martingale_guards(law, SimplexVector.barycenter(3), 1.0, 8, 10, 0, ref_poisson)
 
 
 def test_martingale_mean_is_conserved(ref_law, barycenter, ref_poisson):
