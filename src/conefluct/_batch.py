@@ -54,11 +54,19 @@ that returns exactly the index ``np.searchsorted(cum_weights, u,
 side="right")`` would.  ``[0, 1)`` is cut into a power of two of equal bins,
 ``2**GUIDE_BITS`` or 16 per entry of a longer stack, at most
 ``2**GUIDE_MAX_BITS``; scaling ``u`` by that power of two is exact, so
-truncation finds the bin of ``u`` without rounding.  A bin that holds no
-cumulative weight maps every uniform in it to one index, read from a table;
-only uniforms in a bin that holds one (a split bin) fall back to the binary
-search.  Sizing the table to the stack keeps split bins rare: a 4096-word
-stack splits 84% of 2**12 bins and 6% of 2**16.
+truncation finds the bin of ``u`` without rounding.  A table gives each bin
+the index of its left edge, and one compare of ``u`` with the next
+cumulative weight corrects it in a bin that holds one weight strictly
+inside (a split bin).  Only uniforms in a bin that holds two or more fall
+back to the binary search, and a stack with no split bin, such as the
+reference law's, skips the compare.  Sizing the table to the stack keeps
+crowded bins rare: the benchmark's 4096-word stack splits 4095 of 2**16
+bins and puts two weights in none.
+
+``martingale_chunk`` reads the potential at every step through
+``grid_interp``: the grid is uniform, so index arithmetic and one compare
+each way find the segment that ``np.interp`` finds by binary search, and
+the value is numpy's own formula (see ``grid_interp``).
 
 ``walk_chunk`` and ``survival_chunk`` step by words of ``b`` letters where
 they can; ``martingale_chunk`` reads every step, so it steps by letters.  The
@@ -113,9 +121,9 @@ GROUP_PATHS = 2**18
 
 # bins of the atom draw's guide table: 2**GUIDE_BITS, or 16 per entry of a
 # longer stack, at most 2**GUIDE_MAX_BITS.  Any size gives the same indices.
-# A bin that holds a cumulative weight falls back to a binary search, so the
-# table grows with the stack: 4096 bins split none of the reference law's,
-# and 1.5% for 64 atoms, but 84% for 4096 words, which 2**16 bins cut to 6%
+# A bin that holds two or more cumulative weights falls back to a binary
+# search, so the table grows with the stack: the benchmark's 4096 words put
+# two or more weights in 660 of 2**12 bins and in none of 2**16
 GUIDE_BITS = 12
 GUIDE_MAX_BITS = 16
 
@@ -245,19 +253,23 @@ def run_chunks(fn, args: tuple, paths: int, seed, workers: int = 1) -> list:
 def guide_table(cum_weights: np.ndarray):
     """The guide table ``draw_indices`` reads for these cumulative weights.
 
-    The table has ``B = 2**bits`` bins, ``bits`` the larger of
-    ``GUIDE_BITS`` and ``ceil(log2 N) + 4`` for ``N`` weights (at least 16
-    bins per weight), at most ``GUIDE_MAX_BITS``.  Bin ``b`` covers ``[b/B,
-    (b+1)/B)``.  ``lo[b]`` is the atom ``searchsorted(..., side="right")``
-    gives at the bin's left edge, the count of weights ``w`` with ``w * B <=
-    b``, that is with ``ceil(w * B) <= b``.  The bin is split when a weight
-    lies strictly inside it, that is when ``floor(w * B) = b`` and ``w * B``
-    is not a whole number; ``lo`` holds the marker ``N + 1``, which no count
-    reaches, for a split bin.  ``B`` is a power of two, so ``w * B`` is exact
-    and both tests are exact.  ``lo`` has the narrowest unsigned type that
-    holds the marker.  The guide is ``(cum_weights, lo, marker, B)``, with
-    the marker ``None`` when no bin is split.  Kernels build the table once
-    per group of chunks.
+    ``cum_weights`` is non-decreasing and ends at 1.0, as
+    ``MatrixLaw.cum_weights`` and ``word_table`` build it.  The table has
+    ``B = 2**bits`` bins, ``bits`` the larger of ``GUIDE_BITS`` and
+    ``ceil(log2 N) + 4`` for ``N`` weights (at least 16 bins per weight), at
+    most ``GUIDE_MAX_BITS``.  Bin ``b`` covers ``[b/B, (b+1)/B)``.  ``lo[b]``
+    is the atom ``searchsorted(..., side="right")`` gives at the bin's left
+    edge, the count of weights ``w`` with ``w * B <= b``, that is with
+    ``ceil(w * B) <= b``.  A weight lies strictly inside bin ``b`` when
+    ``floor(w * B) = b`` and ``w * B`` is not a whole number; ``B`` is a power
+    of two, so ``w * B`` is exact and both tests are exact.  A bin that holds
+    two or more such entries (a repeated value counts once per entry) holds
+    the marker ``N + 1``, which no count reaches, in place of its count.
+    ``lo`` has the narrowest unsigned type that holds the marker.  The guide
+    is ``(cum_weights, lo, marker, B, inside)``, with the marker ``None``
+    when no bin holds two entries and ``inside`` false when no weight lies
+    strictly inside a bin.  Kernels build the table once per group of
+    chunks.
     """
     count = cum_weights.shape[0]
     bits = min(GUIDE_MAX_BITS, max(GUIDE_BITS, (count - 1).bit_length() + 4))
@@ -267,10 +279,12 @@ def guide_table(cum_weights: np.ndarray):
     # weight i sends every bin from ceil(w_i * B) on to an atom past i
     first = np.ceil(scaled).astype(np.intp)
     lo = np.repeat(np.arange(marker, dtype=np.min_scalar_type(marker)), np.diff(first, prepend=0, append=scale))
-    split = np.floor(scaled)
-    split = split[split != scaled].astype(np.intp)
-    lo[split] = marker
-    return cum_weights, lo, marker if split.size else None, scale
+    inside = np.floor(scaled)
+    inside = inside[inside != scaled].astype(np.intp)
+    # the weights are sorted, so the entries of one bin are adjacent
+    many = inside[1:][inside[1:] == inside[:-1]]
+    lo[many] = marker
+    return cum_weights, lo, marker if many.size else None, scale, bool(inside.size)
 
 
 def draw_indices(guide, u: np.ndarray) -> np.ndarray:
@@ -279,18 +293,26 @@ def draw_indices(guide, u: np.ndarray) -> np.ndarray:
     ``guide`` comes from ``guide_table``.  The result equals
     ``np.searchsorted(cum_weights, u, side="right")``, the count of weights
     ``<= u``, exactly: ``u * B`` is exact because ``B`` is a power of two,
-    and truncation is the floor for ``u >= 0``, so it is the bin that holds
-    ``u``.  For ``u`` in bin ``b`` that count lies between ``lo[b]``, the
-    count ``<= b/B``, and the count ``< (b+1)/B``; in an unsplit bin the two
-    agree.  Only uniforms in split bins go through ``searchsorted``.
+    and truncation is the floor for ``u >= 0``, so it is the bin ``b`` that
+    holds ``u``.  Uniforms in a bin that holds two or more weights go
+    through ``searchsorted``.  Every other bin holds at most one weight
+    strictly inside, and ``lo[b]`` is the count ``<= b/B``, so the count
+    ``<= u`` is ``lo[b]``, plus one when the next weight ``cum[lo[b]]`` is
+    ``<= u``: that weight is either the one inside the bin or at least
+    ``(b+1)/B > u``.  The same compare adds nothing to an exact count ``i``,
+    since ``cum[i] > u`` (``u < 1`` and the last weight is 1.0), so it runs
+    over every uniform, after the fallback, and is skipped when no weight
+    lies inside a bin.
     """
-    cum_weights, lo, marker, scale = guide
+    cum_weights, lo, marker, scale, inside = guide
     idx = lo.take((u * scale).astype(np.intp))
     fix = None if marker is None else np.flatnonzero(idx == marker)
     # ``take`` converts narrower indices on every call, so they widen here, once
     idx = idx.astype(np.intp)
     if fix is not None and fix.size:
         idx[fix] = np.searchsorted(cum_weights, u.take(fix), side="right")
+    if inside:
+        idx += cum_weights.take(idx) <= u
     return idx
 
 
@@ -467,8 +489,9 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
 def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes, seeds):
     """Full-horizon walk (no exit filtering) that reduces the martingale guards as it steps.
 
-    ``params`` and ``theta`` tabulate the d = 2 potential on the grid, read
-    at the first simplex coordinate by ``np.interp``.  At every step n the
+    ``params`` and ``theta`` tabulate the d = 2 potential on the
+    ``SimplexGrid``, read at the first simplex coordinate by ``grid_interp``
+    with slopes built once per group.  At every step n the
     compensated walk is ``M_n = (S_n + Theta(X_n)) - Theta(x_0)``.  Runs one
     chunk of ``size`` paths per ``(size, seed)`` of ``sizes`` and ``seeds``
     and returns one ``(gap, late)`` per chunk: ``gap`` is each path's
@@ -479,12 +502,13 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
     """
     table = step_table(atom_stack)
     guide = guide_table(cum_weights)
+    slopes = grid_slopes(params, theta)
     shifted = -A + EXIT_TOL
     out = []
     for size, ss in zip(sizes, seeds, strict=True):
         rng = np.random.default_rng(ss)
         X = _start(atom_stack, x0, size)
-        theta0 = np.interp(X[0][0], params, theta)
+        theta0 = grid_interp(X[0][0], params, theta, slopes)
         S = np.full(size, float(a))
         gap = np.zeros(size)
         # paths on which S has not exited and M has not crossed the shifted level
@@ -493,7 +517,7 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
         for _ in range(n):
             X, rho = projective_step(table, draw_indices(guide, rng.random(size)), X)
             S = S + rho
-            M = S + np.interp(X[0], params, theta)
+            M = S + grid_interp(X[0], params, theta, slopes)
             M -= theta0
             crossed = M <= shifted
             pending &= S > EXIT_TOL
@@ -503,6 +527,31 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
             np.maximum(gap, np.abs(M, out=M), out=gap)
         out.append((gap, late))
     return out
+
+
+def grid_slopes(params: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The slopes ``grid_interp`` reads: ``np.diff(values) / np.diff(params)``, then 0.0 past the last node."""
+    return np.append(np.diff(values) / np.diff(params), 0.0)
+
+
+def grid_interp(x, params: np.ndarray, values: np.ndarray, slopes: np.ndarray):
+    """``np.interp(x, params, values)`` on the grid ``params = linspace(0, 1, G)``, with no binary search.
+
+    ``slopes`` comes from ``grid_slopes``.  ``x`` is clamped to [0, 1], and
+    ``j = floor(x * (G - 1))``, at most ``G - 2``, lands within one node of
+    the segment ``params[j] <= x < params[j + 1]``, so one comparison each way
+    finds it; ``x >= params[-1]`` takes ``j = G - 1``, whose slope is 0.0.
+    The value is numpy's own formula, ``slope * (x - params[j]) +
+    values[j]``, so it equals ``np.interp`` bit for bit, clamping and scalar
+    input included; the one exception is a node value of -0.0, which may
+    read back as +0.0.
+    """
+    top = params.shape[0] - 1
+    x = np.clip(x, 0.0, 1.0)
+    j = np.fmin(x * top, top - 1).astype(np.intp)
+    j -= x < params.take(j)
+    j += x >= params.take(j + 1)
+    return (x - params.take(j)) * slopes.take(j) + values.take(j)
 
 
 def _lower(thr: np.ndarray, low: np.ndarray, rising: np.ndarray, at: np.ndarray | None = None) -> None:

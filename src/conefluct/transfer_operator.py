@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _batch
 from .matrix_law import MatrixLaw
 
 __all__ = [
@@ -90,10 +91,11 @@ class SimplexGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real values tabulated on the nodes of a SimplexGrid."""
+    """Real values tabulated on the nodes of a SimplexGrid, with the slopes ``interp`` reads."""
 
     grid: SimplexGrid
     values: np.ndarray
+    slopes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -101,11 +103,17 @@ class GridFunction:
             raise ValueError(f"need one value per node, got shape {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        slopes = _batch.grid_slopes(self.grid.params, v)
+        slopes.setflags(write=False)
+        object.__setattr__(self, "slopes", slopes)
 
     def interp(self, params):
-        """Piecewise-linear evaluation at arbitrary parameters in [0, 1]."""
+        """Piecewise-linear evaluation, ``np.interp`` bit for bit (see ``_batch.grid_interp``).
+
+        Parameters outside [0, 1] read the end values.
+        """
         params = np.asarray(params, dtype=float)
-        return np.interp(params, self.grid.params, self.values)
+        return _batch.grid_interp(params, self.grid.params, self.values, self.slopes)
 
 
 class _Workspace:

@@ -119,37 +119,68 @@ def _probes(cum: np.ndarray, guide, rng) -> np.ndarray:
     return u[(u >= 0.0) & (u < 1.0)]
 
 
-@pytest.mark.parametrize("K", [1, 2, 64, 1000, 20000, "repeat", "over"])
+# raw cumulative weights on 2**12 bins: bins 409 and 1228 hold two distinct
+# values inside, bin 2457 one value twice (a zero weight), bin 3686 a value
+# once; 0.25 repeats on a bin edge and 0.0 opens the list with a zero weight
+CROWDED = np.array([0.0, 0.1, 0.1 + 1e-6, 0.25, 0.25, 0.3, 0.3 + 2e-5, 0.6, 0.6, 0.9, 1.0])
+
+
+@pytest.mark.parametrize("K", [1, 2, 64, 1000, 20000, "repeat", "over", "crowded", "d3k64-words"])
 def test_draw_indices_matches_searchsorted(K):
     rng = np.random.default_rng(17)
-    if K == "repeat":  # 0.6 + 0.4 rounds to 1.0, so 1.0 appears twice
-        weights = np.array([0.6, 0.4, 1e-14])
-    elif K == "over":  # the running sum passes 1.0 before the closing entry
-        weights = np.array([0.6, 0.4 + 1e-13, 1e-14])
+    if K == "crowded":
+        cum = CROWDED
+    elif K == "d3k64-words":  # one weight inside each of 4095 of 2**16 bins
+        law = _law("d3k64")
+        cum = _batch.word_table(law.atom_stack, law.cum_weights).guide[0]
     else:
-        weights = rng.random(K) + 0.01
-        weights /= weights.sum()
-    cum = MatrixLaw.from_entries([np.ones((2, 2))] * len(weights), weights).cum_weights
+        if K == "repeat":  # 0.6 + 0.4 rounds to 1.0, so 1.0 appears twice
+            weights = np.array([0.6, 0.4, 1e-14])
+        elif K == "over":  # the running sum passes 1.0 before the closing entry
+            weights = np.array([0.6, 0.4 + 1e-13, 1e-14])
+        else:
+            weights = rng.random(K) + 0.01
+            weights /= weights.sum()
+        cum = MatrixLaw.from_entries([np.ones((2, 2))] * len(weights), weights).cum_weights
     guide = _batch.guide_table(cum)
+    if K == "crowded":  # the two-entry bins take the binary search, the others the compare
+        marker, bins = guide[2], guide[3]
+        assert bins == 2**12 and np.flatnonzero(guide[1] == marker).tolist() == [409, 1228, 2457]
+        assert guide[4]
     u = _probes(cum, guide, rng)
     got = _batch.draw_indices(guide, u)
     assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
 
 
+def test_draw_skips_the_compare_when_every_weight_is_on_a_bin_edge():
+    """The reference law's weights and words fall on bin edges: its draws read ``lo`` alone."""
+    law = reference_law()
+    for guide in (_batch.guide_table(law.cum_weights), _batch.word_table(law.atom_stack, law.cum_weights).guide):
+        assert guide[2] is None and not guide[4]
+        # with every weight replaced by -inf, a compare would add one to every index
+        u = np.random.default_rng(19).random(10_000)
+        poisoned = (np.full_like(guide[0], -np.inf),) + guide[1:]
+        assert np.array_equal(_batch.draw_indices(poisoned, u), np.searchsorted(guide[0], u, side="right"))
+
+
 def test_guide_table_grows_with_the_stack():
-    """4096 words split at most 1/8 of their guide's bins; no guide exceeds 2**16 bins."""
+    """4096 words fall inside at most 1/8 of their guide's bins, one to a bin; no guide exceeds 2**16 bins."""
     law = _law("d3k64")
     words = _batch.word_table(law.atom_stack, law.cum_weights)
     assert words.length == 2 and words.guide[0].shape == (4096,)
-    _, lo, marker, bins = words.guide
+    cum, lo, marker, bins, inside = words.guide
     assert bins == 2**16 and lo.shape == (bins,) and lo.dtype.itemsize <= 4
-    assert 0 < np.count_nonzero(lo == marker) <= bins // 8
+    scaled = cum * bins
+    held = np.bincount(np.floor(scaled[scaled != np.floor(scaled)]).astype(np.intp), minlength=bins)
+    assert inside and 0 < np.count_nonzero(held) <= bins // 8
+    # so no uniform of this draw reaches the binary search
+    assert held.max() == 1 and marker is None
     # a law of 256 atoms or words keeps 2**12 bins
     assert _batch.guide_table(reference_law().cum_weights)[3] == 2**12
     assert _batch.word_table(reference_law().atom_stack, reference_law().cum_weights).guide[3] == 2**12
     weights = np.random.default_rng(18).random(20000) + 0.01
     cum = MatrixLaw.from_entries([np.ones((2, 2))] * weights.size, weights / weights.sum()).cum_weights
-    _, lo, _, bins = _batch.guide_table(cum)
+    _, lo, _, bins, _ = _batch.guide_table(cum)
     assert bins == 2**16 and lo.shape == (bins,)
 
 
@@ -337,8 +368,9 @@ def test_word_table_matches_enumerated_products(name):
     word_cum, _ = oracles.word_draw_table(law.cum_weights, b)
     assert np.array_equal(words.guide[0], word_cum)
     assert np.allclose(np.diff(word_cum, prepend=0.0), [w for _, w in enumerated], rtol=0.0, atol=1e-14)
-    # the reference law's word bins are all whole; the K = 3 law splits some
-    assert (words.guide[2] is None) == (name == "reference")
+    # the reference law's word weights all fall on bin edges; the K = 3 law
+    # puts some inside bins, one to a bin
+    assert words.guide[4] == (name != "reference") and words.guide[2] is None
     # the drop bound from the enumerated prefix products of every length
     drop = np.zeros(K**b)
     for j in range(1, b + 1):

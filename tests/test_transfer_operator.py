@@ -72,6 +72,38 @@ def test_grid_function_validation_and_interp(grid):
     assert f.interp(0.5) == pytest.approx(0.25, abs=1e-5)
 
 
+def _same_bits(got, want) -> bool:
+    return type(got) is type(want) and np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+# floor(x * (G - 1)) is one node too high one ulp below some node at G = 6
+# and 1001, and one node too low at some node at G = 512, 1000 and 4096, so
+# both corrections of the guess are exercised
+@pytest.mark.parametrize("G", [2, 3, 6, 512, 513, 1000, 1001, 4096])
+def test_interp_equals_numpy_bit_for_bit(G):
+    """The index lookup gives ``np.interp``'s values bit for bit, inside and outside [0, 1].
+
+    numpy precomputes its slopes only when it reads at least as many points
+    as there are nodes, so every probe set is read whole and cut below ``G``.
+    """
+    rng = np.random.default_rng(G)
+    grid = SimplexGrid(G)
+    f = GridFunction(grid, rng.standard_normal(G) * 10.0 ** rng.integers(-3, 4, G))
+    nodes = grid.params
+    probes = [
+        nodes,
+        np.nextafter(nodes, -np.inf),
+        np.nextafter(nodes, np.inf),
+        np.array([0.0, 1.0, -0.1, 1.1]),
+        rng.random(100_000),
+    ]
+    for x in probes:
+        for part in (x, x[: max(1, G // 2)]):
+            assert _same_bits(f.interp(part), np.interp(part, nodes, f.values))
+    for x in (0.0, 1.0, -0.1, 1.1, float(rng.random())):
+        assert _same_bits(f.interp(x), np.interp(x, nodes, f.values))
+
+
 def test_operator_refuses_other_dimensions():
     law3 = MatrixLaw.from_entries([np.eye(3) + 1.0], np.array([1.0]))
     with pytest.raises(ValueError, match="Monte Carlo"):
