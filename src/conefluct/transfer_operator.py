@@ -91,11 +91,10 @@ class SimplexGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real values tabulated on the nodes of a SimplexGrid, with the slopes ``interp`` reads."""
+    """Real values tabulated on the nodes of a SimplexGrid."""
 
     grid: SimplexGrid
     values: np.ndarray
-    slopes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -103,17 +102,16 @@ class GridFunction:
             raise ValueError(f"need one value per node, got shape {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        slopes = _batch.grid_slopes(self.grid.params, v)
-        slopes.setflags(write=False)
-        object.__setattr__(self, "slopes", slopes)
 
     def interp(self, params):
         """Piecewise-linear evaluation, ``np.interp`` bit for bit (see ``_batch.grid_interp``).
 
-        Parameters outside [0, 1] read the end values.
+        Parameters outside [0, 1] read the end values.  The slopes are built
+        on every call, as ``np.interp`` builds them.
         """
         params = np.asarray(params, dtype=float)
-        return _batch.grid_interp(params, self.grid.params, self.values, self.slopes)
+        t = self.grid.params
+        return _batch.grid_interp(params, t, self.values, _batch.grid_slopes(t, self.values))
 
 
 class _Workspace:
