@@ -340,8 +340,8 @@ class Words:
 
     ``table`` and ``guide`` are the ``step_table`` of the word products and
     the ``guide_table`` of the word weights; ``drop`` is each word's drop
-    bound ``H(w)``.  ``prefix[i]`` is a contiguous (K**b, b - 1) array whose
-    row ``w``, column ``j - 1`` holds ``c_{j,i}``, column sum i of the
+    bound ``H(w)``.  ``prefix[i]`` is a contiguous (b - 1, K**b) array whose
+    row ``j - 1``, column ``w`` holds ``c_{j,i}``, column sum i of the
     product of word w's first j letters, for j = 1 .. b - 1.
     """
 
@@ -353,7 +353,7 @@ class Words:
     @property
     def length(self) -> int:
         """Letters per word, b."""
-        return self.prefix[0].shape[1] + 1
+        return self.prefix[0].shape[0] + 1
 
 
 def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
@@ -379,7 +379,7 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
     prods = np.eye(d)[None]
     w = np.ones(1)
     drop = np.zeros(1)
-    prefix = [np.empty((K**b, b - 1)) for _ in range(d)]
+    prefix = [np.empty((b - 1, K**b)) for _ in range(d)]
     tiny = np.finfo(float).tiny
     for j in range(1, b + 1):
         with np.errstate(over="ignore", under="ignore"):
@@ -393,7 +393,7 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
         if j < b:
             # the j-letter prefixes' sums, each repeated for the K**(b-j) words that extend it
             for i, c in enumerate(prefix):
-                c[:, j - 1] = np.repeat(cols[:, i], K ** (b - j))
+                c[j - 1] = np.repeat(cols[:, i], K ** (b - j))
     table = step_table(prods)
     del prods, cols  # the step table holds copies
     cum = np.minimum(np.cumsum(w), 1.0)
@@ -587,16 +587,23 @@ def _word_step(words: Words, widx, X, S, thr, rising):
     del room
     if near.size:
         wn = widx.take(near)
-        mass = words.prefix[0].take(wn, axis=0)
-        mass *= X[0].take(near)[:, None]
-        for c, x in zip(words.prefix[1:], X[1:], strict=True):
-            term = c.take(wn, axis=0)
-            term *= x.take(near)[:, None]
-            mass += term
+        xn = [x.take(near) for x in X]
+        mass, term, least = np.empty(near.size), np.empty(near.size), None
+        # the least prefix mass c_j . x, folded one (near,) row per prefix j.
+        # Word indices are in range, so "clip" changes no index; it lets take
+        # write into ``out`` directly, where "raise" would buffer a copy
+        for rows in zip(*words.prefix):
+            rows[0].take(wn, out=mass, mode="clip")
+            mass *= xn[0]
+            for c, x in zip(rows[1:], xn[1:], strict=True):
+                c.take(wn, out=term, mode="clip")
+                term *= x
+                mass += term
+            least = mass.copy() if least is None else np.minimum(least, mass, out=least)
         # the lowest point inside the word, from the start state
-        low = np.log(mass.min(axis=1))
+        low = np.log(least)
         low += S.take(near)
-        del wn, mass, term  # before the step allocates the end state
+        del wn, xn, mass, term, least  # before the step allocates the end state
     X_end, S_end = projective_step(words.table, widx, X)
     S_end += S
     alive = S_end > floor

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
+import functools
 import hashlib
 import json
 import math
@@ -423,14 +423,28 @@ def _fmt_column(values) -> list:
     return [_fmt(v) for v in values]
 
 
+def _csv_lines(cells: list) -> str:
+    """CSV lines of equal-length columns of str cells, at least one row, each line ended by ``\\r\\n``.
+
+    These are the bytes ``csv.writer`` writes for cells it leaves unquoted.
+    It quotes a cell holding ``,``, ``"``, ``\\r`` or ``\\n``, which this
+    refuses with ValueError; the counts of those characters in the text show
+    any such cell.
+    """
+    rows, width = len(cells[0]), len(cells)
+    text = "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+    if text.count(",") != rows * (width - 1) or text.count("\r") != rows or text.count("\n") != rows or '"' in text:
+        raise ValueError("a CSV cell holds a comma, a quote or a line break")
+    return text
+
+
 def _write_csv(path: Path, header, columns) -> None:
     rows = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(_csv_lines([[name] for name in header]))
         # a slice of rows at a time keeps the formatted text small
         for s in range(0, rows, _CSV_ROWS):
-            writer.writerows(zip(*(_fmt_column(col[s : s + _CSV_ROWS]) for col in columns)))
+            fh.write(_csv_lines([_fmt_column(col[s : s + _CSV_ROWS]) for col in columns]))
 
 
 def _listed_artifacts(out: Path) -> set:
@@ -777,6 +791,9 @@ def cmd_validate(cfg: dict, law: MatrixLaw):
     return _report(report, {**battery, "diagnostics": diagnostics}, tables)
 
 
+# built once per process: ``parse_args`` leaves the parser as it was and
+# returns a fresh namespace, so no option carries over between calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conefluct",

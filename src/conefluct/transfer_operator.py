@@ -17,7 +17,9 @@ by construction, which gives four spectral quantities:
   martingale-approximation constant ``A = 2 sup |Theta|``.  The series is
   cross-checked against a GMRES solve of the bordered system
   ``(I - B + 1 nu^T) Theta = rho_bar``, matrix-free, so memory and time stay
-  linear in the grid resolution,
+  linear in the grid resolution per iteration; Givens rotations track the
+  least-squares residual, so the small Hessenberg problem is solved only
+  near the stop,
 * the fluctuation variance ``sigma^2``, the variance under ``nu`` of the
   martingale increment ``rho - gamma + Theta(g . x) - Theta(x)`` (Gordin,
   Soviet Math. Dokl. 10, 1969).
@@ -277,25 +279,52 @@ def dominant_eigenvalue(
     return lam_est, kappa_hat
 
 
+def _hessenberg_lstsq(columns: list, beta: float):
+    """Least-squares solution of ``H y = beta e_1`` and the 2-norm of its residual.
+
+    ``columns[i]`` holds the ``i + 2`` leading entries of column ``i`` of the
+    ``(n + 1, n)`` Hessenberg matrix ``H``, ``n = len(columns)``; the entries
+    below are zero.
+    """
+    n = len(columns)
+    hess = np.zeros((n + 1, n))
+    for i, h in enumerate(columns):
+        hess[: i + 2, i] = h
+    target = np.zeros(n + 1)
+    target[0] = beta
+    y = np.linalg.lstsq(hess, target, rcond=None)[0]
+    return y, float(np.linalg.norm(hess @ y - target))
+
+
 def _gmres(matvec, b: np.ndarray, rtol: float, max_iter: int) -> np.ndarray | None:
     """Solve ``M x = b`` by GMRES from ``x = 0`` (Saad & Schultz 1986), no restarts.
 
     Arnoldi with modified Gram-Schmidt grows the Krylov basis one vector per
-    iteration; the small Hessenberg least-squares problem is re-solved each
-    time, and the iteration stops once its residual is below ``rtol |b|``
-    (2-norms).  Returns None on a breakdown before that point: the Krylov
-    space is then invariant under ``M`` but holds no solution, so ``M`` is
-    singular.  The breakdown test is absolute, which assumes ``|M| >= 1``
-    (the bordered Poisson operator maps constants to themselves), so a new
-    direction shorter than 1e-8 is rounding noise.  A zero ``b`` returns 0;
-    ConvergenceError is raised after ``max_iter`` iterations.
+    iteration, O(j G) work at iteration j.  Each new Hessenberg column is
+    reduced by the Givens rotations of the earlier ones and one new rotation,
+    whose last rotated entry ``|g_{j+1}|`` is the least-squares residual,
+    updated in O(j).  Once that residual is below ``10 rtol |b|``, or on a
+    breakdown, the Hessenberg least-squares problem is solved by ``lstsq``, and
+    the iteration stops when that solve's residual is below ``rtol |b|``
+    (2-norms).  The
+    stop test and the solution are thus ``lstsq``'s, which the rotations
+    only gate, and ``lstsq`` runs on the few iterations near the stop.
+    Returns None on a breakdown before that point: the Krylov space is then
+    invariant under ``M`` but holds no solution, so ``M`` is singular.  The
+    breakdown test is absolute, which assumes ``|M| >= 1`` (the bordered
+    Poisson operator maps constants to themselves), so a new direction
+    shorter than 1e-8 is rounding noise.  A zero ``b`` returns 0;
+    ConvergenceError is raised after ``max_iter`` iterations.  The basis is
+    kept as a list of rows and stacked once, on return.
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b)
     basis = [b / beta]
-    hess = np.zeros((1, 0))
-    residual = beta
+    columns = []
+    # rotation i takes entries (i, i + 1) of a column (p, q) to (c p + s q, c q - s p)
+    rotations = []
+    g = beta  # the last entry of the rotated right-hand side beta e_1
     for j in range(max_iter):
         w = matvec(basis[j])
         h = np.zeros(j + 2)
@@ -303,18 +332,24 @@ def _gmres(matvec, b: np.ndarray, rtol: float, max_iter: int) -> np.ndarray | No
             h[i] = v @ w
             w = w - h[i] * v
         h[j + 1] = np.linalg.norm(w)
-        hess = np.pad(hess, ((0, 1), (0, 1)))
-        hess[:, j] = h
-        target = np.zeros(j + 2)
-        target[0] = beta
-        y = np.linalg.lstsq(hess, target, rcond=None)[0]
-        residual = float(np.linalg.norm(hess @ y - target))
-        if residual < rtol * beta:
-            return y @ np.array(basis)
+        columns.append(h)
+        r = h.tolist()
+        for i, (c, s) in enumerate(rotations):
+            r[i], r[i + 1] = c * r[i] + s * r[i + 1], c * r[i + 1] - s * r[i]
+        norm = math.hypot(r[j], r[j + 1])
+        # both entries are 0 only when h[j + 1] = 0, a breakdown that ends the
+        # iteration below; the identity rotation stands in for 0 / 0 there
+        c, s = (r[j] / norm, r[j + 1] / norm) if norm > 0.0 else (1.0, 0.0)
+        rotations.append((c, s))
+        g = -s * g
+        if abs(g) < 10.0 * rtol * beta or h[j + 1] < 1e-8:
+            y, residual = _hessenberg_lstsq(columns, beta)
+            if residual < rtol * beta:
+                return y @ np.array(basis)
         if h[j + 1] < 1e-8:
             return None
         basis.append(w / h[j + 1])
-    raise ConvergenceError("GMRES cross-check did not reach tolerance", residual)
+    raise ConvergenceError("GMRES cross-check did not reach tolerance", _hessenberg_lstsq(columns, beta)[1])
 
 
 def _gordin_sigma2(ws: _Workspace, nu: np.ndarray, drift: float, theta: np.ndarray) -> float:

@@ -9,6 +9,8 @@ Slow and simple on purpose.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +19,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from conefluct import _batch
+from conefluct.cli import _fmt
 from conefluct.matrix_core import SimplexVector, hennion_distance
+from conefluct.transfer_operator import ConvergenceError
 
 
 def dense_walk_log(entry_arrays, x_coords, a=0.0):
@@ -501,9 +505,9 @@ def chunk_word_step(words: _batch.Words, u, X, S, runmin, rising):
         runmin = np.minimum(runmin, S_end)
     if near.size:
         wn = widx.take(near)
-        mass = words.prefix[0].take(wn, axis=0) * X[0].take(near)[:, None]
+        mass = words.prefix[0].T.take(wn, axis=0) * X[0].take(near)[:, None]
         for c, x in zip(words.prefix[1:], X[1:], strict=True):
-            mass += c.take(wn, axis=0) * x.take(near)[:, None]
+            mass += c.T.take(wn, axis=0) * x.take(near)[:, None]
         inside = S.take(near) + np.log(mass.min(axis=1))
         low = np.minimum((S_end if runmin is None else runmin).take(near), inside)
         alive[near] = low > floor
@@ -720,6 +724,55 @@ def dense(ws) -> np.ndarray:
     return B
 
 
+# ---------------------------------------------------------------------------
+# reference GMRES
+#
+# ``transfer_operator._gmres`` as it was before it tracked the residual by
+# Givens rotations: the Hessenberg least-squares problem is re-solved by
+# ``lstsq`` at every iteration.  The library solves it near the stop only,
+# and must stop after as many products with the same bits.
+
+
+def gmres(matvec, b: np.ndarray, rtol: float, max_iter: int) -> np.ndarray | None:
+    """Solve ``M x = b`` by GMRES from ``x = 0`` (Saad & Schultz 1986), no restarts.
+
+    Arnoldi with modified Gram-Schmidt grows the Krylov basis one vector per
+    iteration; the small Hessenberg least-squares problem is re-solved each
+    time, and the iteration stops once its residual is below ``rtol |b|``
+    (2-norms).  Returns None on a breakdown before that point: the Krylov
+    space is then invariant under ``M`` but holds no solution, so ``M`` is
+    singular.  The breakdown test is absolute, which assumes ``|M| >= 1``
+    (the bordered Poisson operator maps constants to themselves), so a new
+    direction shorter than 1e-8 is rounding noise.  A zero ``b`` returns 0;
+    ConvergenceError is raised after ``max_iter`` iterations.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    basis = [b / beta]
+    hess = np.zeros((1, 0))
+    residual = beta
+    for j in range(max_iter):
+        w = matvec(basis[j])
+        h = np.zeros(j + 2)
+        for i, v in enumerate(basis):
+            h[i] = v @ w
+            w = w - h[i] * v
+        h[j + 1] = np.linalg.norm(w)
+        hess = np.pad(hess, ((0, 1), (0, 1)))
+        hess[:, j] = h
+        target = np.zeros(j + 2)
+        target[0] = beta
+        y = np.linalg.lstsq(hess, target, rcond=None)[0]
+        residual = float(np.linalg.norm(hess @ y - target))
+        if residual < rtol * beta:
+            return y @ np.array(basis)
+        if h[j + 1] < 1e-8:
+            return None
+        basis.append(w / h[j + 1])
+    raise ConvergenceError("GMRES cross-check did not reach tolerance", residual)
+
+
 def curvature_sigma2(law, grid, h: float = 0.05) -> float:
     """Fluctuation variance from the curvature of ``log |lambda_t|`` at 0.
 
@@ -733,3 +786,19 @@ def curvature_sigma2(law, grid, h: float = 0.05) -> float:
 
     s_h, s_h2 = (-2.0 * math.log(abs(dominant_eigenvalue(law, grid, t)[0])) / t**2 for t in (h, h / 2.0))
     return (4.0 * s_h2 - s_h) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# reference CSV writer
+#
+# ``cli._write_csv`` joins the formatted cells itself; ``csv.writer`` with
+# its default dialect is the reference for the bytes it writes.
+
+
+def csv_bytes(header, columns) -> bytes:
+    """A header row and equal-length columns, formatted cell by cell with ``cli._fmt``, as ``csv.writer`` writes them."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(*([_fmt(v) for v in col] for col in columns)))
+    return buf.getvalue().encode("utf-8")

@@ -387,19 +387,19 @@ def test_word_table_matches_enumerated_products(name):
 
 @pytest.mark.parametrize("name", ["reference", "k3"])
 def test_prefix_table_matches_enumerated_products(name):
-    """Row w, column j - 1 of ``prefix[i]`` is column sum i of word w's j-letter prefix, for j < b."""
+    """Row j - 1, column w of ``prefix[i]`` is column sum i of word w's j-letter prefix, for j < b."""
     law = _law(name)
     K = law.support_size
     b = _batch.word_length(K)
     words = _batch.word_table(law.atom_stack, law.cum_weights)
     assert len(words.prefix) == law.dim
     for c in words.prefix:
-        assert c.shape == (K**b, b - 1) and c.flags.c_contiguous
+        assert c.shape == (b - 1, K**b) and c.flags.c_contiguous
     for j in range(1, b):
         # every word extending a j-letter prefix, in word order, repeats its sums
         sums = np.array([p.sum(axis=0) for p, _ in oracles.enumerate_word_products(law, j)])
         want = np.repeat(sums, K ** (b - j), axis=0)
-        got = np.stack([c[:, j - 1] for c in words.prefix], axis=1)
+        got = np.stack([c[j - 1] for c in words.prefix], axis=1)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         # the drop bound covers every prefix's lowest mass on the simplex
         assert np.all(-np.log(got.min(axis=1)) <= words.drop)

@@ -16,9 +16,12 @@ import pytest
 import conefluct
 from conefluct import MatrixLaw, SimplexVector, _batch, fluctuation_sim, mc_sigma2
 from conefluct.cli import (
-    _SCHEMA, LawFormatError, _fmt, _fmt_column, law_fingerprint, load_config, load_law, main, save_law,
+    _CSV_ROWS, _SCHEMA, LawFormatError, _build_parser, _fmt, _fmt_column, _write_csv, law_fingerprint,
+    load_config, load_law, main, save_law,
 )
 from conefluct.fixtures import reference_law_text
+
+import oracles
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import centered_law, weak_law  # noqa: E402
@@ -586,6 +589,30 @@ def test_csv_columns_format_like_cells():
         assert _fmt_column(col) == [_fmt(v) for v in col]
 
 
+@pytest.mark.parametrize("rows", [0, 5, 3 * _CSV_ROWS + 7])
+def test_csv_bytes_match_csv_writer(tmp_path, rows):
+    # float cells with signed zeros, nan and infinities; int and bool cells;
+    # longer tables span several of the writer's slices
+    specials = np.array([0.1, -0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5e17])
+    columns = (
+        np.resize(specials, rows) * np.resize([1.0, 3.0], rows),
+        np.arange(rows, dtype=np.int64) * -(2**33),
+        np.arange(rows) % 3 == 0,
+        [True, 7, 0.25, np.float64(-0.0), None][:rows] + [1.5] * max(rows - 5, 0),
+    )
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b", "c", "d"], columns)
+    assert path.read_bytes() == oracles.csv_bytes(["a", "b", "c", "d"], columns)
+
+
+@pytest.mark.parametrize("cell", ["1,5", 'say "x"', "a\rb", "a\nb", "a\r\nb"])
+def test_csv_writer_refuses_cells_csv_would_quote(tmp_path, cell):
+    with pytest.raises(ValueError, match="CSV cell"):
+        _write_csv(tmp_path / "t.csv", ["a", "b"], (np.arange(3.0), ["x", cell, "z"]))
+    with pytest.raises(ValueError, match="CSV cell"):
+        _write_csv(tmp_path / "h.csv", ["a", cell], (np.arange(3.0), np.arange(3)))
+
+
 def test_validate_passes_and_reports(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["validate", "--config", str(config_path), "--out", str(out)])
@@ -727,6 +754,28 @@ def test_validate_negative_control(config_path, tmp_path):
     assert control["final_ks"] > 0.15
     assert payload["report"]["conditional_section"] is None
     assert payload["verdicts"]["negative_control"] is True
+
+
+def test_parser_is_reused_without_carrying_options(config_path, tmp_path):
+    """spectral, validate --sigma-scale 1.05, spectral in one process write what each writes alone."""
+    calls = [
+        ("spectral1", ["spectral", "--config", str(config_path)]),
+        ("validate", ["validate", "--config", str(config_path), "--sigma-scale", "1.05"]),
+        ("spectral2", ["spectral", "--config", str(config_path)]),
+    ]
+
+    def run(root, label, argv):
+        code = main([*argv, "--out", str(tmp_path / root / label)])
+        return code, {p.name: p.read_bytes() for p in sorted((tmp_path / root / label).iterdir())}
+
+    _build_parser.cache_clear()
+    together = [run("together", label, argv) for label, argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    for (label, argv), got in zip(calls, together):
+        _build_parser.cache_clear()
+        assert got == run("alone", label, argv), label
+    assert together[0][0] == 0 and together[0] == together[2]
+    assert json.loads(together[1][1]["report.json"])["report"]["negative_control"] is not None
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -351,19 +351,23 @@ def _weak_law():
     return MatrixLaw.from_entries(list(np.asarray(spec["atoms"])), np.asarray(spec["weights"]))
 
 
+def _bordered(law, G):
+    """The bordered Poisson system ``solve_poisson`` hands to ``_gmres``: matvec, right-hand side, nu."""
+    nu = stationary_measure(law, SimplexGrid(G))
+    ws = _Workspace(law, nu.grid)
+    rhs = ws.rho_bar() - float(nu.values @ ws.rho_bar())
+    return (lambda v: v - ws.apply_stencil(v) + nu.values @ v), rhs, nu
+
+
 @pytest.mark.parametrize("G", [64, 512])
 @pytest.mark.parametrize("law_name", ["reference", "weak", "random64", "scalar"])
 def test_krylov_check_matches_dense_lu(ref_law, centered_scalar_law, law_name, G):
     # the dense LU solve the GMRES cross-check replaced is its reference here;
     # both routes must call the identity-action system singular
     law = {"reference": ref_law, "weak": _weak_law(), "random64": _random_law(64), "scalar": centered_scalar_law}[law_name]
-    grid = SimplexGrid(G)
-    nu_grid = stationary_measure(law, grid)
-    nu = nu_grid.values
-    ws = _Workspace(law, grid)
-    rhs = ws.rho_bar() - float(nu @ ws.rho_bar())
-    krylov = _gmres(lambda v: v - ws.apply_stencil(v) + nu @ v, rhs, 1e-13, G)
-    system = np.eye(G) - oracles.dense(ws) + np.outer(np.ones(G), nu)
+    matvec, rhs, nu = _bordered(law, G)
+    krylov = _gmres(matvec, rhs, 1e-13, G)
+    system = np.eye(G) - oracles.dense(_Workspace(law, nu.grid)) + np.outer(np.ones(G), nu.values)
     if law_name == "scalar":
         assert krylov is None
         with pytest.raises(np.linalg.LinAlgError):
@@ -371,7 +375,7 @@ def test_krylov_check_matches_dense_lu(ref_law, centered_scalar_law, law_name, G
         return
     lu = np.linalg.solve(system, rhs)
     assert np.abs(krylov - lu).max() <= 1e-12
-    sol = solve_poisson(law, nu_grid)
+    sol = solve_poisson(law, nu)
     assert sol.dense_gap == pytest.approx(np.abs(sol.theta.values - lu).max(), abs=1e-12)
 
 
@@ -382,6 +386,87 @@ def test_gmres_edge_cases():
     assert np.allclose(_gmres(lambda v: np.roll(v, 1), np.eye(8)[0], 1e-13, 8), np.eye(8)[7])
     with pytest.raises(ConvergenceError, match="GMRES"):
         _gmres(lambda v: np.roll(v, 1), np.eye(8)[0], 1e-13, 4)
+
+
+def _gmres_case(name, ref_law, centered_scalar_law):
+    """``(matvec, b, rtol, max_iter)`` of one ``_gmres`` oracle case."""
+    if name.startswith(("reference", "weak")):
+        law_name, G = name.split("-G")
+        matvec, rhs, _ = _bordered(ref_law if law_name == "reference" else _weak_law(), int(G))
+        return matvec, rhs, 1e-13, int(G)
+    if name == "identity-action":
+        matvec, rhs, _ = _bordered(centered_scalar_law, 64)
+        return matvec, rhs, 1e-13, 64
+    if name.startswith("shift"):
+        return (lambda v: np.roll(v, 1)), np.eye(8)[0], 1e-13, 8 if name == "shift" else 4
+    if name == "nilpotent-shift":
+        # M e_i = e_{i+1}, M e_7 = 0: the last column of H is 0, so is the
+        # pair its new rotation acts on, and b = e_0 is not in the range
+        return (lambda v: np.concatenate(([0.0], v[:-1]))), np.eye(8)[0], 1e-13, 8
+    # I - 0.99 (cyclic neighbour average) + the mean, bordered as the Poisson
+    # operator is: slow to converge, 160 iterations
+    def averaging(v):
+        return v - 0.99 * (np.roll(v, 1) + np.roll(v, -1)) / 2 + v.mean()
+
+    return averaging, np.random.default_rng(1).standard_normal(4096), 1e-10, 4096
+
+
+def _run_counted(solver, matvec, b, rtol, max_iter):
+    """``solver``'s result (or the message it raised) and its number of products."""
+    products = []
+
+    def counted(v):
+        products.append(None)
+        return matvec(v)
+
+    try:
+        return solver(counted, b, rtol, max_iter), len(products)
+    except ConvergenceError as exc:
+        return str(exc), len(products)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        *[f"{law}-G{G}" for law in ("reference", "weak") for G in (64, 512, 4096)],
+        "shift",
+        "shift-capped",
+        "nilpotent-shift",
+        "identity-action",
+        "averaging-G4096",
+    ],
+)
+def test_gmres_matches_the_lstsq_oracle(ref_law, centered_scalar_law, name):
+    # the rotations only gate the lstsq solve: the same stop, the same bits
+    case = _gmres_case(name, ref_law, centered_scalar_law)
+    got, got_products = _run_counted(_gmres, *case)
+    want, want_products = _run_counted(oracles.gmres, *case)
+    assert got_products == want_products
+    if name == "shift-capped":
+        assert "GMRES" in want and got == want
+    elif name in ("nilpotent-shift", "identity-action"):
+        assert want is None and got is None
+    else:
+        assert isinstance(want, np.ndarray) and np.array_equal(got, want)
+    if name == "averaging-G4096":
+        assert want_products == 160
+
+
+def test_gmres_solves_few_least_squares_problems(monkeypatch):
+    # the weak law takes about 40 iterations at G = 4096; the rotations leave
+    # lstsq to the last few
+    matvec, rhs, _ = _bordered(_weak_law(), 4096)
+    lstsq = np.linalg.lstsq
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    solution, _ = _run_counted(_gmres, matvec, rhs, 1e-13, 4096)
+    assert isinstance(solution, np.ndarray)
+    assert 1 <= len(calls) <= 5
 
 
 @pytest.mark.parametrize("law_name", ["reference", "weak"])
