@@ -1,7 +1,8 @@
 """Vectorized projective-walk kernels shared by the law and simulation layers.
 
-There are three walk kernels, all built on ``draw_indices`` and
-``projective_step``: ``walk_chunk`` runs the free walk over the full horizon
+There are three walk kernels, all built on one step, the tile draw ``_draw``
+and the tile step ``_step``, whose allocating front-ends are ``draw_indices``
+and ``projective_step``: ``walk_chunk`` runs the free walk over the full horizon
 and records selected steps, ``martingale_chunk`` runs it over the full
 horizon and reduces the two martingale guards as it steps, keeping O(paths)
 state, and ``survival_chunk`` runs the killed walk, dropping each path at its
@@ -19,8 +20,9 @@ part of the reproducibility contract: it is a module constant, not
 configuration, because changing it relays paths onto different substreams.
 
 ``run_chunks`` hands the chunks to the kernels in contiguous groups, at least
-one per worker and at most ``GROUP_PATHS`` paths each, and a kernel builds
-its tables once per group.  The free walk runs a group's chunks one after
+one per worker and at most ``GROUP_PATHS`` paths each; a process builds a
+law's tables once and every kernel call on that law reads them
+(``_tables``).  The free walk runs a group's chunks one after
 the other.  The killed walk steps them as one batch in which each chunk's
 held paths are one contiguous segment: every step, each chunk draws its
 segment's uniforms from its own substream; every operation of the step acts
@@ -44,10 +46,27 @@ weights) arrays so they can be shipped to the pool.
 
 The walk state is one contiguous (m,) array per simplex coordinate, in
 every dimension, and the step reads each atom entry as a (K,) array built
-once per group, so no (m, d, d) stack is gathered per step.  Every sum in
+once per process, so no (m, d, d) stack is gathered per step.  Every sum in
 the step runs left to right over the coordinates; that order is part of the
 reproducibility contract.  For d = 2 each sum is a single addition, which
 commutes, so the d = 2 bits depend on no summation order.
+
+A kernel call holds full-length arrays only for its state (the coordinate
+rows, ``S`` and, with several levels, the thresholds), its uniforms and its
+alive mask.  Every other temporary of a step is one tile long, at most
+``TILE_PATHS`` paths, in a ``_Tile`` of buffers allocated once per call, and
+a step runs tile by tile: the draw writes the tile's atoms into an index row,
+each product is formed in place, ``y_i / mass`` goes straight back into the
+state and ``log(mass)`` into a row that ``S`` then adds.  Allocated afresh
+at every step, those temporaries had the allocator map, zero and hand back
+pages at every step: from 16384 paths up each (m,) array is at or above
+glibc's mmap threshold.  Neither the buffers nor the tile size can move a
+bit: every operation acts on each path alone, in the order the whole-array
+expressions take, and IEEE addition and multiplication commute, so ``S +=
+rho`` is ``S + rho`` and ``g *= x`` is ``g * x``.  The killed walk drops
+paths in place, a tile at a time: a tile's survivors are read into a tile
+buffer and written back no higher than they were read, so no read meets an
+entry already overwritten.
 
 The atom draw is an indexed search (Chen & Asau, AIIE Transactions 6, 1974)
 that returns exactly the index ``np.searchsorted(cum_weights, u,
@@ -118,6 +137,10 @@ CHUNK_PATHS = 16384
 # most paths in one kernel call, a whole number of chunks.  It bounds memory
 # only: a group's chunks keep their own substreams and results
 GROUP_PATHS = 2**18
+
+# most paths in one tile of a kernel's step: every temporary of a step is one
+# tile long (see the module docstring).  Any size gives the same bits
+TILE_PATHS = 2**15
 
 # bins of the atom draw's guide table: 2**GUIDE_BITS, or 16 per entry of a
 # longer stack, at most 2**GUIDE_MAX_BITS.  Any size gives the same indices.
@@ -268,8 +291,7 @@ def guide_table(cum_weights: np.ndarray):
     ``lo`` has the narrowest unsigned type that holds the marker.  The guide
     is ``(cum_weights, lo, marker, B, inside)``, with the marker ``None``
     when no bin holds two entries and ``inside`` false when no weight lies
-    strictly inside a bin.  Kernels build the table once per group of
-    chunks.
+    strictly inside a bin.  Kernels read it through ``_tables``.
     """
     count = cum_weights.shape[0]
     bits = min(GUIDE_MAX_BITS, max(GUIDE_BITS, (count - 1).bit_length() + 4))
@@ -287,10 +309,58 @@ def guide_table(cum_weights: np.ndarray):
     return cum_weights, lo, marker if many.size else None, scale, bool(inside.size)
 
 
+class _Tile:
+    """The one-tile temporaries of a kernel call, allocated once and reused at every step.
+
+    ``rows`` are ``d`` float rows, ``scratch`` one more, ``idx`` an index row,
+    ``narrow`` a row of the widest type ``guide_table`` gives its table
+    (viewed as the table's type) and ``flag`` a mask row, each
+    ``min(paths, TILE_PATHS)`` long; a tile of ``n`` paths works on their
+    first ``n`` entries.
+    """
+
+    def __init__(self, d: int, paths: int):
+        self.size = max(1, min(paths, TILE_PATHS))
+        self.rows = [np.empty(self.size) for _ in range(d)]
+        self.scratch = np.empty(self.size)
+        self.idx = np.empty(self.size, dtype=np.intp)
+        self.narrow = np.empty(self.size, dtype=np.uint32)
+        self.flag = np.empty(self.size, dtype=bool)
+
+    def spans(self, m: int) -> list:
+        """The ``(lo, hi)`` bounds of the tiles over ``m`` paths, in path order."""
+        return [(lo, min(lo + self.size, m)) for lo in range(0, m, self.size)]
+
+
+def _draw(guide, u: np.ndarray, tile: _Tile) -> np.ndarray:
+    """``draw_indices`` for one tile of uniforms, into ``tile.idx``; returns that view.
+
+    ``u * B`` goes through ``tile.scratch`` and truncates into ``tile.idx``
+    (``copyto`` with unsafe casting is ``astype``'s cast); the table read
+    lands in a row of the table's narrow type and widens back into
+    ``tile.idx``.  Every index is in range, so ``take`` runs in ``"clip"``
+    mode, which changes no index and writes into ``out`` unbuffered.
+    """
+    cum_weights, lo, marker, scale, inside = guide
+    n = u.shape[0]
+    idx, f, flag = tile.idx[:n], tile.scratch[:n], tile.flag[:n]
+    np.multiply(u, scale, out=f)
+    np.copyto(idx, f, casting="unsafe")
+    np.copyto(idx, lo.take(idx, out=tile.narrow.view(lo.dtype)[:n], mode="clip"))
+    if marker is not None:
+        fix = np.flatnonzero(np.equal(idx, marker, out=flag))
+        if fix.size:
+            idx[fix] = np.searchsorted(cum_weights, u.take(fix), side="right")
+    if inside:
+        idx += np.less_equal(cum_weights.take(idx, out=f, mode="clip"), u, out=flag)
+    return idx
+
+
 def draw_indices(guide, u: np.ndarray) -> np.ndarray:
     """Map uniforms in [0, 1) to atom indices via the cumulative weights.
 
-    ``guide`` comes from ``guide_table``.  The result equals
+    The allocating front-end of the kernels' tile draw, ``_draw``.  ``guide``
+    comes from ``guide_table``.  The result equals
     ``np.searchsorted(cum_weights, u, side="right")``, the count of weights
     ``<= u``, exactly: ``u * B`` is exact because ``B`` is a power of two,
     and truncation is the floor for ``u >= 0``, so it is the bin ``b`` that
@@ -304,15 +374,11 @@ def draw_indices(guide, u: np.ndarray) -> np.ndarray:
     over every uniform, after the fallback, and is skipped when no weight
     lies inside a bin.
     """
-    cum_weights, lo, marker, scale, inside = guide
-    idx = lo.take((u * scale).astype(np.intp))
-    fix = None if marker is None else np.flatnonzero(idx == marker)
-    # ``take`` converts narrower indices on every call, so they widen here, once
-    idx = idx.astype(np.intp)
-    if fix is not None and fix.size:
-        idx[fix] = np.searchsorted(cum_weights, u.take(fix), side="right")
-    if inside:
-        idx += cum_weights.take(idx) <= u
+    m = u.shape[0]
+    tile = _Tile(0, m)
+    idx = np.empty(m, dtype=np.intp)
+    for lo, hi in tile.spans(m):
+        idx[lo:hi] = _draw(guide, u[lo:hi], tile)
     return idx
 
 
@@ -320,7 +386,7 @@ def step_table(atom_stack: np.ndarray):
     """What ``projective_step`` reads for a (K, d, d) atom stack.
 
     ``table[i][j]`` holds the entry ``g_ij`` of every atom as a contiguous
-    (K,) array.  Kernels build it once per group of chunks.
+    (K,) array.  Kernels read it through ``_tables``.
     """
     d = atom_stack.shape[1]
     return [[np.ascontiguousarray(atom_stack[:, i, j]) for j in range(d)] for i in range(d)]
@@ -368,8 +434,8 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
     ``k_1`` the most significant; it stands for ``g_{k_b} ... g_{k_1}`` and
     has weight ``((w_{k_1} w_{k_2}) ...) w_{k_b}``, where the letter weights
     are the steps of ``cum_weights``.  The cumulative word weights are
-    clamped and closed at 1 as ``MatrixLaw.cum_weights`` is.  Kernels build
-    the table once per group of chunks.
+    clamped and closed at 1 as ``MatrixLaw.cum_weights`` is.  Kernels read
+    the table through ``_tables``.
     """
     K, d = atom_stack.shape[:2]
     b = word_length(K)
@@ -401,6 +467,27 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
     return Words(table=table, guide=guide_table(cum), drop=drop, prefix=prefix)
 
 
+# the tables of the last laws a process stepped, by the bytes of their arrays
+_TABLES_KEPT = 4
+_tables_kept: dict = {}
+
+
+def _tables(atom_stack: np.ndarray, cum_weights: np.ndarray):
+    """``step_table``, ``guide_table`` and ``word_table`` of a law, built once per process.
+
+    Every kernel call on the same law in one process, a pool process
+    included, reads the same tables, which nothing writes.  The law is
+    recognised by the bytes of its arrays, and the tables of the last
+    ``_TABLES_KEPT`` laws are kept.
+    """
+    key = (atom_stack.shape, atom_stack.tobytes(), cum_weights.tobytes())
+    if key not in _tables_kept:
+        if len(_tables_kept) >= _TABLES_KEPT:
+            del _tables_kept[next(iter(_tables_kept))]
+        _tables_kept[key] = (step_table(atom_stack), guide_table(cum_weights), word_table(atom_stack, cum_weights))
+    return _tables_kept[key]
+
+
 def _start(atom_stack: np.ndarray, x0, size: int) -> list:
     """``size`` copies of the start point, one (size,) array per coordinate."""
     d = atom_stack.shape[1]
@@ -410,23 +497,68 @@ def _start(atom_stack: np.ndarray, x0, size: int) -> list:
     return [np.full(size, c) for c in x0]
 
 
+def _step(table, idx: np.ndarray, X: list, tile: _Tile) -> np.ndarray:
+    """One projective step of one tile, in place: ``X`` takes the images; returns the increments.
+
+    ``X`` is the tile's state, one (n,) view per simplex coordinate, and
+    ``idx`` its atoms.  Row i is ``y_i = g_i0[idx]*x_0 + g_i1[idx]*x_1 +
+    ...``, formed in ``tile.rows[i]``, and the mass ``y_0 + y_1 + ...`` in
+    ``tile.scratch``, both summed left to right; each product is formed in
+    place, and IEEE multiplication and addition commute, so the bits are
+    those of the expressions.  ``X[i]`` becomes ``y_i / mass`` and the
+    returned view of ``tile.scratch`` holds ``log(mass)``, ``rho(g_idx, x)``.
+    """
+    n = idx.shape[0]
+    Y = [y[:n] for y in tile.rows]
+    g = tile.scratch[:n]
+    for row, y in zip(table, Y, strict=True):
+        row[0].take(idx, out=y, mode="clip")
+        y *= X[0]
+        for c, x in zip(row[1:], X[1:], strict=True):
+            c.take(idx, out=g, mode="clip")
+            g *= x
+            y += g
+    mass = np.add(Y[0], Y[1], out=g)
+    for y in Y[2:]:
+        mass += y
+    for x, y in zip(X, Y, strict=True):
+        np.divide(y, mass, out=x)
+    return np.log(mass, out=mass)
+
+
 def projective_step(table, idx: np.ndarray, X: list):
     """One projective step for a batch of paths.
 
+    The allocating front-end of the kernels' tile step, ``_step``.
     ``table`` comes from ``step_table``, ``idx`` is the chosen atom per path
-    and ``X`` the state, one (m,) array per simplex coordinate.  Returns the
-    renormalized images in the same layout and the log-mass increments
-    ``rho(g_idx, x)``.  Row i is ``y_i = g_i0[idx]*x_0 + g_i1[idx]*x_1 + ...``
-    and the mass ``y_0 + y_1 + ...``, both summed left to right.
+    and ``X`` the state, one (m,) array per simplex coordinate, left as it
+    is.  Returns the renormalized images in the same layout and the
+    log-mass increments ``rho(g_idx, x)``.
     """
-    Y = []
-    for row in table:
-        y = row[0].take(idx) * X[0]
-        for g, x in zip(row[1:], X[1:], strict=True):
-            y += g.take(idx) * x
-        Y.append(y)
-    mass = sum(Y[1:], Y[0])
-    return [y / mass for y in Y], np.log(mass)
+    X = [np.array(x, dtype=float) for x in X]
+    m = idx.shape[0]
+    tile = _Tile(len(X), m)
+    rho = np.empty(m)
+    for lo, hi in tile.spans(m):
+        rho[lo:hi] = _step(table, idx[lo:hi], [x[lo:hi] for x in X], tile)
+    return X, rho
+
+
+def _compact(state: tuple, alive: np.ndarray, first: int, m: int, tile: _Tile) -> int:
+    """Move the paths ``alive`` marks among ``[first, m)`` of every state array down to ``first``, in place.
+
+    Returns the new path count.  A tile of paths at a time is read into
+    ``tile.scratch`` and written back no higher than it was read, so no read
+    meets an entry an earlier write has overwritten.
+    """
+    dst = first
+    for lo, hi in tile.spans(m - first):
+        keep = np.flatnonzero(alive[first + lo : first + hi])
+        k = keep.shape[0]
+        for arr in state:
+            arr[dst : dst + k] = arr[first + lo : first + hi].take(keep, out=tile.scratch[:k], mode="clip")
+        dst += k
+    return dst
 
 
 def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, want_points, sizes, seeds):
@@ -445,11 +577,10 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     The walk steps by a word whenever none of the next ``b - 1`` steps is
     recorded and the b-th is not a ``rho_steps`` step, and by a letter
     otherwise; one uniform per path feeds either.  No path ever leaves, so
-    the chunks run one after the other on the tables built once.
+    the chunks run one after the other on the tables and tile built once.
     """
-    table = step_table(atom_stack)
-    guide = guide_table(cum_weights)
-    words = word_table(atom_stack, cum_weights)
+    table, guide, words = _tables(atom_stack, cum_weights)
+    tile = _Tile(atom_stack.shape[1], max(sizes))
     want_s = {step: i for i, step in enumerate(s_steps)}
     want_rho = {step: i for i, step in enumerate(rho_steps)}
     want_x = {step: i for i, step in enumerate(x_steps)}
@@ -460,6 +591,7 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
         rng = np.random.default_rng(ss)
         X = _start(atom_stack, x0, size)
         S = np.full(size, float(a))
+        u = np.empty(size)
         s_rec = np.empty((len(s_steps), size))
         rho_rec = np.empty((len(rho_steps), size))
         x_rec = np.empty((len(x_steps), size))
@@ -473,13 +605,15 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
                 stack, draw, step = words.table, words.guide, step + b
             else:
                 stack, draw, step = table, guide, step + 1
-            # the uniforms are dropped once drawn, before the step allocates
-            X, rho = projective_step(stack, draw_indices(draw, rng.random(size)), X)
-            S = S + rho
+            rng.random(out=u)
+            row = rho_rec[want_rho[step]] if step in want_rho else None
+            for lo, hi in tile.spans(size):
+                rho = _step(stack, _draw(draw, u[lo:hi], tile), [x[lo:hi] for x in X], tile)
+                S[lo:hi] += rho
+                if row is not None:
+                    row[lo:hi] = rho
             if step in want_s:
                 s_rec[want_s[step]] = S
-            if step in want_rho:
-                rho_rec[want_rho[step]] = rho
             if step in want_x:
                 x_rec[want_x[step]] = X[0]
         out.append((s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None))
@@ -500,9 +634,9 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
     ``S <= EXIT_TOL`` (the exit ordering fails).  Every step is read, so the
     walk steps by letters only; memory is O(size), not O(size * n).
     """
-    table = step_table(atom_stack)
-    guide = guide_table(cum_weights)
+    table, guide, _ = _tables(atom_stack, cum_weights)
     slopes = grid_slopes(params, theta)
+    tile = _Tile(atom_stack.shape[1], max(sizes))
     shifted = -A + EXIT_TOL
     out = []
     for size, ss in zip(sizes, seeds, strict=True):
@@ -510,21 +644,27 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
         X = _start(atom_stack, x0, size)
         theta0 = grid_interp(X[0][0], params, theta, slopes)
         S = np.full(size, float(a))
+        u = np.empty(size)
         gap = np.zeros(size)
         # paths on which S has not exited and M has not crossed the shifted level
         pending = np.ones(size, dtype=bool)
         late = 0
         for _ in range(n):
-            X, rho = projective_step(table, draw_indices(guide, rng.random(size)), X)
-            S = S + rho
-            M = S + grid_interp(X[0], params, theta, slopes)
-            M -= theta0
-            crossed = M <= shifted
-            pending &= S > EXIT_TOL
-            late += int(np.count_nonzero(crossed & pending))
-            pending &= ~crossed
-            np.subtract(S, M, out=M)
-            np.maximum(gap, np.abs(M, out=M), out=gap)
+            rng.random(out=u)
+            for lo, hi in tile.spans(size):
+                Xt, St, pend = [x[lo:hi] for x in X], S[lo:hi], pending[lo:hi]
+                St += _step(table, _draw(guide, u[lo:hi], tile), Xt, tile)
+                M = _interp(Xt[0], params, theta, slopes, tile, tile.rows[1][: hi - lo])
+                M += St
+                M -= theta0
+                flag = tile.flag[: hi - lo]
+                pend &= np.greater(St, EXIT_TOL, out=flag)
+                # the pending paths that cross now are late
+                late += int(np.count_nonzero(pend))
+                pend &= np.logical_not(np.less_equal(M, shifted, out=flag), out=flag)
+                late -= int(np.count_nonzero(pend))
+                np.subtract(St, M, out=M)
+                np.maximum(gap[lo:hi], np.abs(M, out=M), out=gap[lo:hi])
         out.append((gap, late))
     return out
 
@@ -534,24 +674,49 @@ def grid_slopes(params: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.append(np.diff(values) / np.diff(params), 0.0)
 
 
+def _interp(x: np.ndarray, params: np.ndarray, values: np.ndarray, slopes: np.ndarray, tile: _Tile, value: np.ndarray):
+    """``grid_interp`` of one tile of points, into ``value``; returns it.
+
+    The clamped points go to ``tile.rows[0]``, the segment indices to
+    ``tile.idx``, the table reads to ``tile.scratch``.  Every index is in
+    range (``fmin`` takes ``G - 2`` for a NaN point), so ``take`` runs in
+    ``"clip"`` mode.
+    """
+    n = x.shape[0]
+    xc, t, j, flag = tile.rows[0][:n], tile.scratch[:n], tile.idx[:n], tile.flag[:n]
+    top = params.shape[0] - 1
+    np.clip(x, 0.0, 1.0, out=xc)
+    np.copyto(j, np.fmin(np.multiply(xc, top, out=t), top - 1, out=t), casting="unsafe")
+    j -= np.less(xc, params.take(j, out=t, mode="clip"), out=flag)
+    # j <= G - 2 here, so params[1:] at j is params at j + 1
+    j += np.greater_equal(xc, params[1:].take(j, out=t, mode="clip"), out=flag)
+    np.subtract(xc, params.take(j, out=t, mode="clip"), out=value)
+    value *= slopes.take(j, out=t, mode="clip")
+    value += values.take(j, out=t, mode="clip")
+    return value
+
+
 def grid_interp(x, params: np.ndarray, values: np.ndarray, slopes: np.ndarray):
     """``np.interp(x, params, values)`` on the grid ``params = linspace(0, 1, G)``, with no binary search.
 
-    ``slopes`` comes from ``grid_slopes``.  ``x`` is clamped to [0, 1], and
-    ``j = floor(x * (G - 1))``, at most ``G - 2``, lands within one node of
-    the segment ``params[j] <= x < params[j + 1]``, so one comparison each way
-    finds it; ``x >= params[-1]`` takes ``j = G - 1``, whose slope is 0.0.
-    The value is numpy's own formula, ``slope * (x - params[j]) +
-    values[j]``, so it equals ``np.interp`` bit for bit, clamping and scalar
-    input included; the one exception is a node value of -0.0, which may
-    read back as +0.0.
+    The allocating front-end of the martingale kernel's tile read,
+    ``_interp``.  ``slopes`` comes from ``grid_slopes``.  ``x`` is clamped
+    to [0, 1], and ``j = floor(x * (G - 1))``, at most ``G - 2``, lands
+    within one node of the segment ``params[j] <= x < params[j + 1]``, so one
+    comparison each way finds it; ``x >= params[-1]`` takes ``j = G - 1``,
+    whose slope is 0.0.  The value is numpy's own formula, ``slope * (x -
+    params[j]) + values[j]``, so it equals ``np.interp`` bit for bit,
+    clamping and scalar input included; the one exception is a node value
+    of -0.0, which may read back as +0.0.
     """
-    top = params.shape[0] - 1
-    x = np.clip(x, 0.0, 1.0)
-    j = np.fmin(x * top, top - 1).astype(np.intp)
-    j -= x < params.take(j)
-    j += x >= params.take(j + 1)
-    return (x - params.take(j)) * slopes.take(j) + values.take(j)
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    m = flat.shape[0]
+    tile = _Tile(1, m)
+    value = np.empty(m)
+    for lo, hi in tile.spans(m):
+        _interp(flat[lo:hi], params, values, slopes, tile, value[lo:hi])
+    return value.reshape(x.shape)[()]
 
 
 def _lower(thr: np.ndarray, low: np.ndarray, rising: np.ndarray, at: np.ndarray | None = None) -> None:
@@ -568,23 +733,26 @@ def _lower(thr: np.ndarray, low: np.ndarray, rising: np.ndarray, at: np.ndarray 
         thr[dip if at is None else at.take(dip)] = rising[np.searchsorted(rising, low.take(dip)) - 1]
 
 
-def _word_step(words: Words, widx, X, S, thr, rising):
-    """Advance every held path by the words ``widx``; returns ``X``, ``S`` and the alive mask.
+def _word_step(words: Words, widx, X, S, thr, rising, alive, tile: _Tile) -> None:
+    """Advance one tile of held paths by the words ``widx``, in place; ``alive`` takes their alive mask.
 
-    ``thr`` is each path's live threshold, that of its lowest level still
-    alive, updated in place; with one level it is the scalar ``rising[0]``.
-    Every path takes the word's product.  A path whose start ``S`` less the
-    word's drop bound clears ``thr`` by ``WORD_MARGIN`` cannot exit inside
-    the word.  For every other path the prefix masses give the lowest point
-    inside the word, ``S + log(min_j c_j . x)``.  The lower of that point
-    and the word-end ``S`` is the path's low over the word: it is alive
-    while its low stays above ``rising[0]``, the top level's threshold.
+    ``X`` and ``S`` are the tile's state and ``thr`` each path's live
+    threshold, that of its lowest level still alive, updated in place; with
+    one level it is the scalar ``rising[0]``.  Every path takes the word's
+    product.  A path whose start ``S`` less the word's drop bound clears
+    ``thr`` by ``WORD_MARGIN`` cannot exit inside the word.  For every other
+    path the prefix masses give the lowest point inside the word, ``S +
+    log(min_j c_j . x)``.  The lower of that point and the word-end ``S`` is
+    the path's low over the word: it is alive while its low stays above
+    ``rising[0]``, the top level's threshold.
     """
     floor = rising[0]
-    room = words.drop.take(widx)
+    many = isinstance(thr, np.ndarray)
+    n = widx.shape[0]
+    room = words.drop.take(widx, out=tile.rows[0][:n], mode="clip")
     np.subtract(S, room, out=room)
-    near = np.flatnonzero(room <= thr + WORD_MARGIN)
-    del room
+    clear = np.add(thr, WORD_MARGIN, out=tile.rows[1][:n]) if many else thr + WORD_MARGIN
+    near = np.flatnonzero(np.less_equal(room, clear, out=tile.flag[:n]))
     if near.size:
         wn = widx.take(near)
         xn = [x.take(near) for x in X]
@@ -603,20 +771,16 @@ def _word_step(words: Words, widx, X, S, thr, rising):
         # the lowest point inside the word, from the start state
         low = np.log(least)
         low += S.take(near)
-        del wn, xn, mass, term, least  # before the step allocates the end state
-    X_end, S_end = projective_step(words.table, widx, X)
-    S_end += S
-    alive = S_end > floor
-    many = isinstance(thr, np.ndarray)
+    S += _step(words.table, widx, X, tile)
+    np.greater(S, floor, out=alive)
     if near.size:
-        np.minimum(low, S_end.take(near), out=low)
+        np.minimum(low, S.take(near), out=low)
         alive[near] = low > floor
         if many:
             _lower(thr, low, rising, near)
     if many:
         # a near path's threshold is now below its word-end S, so only far paths can move here
-        _lower(thr, S_end, rising)
-    return X_end, S_end, alive
+        _lower(thr, S, rising)
 
 
 def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, sizes, seeds):
@@ -650,7 +814,9 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     ``want_samples`` (one level only) the survivor values come as well.
 
     The walk steps by a word whenever the word ends by the next ``n``
-    (see ``_word_step``), and by a letter otherwise.
+    (see ``_word_step``), and by a letter otherwise.  The held paths are the
+    first ``m`` entries of the state, uniform and mask arrays, which are
+    allocated once; dropping paths moves the survivors down in place.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or not levels.size or not np.isfinite(levels).all() or np.any(np.diff(levels) <= 0.0):
@@ -663,54 +829,51 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     rising = thresholds[::-1]
     floor = rising[0]
     rngs = [np.random.default_rng(ss) for ss in seeds]
-    table = step_table(atom_stack)
-    guide = guide_table(cum_weights)
-    words = word_table(atom_stack, cum_weights)
+    table, guide, words = _tables(atom_stack, cum_weights)
     b = 1 if words is None else words.length
     held = list(sizes)  # each chunk's held paths
-    size = sum(held)
-    X = _start(atom_stack, x0, size)
-    S = np.full(size, levels[0])
-    thr = np.full(size, rising[-1]) if top else floor
+    m = sum(held)
+    X = _start(atom_stack, x0, m)
+    S = np.full(m, levels[0])
+    thr = np.full(m, rising[-1]) if top else floor
+    state = (*X, S, thr) if top else (*X, S)
+    u = np.empty(m)
+    alive = np.empty(m, dtype=bool)
+    tile = _Tile(len(X), m)
     counts = np.zeros((len(held), levels.size, len(n_values)), dtype=np.int64)
     sums = np.zeros(counts.shape)
     sums2 = np.zeros(counts.shape)
     samples = [[np.empty(0)] * len(n_values) if want_samples else [] for _ in held]
     step = 0
     for pos, n in enumerate(n_values):
-        while step < n and S.shape[0]:
-            u = np.empty(S.shape[0])
+        while step < n and m:
             lo = 0
             for rng, k in zip(rngs, held, strict=True):
                 if k:
                     rng.random(k, out=u[lo : lo + k])
                     lo += k
             word = b > 1 and step + b <= n
-            idx = draw_indices(words.guide if word else guide, u)
-            del u  # before the step allocates
-            if word:
-                X, S, alive = _word_step(words, idx, X, S, thr, rising)
-                step += b
-            else:
-                X, rho = projective_step(table, idx, X)
-                rho += S
-                S = rho
-                step += 1
-                alive = S > floor
-                if top:
-                    _lower(thr, S, rising)
-            if not alive.all():
-                X = [x[alive] for x in X]
-                S = S[alive]
-                if top:
-                    thr = thr[alive]
+            for lo, hi in tile.spans(m):
+                Xt, St, at = [x[lo:hi] for x in X], S[lo:hi], alive[lo:hi]
+                tt = thr[lo:hi] if top else thr
+                if word:
+                    _word_step(words, _draw(words.guide, u[lo:hi], tile), Xt, St, tt, rising, at, tile)
+                else:
+                    St += _step(table, _draw(guide, u[lo:hi], tile), Xt, tile)
+                    np.greater(St, floor, out=at)
+                    if top:
+                        _lower(tt, St, rising)
+            step += b if word else 1
+            first = int(np.argmin(alive[:m]))  # the first dropped path, if any
+            if not alive[first]:
                 lo = 0
                 for c, k in enumerate(held):
                     held[c] = np.count_nonzero(alive[lo : lo + k])
                     lo += k
+                # the paths before the first dropped one stay where they are
+                m = _compact(state, alive, first, m, tile)
         step = n
-        # no view of S outlives the report: it would keep the whole array
-        # alive after the next compaction replaces it
+        # the reports copy out of the state, which the next step overwrites
         lo = 0
         for c, k in enumerate(held):
             hi = lo + k

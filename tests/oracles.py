@@ -591,6 +591,85 @@ def chunk_survival(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
 
 
 # ---------------------------------------------------------------------------
+# the free walks one chunk at a time, on (m, d) arrays
+#
+# ``_batch.walk_chunk`` and ``_batch.martingale_chunk`` step their paths in
+# place, a tile at a time.  These step one chunk as a whole with the left
+# fold, on the letter stack and on the word stack that ``_batch.word_table``
+# built, drawn by ``searchsorted``, and read the potential with ``np.interp``;
+# their sums run in the library's order, so every output matches bit for bit.
+
+
+def chunk_walk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, size, ss):
+    """The free walk of one chunk, stepped by words where ``_batch.walk_chunk`` takes them.
+
+    Returns the ``S``, ``rho`` and first-coordinate records, step 0 allowed
+    in ``s_steps`` and ``x_steps``, and the final (size, d) points.
+    """
+    words = _batch.word_table(atom_stack, cum_weights)
+    b = 1 if words is None else words.length
+    # table[i][j][w] is entry (i, j) of word w
+    word_stack = None if words is None else np.array(words.table).transpose(2, 0, 1)
+    rng = np.random.default_rng(ss)
+    X = np.tile(np.asarray(x0, dtype=float), (size, 1))
+    S = np.full(size, float(a))
+    s_rec = np.empty((len(s_steps), size))
+    rho_rec = np.empty((len(rho_steps), size))
+    x_rec = np.empty((len(x_steps), size))
+    if 0 in s_steps:
+        s_rec[s_steps.index(0)] = S
+    if 0 in x_steps:
+        x_rec[x_steps.index(0)] = X[:, 0]
+    recorded = set(s_steps) | set(rho_steps) | set(x_steps)
+    step = 0
+    while step < n:
+        u = rng.random(size)
+        inside = range(step + 1, step + b)
+        if b > 1 and step + b <= n and step + b not in rho_steps and not any(k in recorded for k in inside):
+            X, rho = left_fold_step(word_stack, draw_indices(words.guide[0], u), X)
+            step += b
+        else:
+            X, rho = left_fold_step(atom_stack, draw_indices(cum_weights, u), X)
+            step += 1
+        S = S + rho
+        if step in s_steps:
+            s_rec[s_steps.index(step)] = S
+        if step in rho_steps:
+            rho_rec[rho_steps.index(step)] = rho
+        if step in x_steps:
+            x_rec[x_steps.index(step)] = X[:, 0]
+    return s_rec, rho_rec, x_rec, X
+
+
+def chunk_martingale(atom_stack, cum_weights, x0, a, n, params, theta, A, size, ss):
+    """The martingale guards of one chunk, as ``_batch.martingale_chunk`` returns them.
+
+    ``M_n = (S_n + Theta(X_n)) - Theta(x_0)`` with ``Theta`` read by
+    ``np.interp``.  Returns each path's ``sup_n |S_n - M_n|`` and the count
+    of paths whose ``M`` reaches ``-A + EXIT_TOL`` at a step where ``S`` has
+    not exited yet.
+    """
+    rng = np.random.default_rng(ss)
+    X = np.tile(np.asarray(x0, dtype=float), (size, 1))
+    S = np.full(size, float(a))
+    theta0 = np.interp(x0[0], params, theta)
+    gap = np.zeros(size)
+    exited = np.zeros(size, dtype=bool)
+    crossed = np.zeros(size, dtype=bool)
+    late = 0
+    for _ in range(n):
+        X, rho = left_fold_step(atom_stack, draw_indices(cum_weights, rng.random(size)), X)
+        S = S + rho
+        M = S + np.interp(X[:, 0], params, theta) - theta0
+        exited |= S <= _batch.EXIT_TOL
+        first = ~crossed & (M <= -A + _batch.EXIT_TOL)
+        late += int(np.count_nonzero(first & ~exited))
+        crossed |= first
+        gap = np.maximum(gap, np.abs(S - M))
+    return gap, late
+
+
+# ---------------------------------------------------------------------------
 # reference path records
 #
 # One record per path, cut out of the free walk's rows, and the martingale

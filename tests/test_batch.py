@@ -15,6 +15,7 @@ import itertools
 import multiprocessing
 import os
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -706,3 +707,166 @@ def test_pool_scope_leaves_other_worker_counts_their_own_pools(monkeypatch):
         _batch.run_chunks(_batch.walk_chunk, walk, 2 * _batch.CHUNK_PATHS + 1, np.random.SeedSequence(29), 2)
         assert _RecordingPool.sizes == [2, 1]
     assert not multiprocessing.active_children()
+
+
+# ---------------------------------------------------------------------------
+# tiles
+#
+# Every kernel steps its paths a tile of ``TILE_PATHS`` at a time, in place
+# over buffers allocated once per call.  A tile of 5 paths cuts every chunk,
+# single paths included, into several tiles, and compaction reads and writes
+# across tile edges; 4099 cuts a whole chunk off-centre.  No tile size may
+# move a bit: every kernel is held to its one-chunk oracle at both sizes and
+# at the module's own.  The reference law steps by words of 8 letters (d = 2);
+# d3k65 has 65 atoms, so it steps by letters (d = 3)
+
+TILE_SIZES = (5, 4099, None)
+TILE_LAWS = ("reference", "d3k65")
+
+# a few hundred paths in small chunks keep 5-path tiles quick; the larger
+# tiles cut a whole chunk.  Both lists hold chunks that empty long before the
+# last report
+TILE_CHUNKS = {5: (1, 1, 5, 3, 70, 300, 1), 4099: (_batch.CHUNK_PATHS, 3392, 1, 5)}
+
+# one level of about one step's spread, and eight up to 50 times it, so that
+# at the top level no path dies in the first steps and nothing is compacted
+TILE_LEVELS = {
+    "reference": ((0.5,), tuple(0.42 * k for k in (0.5, 1, 2, 4, 8, 16, 32, 50))),
+    "d3k65": ((0.2,), tuple(0.16 * k for k in (0.5, 1, 2, 4, 8, 16, 32, 50))),
+}
+
+TILE_SURVIVAL_CASES = [
+    (name, tile, levels, samples)
+    for name in TILE_LAWS
+    for tile in TILE_SIZES
+    for levels, samples in (("1lv", False), ("8lv", False), ("1lv", True))
+]
+
+
+def _tile_chunks(tile):
+    return TILE_CHUNKS[5 if tile == 5 else 4099]
+
+
+@pytest.mark.parametrize(
+    "name,tile,levels,samples",
+    TILE_SURVIVAL_CASES,
+    ids=[f"{n}-tile{t}-{lv}{'-samples' if s else ''}" for n, t, lv, s in TILE_SURVIVAL_CASES],
+)
+def test_survival_chunk_is_tile_invariant(monkeypatch, name, tile, levels, samples):
+    law = _law(name)
+    x0 = SimplexVector.barycenter(law.dim).coords
+    one, eight = TILE_LEVELS[name]
+    n_values = (1, 2, 3, 10, 50, 200)
+    sizes = _tile_chunks(tile)
+    seeds = np.random.SeedSequence(31).spawn(len(sizes))
+    head = (law.atom_stack, law.cum_weights, x0, one if levels == "1lv" else eight, n_values, samples)
+    want = [oracles.chunk_survival(*head, size, ss) for size, ss in zip(sizes, seeds)]
+    if tile is not None:
+        monkeypatch.setattr(_batch, "TILE_PATHS", tile)
+    _assert_same_chunks(_batch.survival_chunk(*head, list(sizes), seeds), want)
+    counts = np.array([w[0] for w in want])  # (chunk, level, n)
+    if levels == "1lv":
+        # a chunk empties while others step on
+        assert np.any(counts[:, 0, -2] == 0) and counts[:, 0, -1].sum() > 0
+    else:
+        # the first steps drop no path, and by the last report the lower levels have lost some
+        assert counts[:, -1, 2].sum() == sum(sizes)
+        assert counts[:, 0, -1].sum() < sum(sizes)
+
+
+@pytest.mark.parametrize("tile", TILE_SIZES)
+@pytest.mark.parametrize("name", TILE_LAWS)
+def test_walk_chunk_is_tile_invariant(monkeypatch, name, tile):
+    """Step-0 records and letter steps between words, every output bit for bit."""
+    law = _law(name)
+    x0 = SimplexVector.barycenter(law.dim).coords
+    walk = (law.atom_stack, law.cum_weights, x0, 0.5, 60, (0, 1, 2, 7, 30, 60), (1, 5, 6, 59, 60), (0, 1, 3, 60))
+    sizes = _tile_chunks(tile)
+    seeds = np.random.SeedSequence(32).spawn(len(sizes))
+    want = [oracles.chunk_walk(*walk, size, ss) for size, ss in zip(sizes, seeds)]
+    if tile is not None:
+        monkeypatch.setattr(_batch, "TILE_PATHS", tile)
+    _assert_same_walks(_batch.walk_chunk(*walk, True, list(sizes), seeds), want)
+
+
+@pytest.mark.parametrize("tile", TILE_SIZES)
+def test_martingale_chunk_is_tile_invariant(monkeypatch, tile):
+    """Each path's gap and each chunk's late count, against ``np.interp`` on the left-fold walk."""
+    law = _law("reference")
+    params = np.linspace(0.0, 1.0, 65)
+    theta = 0.1 * np.sin(2.0 * np.pi * params) + 0.05  # no node of -0.0
+    # A is far below sup |Theta|, so M often reaches -A before S exits
+    args = (law.atom_stack, law.cum_weights, (0.3, 0.7), 0.5, 60, params, theta, 0.02)
+    sizes = _tile_chunks(tile)
+    seeds = np.random.SeedSequence(33).spawn(len(sizes))
+    want = [oracles.chunk_martingale(*args, size, ss) for size, ss in zip(sizes, seeds)]
+    if tile is not None:
+        monkeypatch.setattr(_batch, "TILE_PATHS", tile)
+    got = _batch.martingale_chunk(*args, list(sizes), seeds)
+    assert len(got) == len(want)
+    for (gap, late), (want_gap, want_late) in zip(got, want, strict=True):
+        assert np.array_equal(gap, want_gap) and late == want_late
+    assert sum(late for _, late in want) > 0
+
+
+# ---------------------------------------------------------------------------
+# memory
+#
+# The tracemalloc peak of one call on a group of four whole chunks (65,536
+# paths) to n = 256, per path, with the results held.  The bounds are the
+# figures of the kernels that allocated every temporary anew at every step,
+# measured on these laws and calls (numpy 2.4.6); the kernels that step in
+# place over fixed buffers must stay at or below them
+
+MEMORY_BOUNDS = {
+    ("reference", "survival 1 level"): 93.3,
+    ("reference", "survival 8 levels"): 106.5,
+    ("reference", "walk"): 31.0,
+    ("d3k64", "survival 1 level"): 124.8,
+    ("d3k64", "survival 8 levels"): 140.8,
+    ("d3k64", "walk"): 45.3,
+}
+
+
+def _memory_call(name: str, kernel: str):
+    """The kernel call ``(function, args)`` whose peak ``MEMORY_BOUNDS`` bounds, sizes and seeds left off."""
+    law = _law(name)
+    scale = {"reference": 0.42, "d3k64": 0.16}[name]
+    head = (law.atom_stack, law.cum_weights, SimplexVector.barycenter(law.dim).coords)
+    if kernel == "walk":
+        return _batch.walk_chunk, (*head, 0.0, 256, (256,), (), (), False)
+    levels = (2.0 * scale,) if kernel == "survival 1 level" else tuple(scale * k for k in (0.5, 1, 2, 4, 8, 16, 32, 50))
+    return _batch.survival_chunk, (*head, levels, (64, 256), False)
+
+
+def _peak_bytes_per_path(fn, args, chunks: int = 4) -> float:
+    sizes = [_batch.CHUNK_PATHS] * chunks
+    seeds = np.random.SeedSequence(34).spawn(chunks)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, sizes, seeds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak / sum(sizes)
+
+
+@pytest.mark.parametrize("name,kernel", list(MEMORY_BOUNDS), ids=[f"{n}-{k}" for n, k in MEMORY_BOUNDS])
+def test_kernel_memory_per_path_is_bounded(name, kernel):
+    assert _peak_bytes_per_path(*_memory_call(name, kernel)) <= MEMORY_BOUNDS[name, kernel]
+
+
+def test_kernel_costs_script_reports_every_kernel(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import kernel_costs
+
+    assert kernel_costs.main(["--chunks", "1", "--steps", "8", "--repeat", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [" ".join(r.split()[:-3]) for r in rows] == [
+        f"{law} {kernel}"
+        for law in ("reference", "d3k64")
+        for kernel in ("walk_chunk", "survival_chunk 1 level", "survival_chunk 8 levels", "martingale_chunk")
+        if law == "reference" or kernel != "martingale_chunk"
+    ]
