@@ -9,13 +9,12 @@ call (``getrusage``).  The kernels run in this process, one group of
 
 Usage (from the root of a checkout)::
 
-    PYTHONPATH=src python scripts/kernel_costs.py [--chunks 4] [--steps 256] [--repeat 5] [--json out.json]
+    PYTHONPATH=src python scripts/kernel_costs.py [--chunks 4] [--steps 256] [--repeat 5]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import resource
 import sys
 import time
@@ -83,10 +82,8 @@ def main(argv=None) -> int:
     parser.add_argument("--chunks", type=int, default=4, help="chunks of CHUNK_PATHS paths per call")
     parser.add_argument("--steps", type=int, default=256, help="horizon n of every walk")
     parser.add_argument("--repeat", type=int, default=5, help="timed calls per kernel")
-    parser.add_argument("--json", type=Path, help="also write the figures to this file")
     args = parser.parse_args(argv)
     paths = args.chunks * _batch.CHUNK_PATHS
-    rows = []
     print(f"{paths} paths ({args.chunks} chunks), n = {args.steps}, best of {args.repeat}")
     print(f"{'law':<10} {'kernel':<24} {'s/call':>8} {'ns/path-step':>13} {'faults/call':>12}")
     for name, (make, scale) in LAWS.items():
@@ -94,14 +91,7 @@ def main(argv=None) -> int:
         for kernel, (fn, kargs) in kernel_calls(law, scale, args.steps).items():
             seconds, faults = measure(fn, kargs, args.chunks, args.repeat)
             ns = seconds / (paths * args.steps) * 1e9
-            row = {"law": name, "kernel": kernel, "s_per_call": seconds, "ns_per_path_step": ns, "minor_faults": faults}
-            rows.append(row)
             print(f"{name:<10} {kernel:<24} {seconds:8.4f} {ns:13.2f} {faults:12.0f}")
-    if args.json is not None:
-        # TILE_PATHS is None on a tree whose kernels allocate every step
-        meta = {"paths": paths, "steps": args.steps, "repeat": args.repeat}
-        meta["tile_paths"] = getattr(_batch, "TILE_PATHS", None)
-        args.json.write_text(json.dumps({**meta, "rows": rows}, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -20,9 +20,8 @@ part of the reproducibility contract: it is a module constant, not
 configuration, because changing it relays paths onto different substreams.
 
 ``run_chunks`` hands the chunks to the kernels in contiguous groups, at least
-one per worker and at most ``GROUP_PATHS`` paths each; a process builds a
-law's tables once and every kernel call on that law reads them
-(``_tables``).  The free walk runs a group's chunks one after
+one per worker and at most ``GROUP_PATHS`` paths each, and a kernel builds
+its tables once per group.  The free walk runs a group's chunks one after
 the other.  The killed walk steps them as one batch in which each chunk's
 held paths are one contiguous segment: every step, each chunk draws its
 segment's uniforms from its own substream; every operation of the step acts
@@ -46,7 +45,7 @@ weights) arrays so they can be shipped to the pool.
 
 The walk state is one contiguous (m,) array per simplex coordinate, in
 every dimension, and the step reads each atom entry as a (K,) array built
-once per process, so no (m, d, d) stack is gathered per step.  Every sum in
+once per group, so no (m, d, d) stack is gathered per step.  Every sum in
 the step runs left to right over the coordinates; that order is part of the
 reproducibility contract.  For d = 2 each sum is a single addition, which
 commutes, so the d = 2 bits depend on no summation order.
@@ -291,7 +290,8 @@ def guide_table(cum_weights: np.ndarray):
     ``lo`` has the narrowest unsigned type that holds the marker.  The guide
     is ``(cum_weights, lo, marker, B, inside)``, with the marker ``None``
     when no bin holds two entries and ``inside`` false when no weight lies
-    strictly inside a bin.  Kernels read it through ``_tables``.
+    strictly inside a bin.  Kernels build the table once per group of
+    chunks.
     """
     count = cum_weights.shape[0]
     bits = min(GUIDE_MAX_BITS, max(GUIDE_BITS, (count - 1).bit_length() + 4))
@@ -386,7 +386,7 @@ def step_table(atom_stack: np.ndarray):
     """What ``projective_step`` reads for a (K, d, d) atom stack.
 
     ``table[i][j]`` holds the entry ``g_ij`` of every atom as a contiguous
-    (K,) array.  Kernels read it through ``_tables``.
+    (K,) array.  Kernels build it once per group of chunks.
     """
     d = atom_stack.shape[1]
     return [[np.ascontiguousarray(atom_stack[:, i, j]) for j in range(d)] for i in range(d)]
@@ -434,8 +434,8 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
     ``k_1`` the most significant; it stands for ``g_{k_b} ... g_{k_1}`` and
     has weight ``((w_{k_1} w_{k_2}) ...) w_{k_b}``, where the letter weights
     are the steps of ``cum_weights``.  The cumulative word weights are
-    clamped and closed at 1 as ``MatrixLaw.cum_weights`` is.  Kernels read
-    the table through ``_tables``.
+    clamped and closed at 1 as ``MatrixLaw.cum_weights`` is.  Kernels build
+    the table once per group of chunks.
     """
     K, d = atom_stack.shape[:2]
     b = word_length(K)
@@ -465,27 +465,6 @@ def word_table(atom_stack: np.ndarray, cum_weights: np.ndarray) -> Words | None:
     cum = np.minimum(np.cumsum(w), 1.0)
     cum[-1] = 1.0
     return Words(table=table, guide=guide_table(cum), drop=drop, prefix=prefix)
-
-
-# the tables of the last laws a process stepped, by the bytes of their arrays
-_TABLES_KEPT = 4
-_tables_kept: dict = {}
-
-
-def _tables(atom_stack: np.ndarray, cum_weights: np.ndarray):
-    """``step_table``, ``guide_table`` and ``word_table`` of a law, built once per process.
-
-    Every kernel call on the same law in one process, a pool process
-    included, reads the same tables, which nothing writes.  The law is
-    recognised by the bytes of its arrays, and the tables of the last
-    ``_TABLES_KEPT`` laws are kept.
-    """
-    key = (atom_stack.shape, atom_stack.tobytes(), cum_weights.tobytes())
-    if key not in _tables_kept:
-        if len(_tables_kept) >= _TABLES_KEPT:
-            del _tables_kept[next(iter(_tables_kept))]
-        _tables_kept[key] = (step_table(atom_stack), guide_table(cum_weights), word_table(atom_stack, cum_weights))
-    return _tables_kept[key]
 
 
 def _start(atom_stack: np.ndarray, x0, size: int) -> list:
@@ -579,7 +558,9 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     otherwise; one uniform per path feeds either.  No path ever leaves, so
     the chunks run one after the other on the tables and tile built once.
     """
-    table, guide, words = _tables(atom_stack, cum_weights)
+    table = step_table(atom_stack)
+    guide = guide_table(cum_weights)
+    words = word_table(atom_stack, cum_weights)
     tile = _Tile(atom_stack.shape[1], max(sizes))
     want_s = {step: i for i, step in enumerate(s_steps)}
     want_rho = {step: i for i, step in enumerate(rho_steps)}
@@ -634,7 +615,8 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
     ``S <= EXIT_TOL`` (the exit ordering fails).  Every step is read, so the
     walk steps by letters only; memory is O(size), not O(size * n).
     """
-    table, guide, _ = _tables(atom_stack, cum_weights)
+    table = step_table(atom_stack)
+    guide = guide_table(cum_weights)
     slopes = grid_slopes(params, theta)
     tile = _Tile(atom_stack.shape[1], max(sizes))
     shifted = -A + EXIT_TOL
@@ -654,10 +636,11 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
             for lo, hi in tile.spans(size):
                 Xt, St, pend = [x[lo:hi] for x in X], S[lo:hi], pending[lo:hi]
                 St += _step(table, _draw(guide, u[lo:hi], tile), Xt, tile)
-                M = _interp(Xt[0], params, theta, slopes, tile, tile.rows[1][: hi - lo])
+                k = hi - lo
+                M = _interp(Xt[0], params, theta, slopes, tile.rows[1][:k], tile.scratch[:k], tile.idx[:k], tile.flag[:k])
                 M += St
                 M -= theta0
-                flag = tile.flag[: hi - lo]
+                flag = tile.flag[:k]
                 pend &= np.greater(St, EXIT_TOL, out=flag)
                 # the pending paths that cross now are late
                 late += int(np.count_nonzero(pend))
@@ -674,23 +657,22 @@ def grid_slopes(params: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.append(np.diff(values) / np.diff(params), 0.0)
 
 
-def _interp(x: np.ndarray, params: np.ndarray, values: np.ndarray, slopes: np.ndarray, tile: _Tile, value: np.ndarray):
-    """``grid_interp`` of one tile of points, into ``value``; returns it.
+def _interp(x: np.ndarray, params: np.ndarray, values: np.ndarray, slopes: np.ndarray, value, t, j, flag):
+    """``grid_interp`` of the points ``x``, into ``value``; returns it.
 
-    The clamped points go to ``tile.rows[0]``, the segment indices to
-    ``tile.idx``, the table reads to ``tile.scratch``.  Every index is in
-    range (``fmin`` takes ``G - 2`` for a NaN point), so ``take`` runs in
-    ``"clip"`` mode.
+    ``value`` and ``t`` are float arrays, ``j`` an index array and ``flag``
+    a mask, each of the shape of ``x``.  ``value`` holds the clamped points
+    until the formula overwrites them in place, ``j`` the segment indices
+    and ``t`` the table reads.  Every index is in range (``fmin`` takes ``G - 2`` for a NaN
+    point), so ``take`` runs in ``"clip"`` mode.
     """
-    n = x.shape[0]
-    xc, t, j, flag = tile.rows[0][:n], tile.scratch[:n], tile.idx[:n], tile.flag[:n]
     top = params.shape[0] - 1
-    np.clip(x, 0.0, 1.0, out=xc)
+    xc = np.clip(x, 0.0, 1.0, out=value)
     np.copyto(j, np.fmin(np.multiply(xc, top, out=t), top - 1, out=t), casting="unsafe")
     j -= np.less(xc, params.take(j, out=t, mode="clip"), out=flag)
     # j <= G - 2 here, so params[1:] at j is params at j + 1
     j += np.greater_equal(xc, params[1:].take(j, out=t, mode="clip"), out=flag)
-    np.subtract(xc, params.take(j, out=t, mode="clip"), out=value)
+    value -= params.take(j, out=t, mode="clip")
     value *= slopes.take(j, out=t, mode="clip")
     value += values.take(j, out=t, mode="clip")
     return value
@@ -700,23 +682,19 @@ def grid_interp(x, params: np.ndarray, values: np.ndarray, slopes: np.ndarray):
     """``np.interp(x, params, values)`` on the grid ``params = linspace(0, 1, G)``, with no binary search.
 
     The allocating front-end of the martingale kernel's tile read,
-    ``_interp``.  ``slopes`` comes from ``grid_slopes``.  ``x`` is clamped
-    to [0, 1], and ``j = floor(x * (G - 1))``, at most ``G - 2``, lands
-    within one node of the segment ``params[j] <= x < params[j + 1]``, so one
-    comparison each way finds it; ``x >= params[-1]`` takes ``j = G - 1``,
-    whose slope is 0.0.  The value is numpy's own formula, ``slope * (x -
+    ``_interp``, over all of ``x`` at once.  ``slopes`` comes from
+    ``grid_slopes``.  ``x`` is clamped to [0, 1], and ``j = floor(x * (G -
+    1))``, at most ``G - 2``, lands within one node of the segment
+    ``params[j] <= x < params[j + 1]``, so one comparison each way finds
+    it; ``x >= params[-1]`` takes ``j = G - 1``, whose slope is 0.0.  The value is numpy's own formula, ``slope * (x -
     params[j]) + values[j]``, so it equals ``np.interp`` bit for bit,
     clamping and scalar input included; the one exception is a node value
     of -0.0, which may read back as +0.0.
     """
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    m = flat.shape[0]
-    tile = _Tile(1, m)
-    value = np.empty(m)
-    for lo, hi in tile.spans(m):
-        _interp(flat[lo:hi], params, values, slopes, tile, value[lo:hi])
-    return value.reshape(x.shape)[()]
+    value = np.empty(x.shape)
+    _interp(x, params, values, slopes, value, np.empty(x.shape), np.empty(x.shape, dtype=np.intp), np.empty(x.shape, dtype=bool))
+    return value[()]
 
 
 def _lower(thr: np.ndarray, low: np.ndarray, rising: np.ndarray, at: np.ndarray | None = None) -> None:
@@ -829,7 +807,9 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     rising = thresholds[::-1]
     floor = rising[0]
     rngs = [np.random.default_rng(ss) for ss in seeds]
-    table, guide, words = _tables(atom_stack, cum_weights)
+    table = step_table(atom_stack)
+    guide = guide_table(cum_weights)
+    words = word_table(atom_stack, cum_weights)
     b = 1 if words is None else words.length
     held = list(sizes)  # each chunk's held paths
     m = sum(held)

@@ -813,11 +813,12 @@ def test_martingale_chunk_is_tile_invariant(monkeypatch, tile):
 # memory
 #
 # The tracemalloc peak of one call on a group of four whole chunks (65,536
-# paths) to n = 256, per path, with the results held.  The bounds are the
-# figures of the kernels that allocated every temporary anew at every step,
-# measured on these laws and calls (numpy 2.4.6); the kernels that step in
-# place over fixed buffers must stay at or below them
+# paths) to n = 256, per path, with the results held, each call building its
+# law's tables.  The bounds are the figures of the kernels that allocated
+# every temporary anew at every step, measured on these laws and calls; the
+# kernels that step in place over fixed buffers must stay at or below them
 
+# measured with numpy 2.4.6: another numpy may allocate differently
 MEMORY_BOUNDS = {
     ("reference", "survival 1 level"): 93.3,
     ("reference", "survival 8 levels"): 106.5,
