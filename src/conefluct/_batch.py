@@ -1,17 +1,21 @@
 """Vectorized projective-walk kernels shared by the law and simulation layers.
 
-There are three walk kernels, all built on one step, the tile draw ``_draw``
-and the tile step ``_step``, whose allocating front-ends are ``draw_indices``
-and ``projective_step``: ``walk_chunk`` runs the free walk over the full horizon
-and records selected steps, ``martingale_chunk`` runs it over the full
-horizon and reduces the two martingale guards as it steps, keeping O(paths)
-state, and ``survival_chunk`` runs the killed walk, dropping each path at its
-exit.  The killed walk always takes a strictly increasing tuple of start
-levels, one level being a one-element tuple.  The increments do not depend
-on the level, so one path set carried from the lowest level ``a_0`` is the
-killed walk at every level: level l is shifted by ``a_l - a_0``, a path is
-dropped once it is dead at the top level, and each path keeps the threshold
-of its lowest level still alive, lowered only when the walk reaches it.
+There are three walk kernels over one walk loop, ``_Walk``: ``walk_chunk``
+runs the free walk over the full horizon and records selected steps,
+``martingale_chunk`` runs it over the full horizon and reduces the two
+martingale guards as it steps, keeping O(paths) state, and
+``survival_chunk`` runs the killed walk at one or more start levels,
+dropping each path at its exit at the top level.  A kernel call builds one
+``_Walk``, which builds the law's step, guide and word tables and the
+step buffers once.  ``start`` lays out a group of chunks, ``word`` picks a
+word or a letter for the next step from the next step the kernel reads and
+the steps that must be letters, and ``tiles`` takes that step: each chunk
+draws its uniforms, and the paths step a tile at a time through the tile
+draw ``_draw`` and the tile step ``_step`` (``_word_step`` for a killed
+walk's word).  Each kernel keeps only what it reads after each tile: its
+records, its two guards, or its thresholds, compaction and reports.
+``draw_indices`` and ``projective_step`` are the allocating front-ends of
+``_draw`` and ``_step``.
 
 Paths are processed in fixed-size chunks.  The master seed is expanded with
 ``SeedSequence.spawn`` into one substream per chunk, each chunk has its own
@@ -20,15 +24,16 @@ part of the reproducibility contract: it is a module constant, not
 configuration, because changing it relays paths onto different substreams.
 
 ``run_chunks`` hands the chunks to the kernels in contiguous groups, at least
-one per worker and at most ``GROUP_PATHS`` paths each, and a kernel builds
-its tables once per group.  The free walk runs a group's chunks one after
-the other.  The killed walk steps them as one batch in which each chunk's
-held paths are one contiguous segment: every step, each chunk draws its
-segment's uniforms from its own substream; every operation of the step acts
-on each path alone; dropping paths keeps their order, so the segments stay
-contiguous; and each chunk's counts, sums and samples are taken over its own
-segment.  A chunk's result therefore does not depend on the chunks that
-share its group, so neither the grouping, nor ``GROUP_PATHS``, nor the
+one per worker and at most ``GROUP_PATHS`` paths each, one kernel call per
+group.  The free walks start a group's chunks one after the other: grouped,
+their state would be a whole group long, where per chunk it is one chunk
+long.  The killed walk starts the whole group as one batch: each chunk's
+held paths are one contiguous segment, and at every step each chunk draws
+its segment's uniforms from its own substream; every operation of the step
+acts on each path alone; dropping paths keeps their order, so the segments
+stay contiguous; and each chunk's counts, sums and samples are taken over
+its own segment.  A chunk's result therefore does not depend on the chunks
+that share its group, so neither the grouping, nor ``GROUP_PATHS``, nor the
 worker count can move a bit.
 
 ``workers=N`` means N processes compute, the calling process included.
@@ -44,63 +49,43 @@ The kernels are plain module-level functions over (atom stack, cumulative
 weights) arrays so they can be shipped to the pool.
 
 The walk state is one contiguous (m,) array per simplex coordinate, in
-every dimension, and the step reads each atom entry as a (K,) array built
-once per group, so no (m, d, d) stack is gathered per step.  Every sum in
-the step runs left to right over the coordinates; that order is part of the
-reproducibility contract.  For d = 2 each sum is a single addition, which
-commutes, so the d = 2 bits depend on no summation order.
+every dimension, and the step reads each atom entry as a (K,) array, so no
+(m, d, d) stack is gathered per step.  Every sum in the step runs left to
+right over the coordinates; that order is part of the reproducibility
+contract.  For d = 2 each sum is a single addition, which commutes, so the
+d = 2 bits depend on no summation order.
 
 A kernel call holds full-length arrays only for its state (the coordinate
 rows, ``S`` and, with several levels, the thresholds), its uniforms and its
-alive mask.  Every other temporary of a step is one tile long, at most
-``TILE_PATHS`` paths, in a ``_Tile`` of buffers allocated once per call, and
-a step runs tile by tile: the draw writes the tile's atoms into an index row,
-each product is formed in place, ``y_i / mass`` goes straight back into the
-state and ``log(mass)`` into a row that ``S`` then adds.  Allocated afresh
-at every step, those temporaries had the allocator map, zero and hand back
-pages at every step: from 16384 paths up each (m,) array is at or above
-glibc's mmap threshold.  Neither the buffers nor the tile size can move a
-bit: every operation acts on each path alone, in the order the whole-array
-expressions take, and IEEE addition and multiplication commute, so ``S +=
-rho`` is ``S + rho`` and ``g *= x`` is ``g * x``.  The killed walk drops
-paths in place, a tile at a time: a tile's survivors are read into a tile
-buffer and written back no higher than they were read, so no read meets an
-entry already overwritten.
+alive mask.  The temporaries of the step itself are one tile long, at most
+``TILE_PATHS`` paths, in a ``_Tile`` of buffers allocated once per call: the
+draw writes the tile's atoms into an index row, each product is formed in
+place, ``y_i / mass`` goes straight back into the state and ``log(mass)``
+into a row that ``S`` then adds.  The exception is a killed walk's word
+step, whose near-path temporaries (``_word_step``) are allocated at every
+word step, each at most a tile long.  Neither the buffers nor the tile size
+can move a bit: every operation acts on each path alone, in the order the
+whole-array expressions take, and IEEE addition and multiplication commute,
+so ``S += rho`` is ``S + rho`` and ``g *= x`` is ``g * x``.  The killed
+walk drops paths in place, a tile at a time: a tile's survivors are read
+into a tile buffer and written back no higher than they were read, so no
+read meets an entry already overwritten.
 
 The atom draw is an indexed search (Chen & Asau, AIIE Transactions 6, 1974)
-that returns exactly the index ``np.searchsorted(cum_weights, u,
-side="right")`` would.  ``[0, 1)`` is cut into a power of two of equal bins,
-``2**GUIDE_BITS`` or 16 per entry of a longer stack, at most
-``2**GUIDE_MAX_BITS``; scaling ``u`` by that power of two is exact, so
-truncation finds the bin of ``u`` without rounding.  A table gives each bin
-the index of its left edge, and one compare of ``u`` with the next
-cumulative weight corrects it in a bin that holds one weight strictly
-inside (a split bin).  Only uniforms in a bin that holds two or more fall
-back to the binary search, and a stack with no split bin, such as the
-reference law's, skips the compare.  Sizing the table to the stack keeps
-crowded bins rare: the benchmark's 4096-word stack splits 4095 of 2**16
-bins and puts two weights in none.
+through a guide table sized to the stack (``guide_table``): it returns
+exactly the index ``np.searchsorted(cum_weights, u, side="right")`` would
+(see ``draw_indices``).  ``martingale_chunk`` reads the potential at every
+step through ``grid_interp``, ``np.interp`` bit for bit with no binary
+search.
 
-``martingale_chunk`` reads the potential at every step through
-``grid_interp``: the grid is uniform, so index arithmetic and one compare
-each way find the segment that ``np.interp`` finds by binary search, and
-the value is numpy's own formula (see ``grid_interp``).
-
-``walk_chunk`` and ``survival_chunk`` step by words of ``b`` letters where
-they can; ``martingale_chunk`` reads every step, so it steps by letters.  The
-walk sampled every ``b`` steps is the walk of the b-fold convolution, whose
-atoms are the ``K**b`` products of ``b`` letters, so one uniform and one
-projective step through the word stack (``word_table``) cover ``b`` steps.  ``b`` is the
-largest value up to ``WORD_LETTERS`` with ``K**b <= WORD_ATOMS``: 8 for ``K =
-2``, 2 for ``17 <= K <= 64``.  It is 1 for a one-atom law and for ``K > 64``,
-and such laws step by letters only, with the same bits as a letter kernel.  So
-does a law whose word products leave the normal float range: a prefix product
-with an infinite or subnormal entry, or a column sum that is not finite and
-positive, would step ``X`` and ``S`` inexactly, so ``word_table`` gives such a
-law no words.  The letters of a word are the base-K digits of its index, the
-first letter to act the most significant, so the word weights are the letter
-weights multiplied in that order and the word stack decodes back to the letter
-walk.
+The walk steps by words of ``b`` letters where the kernel reads no step
+inside the word; ``martingale_chunk`` reads every step, so it steps by
+letters.  The walk sampled every ``b`` steps is the walk of the b-fold
+convolution, whose atoms are the ``K**b`` products of ``b`` letters, so one
+uniform and one projective step through the word stack (``word_table``)
+cover ``b`` steps.  ``b`` is ``word_length(K)``; a law with ``b = 1``, or
+whose word products leave the normal float range, steps by letters only,
+with the same bits as a letter kernel.
 
 A word never steps past a recorded or reported step.  In the killed walk the
 exits stay exact by the word's prefix masses: with ``c_j`` the column sums of
@@ -124,6 +109,7 @@ ties exits.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import contextvars
 from concurrent.futures import ProcessPoolExecutor
@@ -540,6 +526,73 @@ def _compact(state: tuple, alive: np.ndarray, first: int, m: int, tile: _Tile) -
     return dst
 
 
+class _Walk:
+    """The walk loop of one kernel call (see the module docstring).
+
+    It builds the law's step and guide tables, its word stack (``words``
+    None when the law steps by letters, or when the kernel reads every step
+    and asks for none) and one ``_Tile`` for ``paths`` paths.  ``start``
+    lays out a group of chunks; then, until the kernel is done, ``word``
+    picks the next step and ``tiles`` takes it.  The held paths are the
+    first ``m`` entries of the coordinate rows ``X``, of ``S`` and of the
+    uniforms ``u``, chunk c's the ``held[c]`` entries after the chunks
+    before it; a kernel that drops paths updates ``held`` and ``m``.
+    """
+
+    def __init__(self, atom_stack: np.ndarray, cum_weights: np.ndarray, x0, paths: int, words: bool = True):
+        self.atom_stack, self.x0 = atom_stack, x0
+        self.table = step_table(atom_stack)
+        self.guide = guide_table(cum_weights)
+        self.words = word_table(atom_stack, cum_weights) if words else None
+        self.b = 1 if self.words is None else self.words.length
+        self.tile = _Tile(atom_stack.shape[1], paths)
+
+    def start(self, a: float, sizes, seeds) -> None:
+        """Start one chunk of ``size`` paths at ``(x0, a)`` per ``(size, seed)``, each on its own substream, at step 0."""
+        self.rngs = [np.random.default_rng(ss) for ss in seeds]
+        self.held = list(sizes)
+        self.m = sum(self.held)
+        self.X = _start(self.atom_stack, self.x0, self.m)
+        self.S = np.full(self.m, float(a))
+        self.u = np.empty(self.m)
+        self.step = 0
+
+    def word(self, until: int, letters=()) -> bool:
+        """Whether the next step is a word: its ``b`` letters end by ``until``, the next step the kernel reads, and not at a step of ``letters``."""
+        end = self.step + self.b
+        return self.b > 1 and end <= until and end not in letters
+
+    def tiles(self, word: bool, thr=None):
+        """Take the next step, a word or a letter, tile by tile; yields ``(lo, hi, rho, low)`` after each tile's step.
+
+        Each chunk first draws its segment's uniforms from its own
+        substream, nothing once it holds no path.  Paths ``lo:hi`` of ``X``
+        and ``S`` then hold the tile's images and ``rho`` its increments.
+        ``thr`` is the killed walk's live threshold, per held path or one
+        scalar; with it, ``low`` is each path's lowest ``S`` over the step
+        (``_word_step``), and otherwise the tile's ``S``.  ``rho`` and
+        ``low`` are views valid until the next tile.
+        """
+        lo = 0
+        for rng, k in zip(self.rngs, self.held, strict=True):
+            if k:
+                rng.random(k, out=self.u[lo : lo + k])
+                lo += k
+        stack, guide = (self.words.table, self.words.guide) if word else (self.table, self.guide)
+        self.step += self.b if word else 1
+        for lo, hi in self.tile.spans(self.m):
+            idx = _draw(guide, self.u[lo:hi], self.tile)
+            X, S = [x[lo:hi] for x in self.X], self.S[lo:hi]
+            if word and thr is not None:
+                tt = thr[lo:hi] if isinstance(thr, np.ndarray) else thr
+                rho, low = _word_step(self.words, idx, X, S, tt, self.tile)
+            else:
+                rho = _step(stack, idx, X, self.tile)
+                S += rho
+                low = S
+            yield lo, hi, rho, low
+
+
 def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, want_points, sizes, seeds):
     """Full-horizon walk (no exit filtering) recording selected step data.
 
@@ -553,51 +606,35 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
     With ``want_points`` the final (size, d) simplex points are returned
     last, otherwise ``None``.
 
-    The walk steps by a word whenever none of the next ``b - 1`` steps is
-    recorded and the b-th is not a ``rho_steps`` step, and by a letter
-    otherwise; one uniform per path feeds either.  No path ever leaves, so
-    the chunks run one after the other on the tables and tile built once.
+    The walk steps by a word whenever it ends by the next recorded step
+    and that step is not a ``rho_steps`` step, and by a letter otherwise.
+    The chunks start one after the other.
     """
-    table = step_table(atom_stack)
-    guide = guide_table(cum_weights)
-    words = word_table(atom_stack, cum_weights)
-    tile = _Tile(atom_stack.shape[1], max(sizes))
+    walk = _Walk(atom_stack, cum_weights, x0, max(sizes))
     want_s = {step: i for i, step in enumerate(s_steps)}
     want_rho = {step: i for i, step in enumerate(rho_steps)}
     want_x = {step: i for i, step in enumerate(x_steps)}
-    recorded = want_s.keys() | want_rho.keys() | want_x.keys()
-    b = 1 if words is None else words.length
+    reads = sorted(want_s.keys() | want_rho.keys() | want_x.keys() | {n})
     out = []
     for size, ss in zip(sizes, seeds, strict=True):
-        rng = np.random.default_rng(ss)
-        X = _start(atom_stack, x0, size)
-        S = np.full(size, float(a))
-        u = np.empty(size)
+        walk.start(a, [size], [ss])
         s_rec = np.empty((len(s_steps), size))
         rho_rec = np.empty((len(rho_steps), size))
         x_rec = np.empty((len(x_steps), size))
         if 0 in want_s:
-            s_rec[0] = S
+            s_rec[0] = walk.S
         if 0 in want_x:
-            x_rec[0] = X[0]
-        step = 0
-        while step < n:
-            if b > 1 and step + b <= n and step + b not in want_rho and recorded.isdisjoint(range(step + 1, step + b)):
-                stack, draw, step = words.table, words.guide, step + b
-            else:
-                stack, draw, step = table, guide, step + 1
-            rng.random(out=u)
-            row = rho_rec[want_rho[step]] if step in want_rho else None
-            for lo, hi in tile.spans(size):
-                rho = _step(stack, _draw(draw, u[lo:hi], tile), [x[lo:hi] for x in X], tile)
-                S[lo:hi] += rho
-                if row is not None:
-                    row[lo:hi] = rho
-            if step in want_s:
-                s_rec[want_s[step]] = S
-            if step in want_x:
-                x_rec[want_x[step]] = X[0]
-        out.append((s_rec, rho_rec, x_rec, np.stack(X, axis=1) if want_points else None))
+            x_rec[0] = walk.X[0]
+        while walk.step < n:
+            word = walk.word(reads[bisect.bisect_right(reads, walk.step)], want_rho)
+            for lo, hi, rho, _ in walk.tiles(word):
+                if walk.step in want_rho:
+                    rho_rec[want_rho[walk.step], lo:hi] = rho
+            if walk.step in want_s:
+                s_rec[want_s[walk.step]] = walk.S
+            if walk.step in want_x:
+                x_rec[want_x[walk.step]] = walk.X[0]
+        out.append((s_rec, rho_rec, x_rec, np.stack(walk.X, axis=1) if want_points else None))
     return out
 
 
@@ -615,38 +652,31 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
     ``S <= EXIT_TOL`` (the exit ordering fails).  Every step is read, so the
     walk steps by letters only; memory is O(size), not O(size * n).
     """
-    table = step_table(atom_stack)
-    guide = guide_table(cum_weights)
+    walk = _Walk(atom_stack, cum_weights, x0, max(sizes), words=False)
+    tile = walk.tile
     slopes = grid_slopes(params, theta)
-    tile = _Tile(atom_stack.shape[1], max(sizes))
     shifted = -A + EXIT_TOL
     out = []
     for size, ss in zip(sizes, seeds, strict=True):
-        rng = np.random.default_rng(ss)
-        X = _start(atom_stack, x0, size)
-        theta0 = grid_interp(X[0][0], params, theta, slopes)
-        S = np.full(size, float(a))
-        u = np.empty(size)
+        walk.start(a, [size], [ss])
+        theta0 = grid_interp(walk.X[0][0], params, theta, slopes)
         gap = np.zeros(size)
         # paths on which S has not exited and M has not crossed the shifted level
         pending = np.ones(size, dtype=bool)
         late = 0
-        for _ in range(n):
-            rng.random(out=u)
-            for lo, hi in tile.spans(size):
-                Xt, St, pend = [x[lo:hi] for x in X], S[lo:hi], pending[lo:hi]
-                St += _step(table, _draw(guide, u[lo:hi], tile), Xt, tile)
+        while walk.step < n:
+            for lo, hi, _, _ in walk.tiles(False):
                 k = hi - lo
-                M = _interp(Xt[0], params, theta, slopes, tile.rows[1][:k], tile.scratch[:k], tile.idx[:k], tile.flag[:k])
-                M += St
+                M = _interp(walk.X[0][lo:hi], params, theta, slopes, tile.rows[1][:k], tile.scratch[:k], tile.idx[:k], tile.flag[:k])
+                M += walk.S[lo:hi]
                 M -= theta0
                 flag = tile.flag[:k]
-                pend &= np.greater(St, EXIT_TOL, out=flag)
+                pending[lo:hi] &= np.greater(walk.S[lo:hi], EXIT_TOL, out=flag)
                 # the pending paths that cross now are late
-                late += int(np.count_nonzero(pend))
-                pend &= np.logical_not(np.less_equal(M, shifted, out=flag), out=flag)
-                late -= int(np.count_nonzero(pend))
-                np.subtract(St, M, out=M)
+                late += int(np.count_nonzero(pending[lo:hi]))
+                pending[lo:hi] &= np.logical_not(np.less_equal(M, shifted, out=flag), out=flag)
+                late -= int(np.count_nonzero(pending[lo:hi]))
+                np.subtract(walk.S[lo:hi], M, out=M)
                 np.maximum(gap[lo:hi], np.abs(M, out=M), out=gap[lo:hi])
         out.append((gap, late))
     return out
@@ -711,25 +741,20 @@ def _lower(thr: np.ndarray, low: np.ndarray, rising: np.ndarray, at: np.ndarray 
         thr[dip if at is None else at.take(dip)] = rising[np.searchsorted(rising, low.take(dip)) - 1]
 
 
-def _word_step(words: Words, widx, X, S, thr, rising, alive, tile: _Tile) -> None:
-    """Advance one tile of held paths by the words ``widx``, in place; ``alive`` takes their alive mask.
+def _word_step(words: Words, widx, X, S, thr, tile: _Tile):
+    """One killed-walk tile's step by the words ``widx``, in place (see the module docstring); returns ``rho`` and ``low``.
 
     ``X`` and ``S`` are the tile's state and ``thr`` each path's live
-    threshold, that of its lowest level still alive, updated in place; with
-    one level it is the scalar ``rising[0]``.  Every path takes the word's
-    product.  A path whose start ``S`` less the word's drop bound clears
-    ``thr`` by ``WORD_MARGIN`` cannot exit inside the word.  For every other
-    path the prefix masses give the lowest point inside the word, ``S +
-    log(min_j c_j . x)``.  The lower of that point and the word-end ``S`` is
-    the path's low over the word: it is alive while its low stays above
-    ``rising[0]``, the top level's threshold.
+    threshold, or one scalar.  ``rho`` holds the increments and ``low`` each
+    path's lowest ``S`` over the word: its word-end ``S``, lowered to the
+    in-word minimum for a path whose start ``S`` less the drop bound does
+    not clear ``thr`` by ``WORD_MARGIN`` (a near path).  Both are views of
+    the tile's buffers; the near paths' temporaries are allocated anew.
     """
-    floor = rising[0]
-    many = isinstance(thr, np.ndarray)
     n = widx.shape[0]
     room = words.drop.take(widx, out=tile.rows[0][:n], mode="clip")
     np.subtract(S, room, out=room)
-    clear = np.add(thr, WORD_MARGIN, out=tile.rows[1][:n]) if many else thr + WORD_MARGIN
+    clear = np.add(thr, WORD_MARGIN, out=tile.rows[1][:n]) if isinstance(thr, np.ndarray) else thr + WORD_MARGIN
     near = np.flatnonzero(np.less_equal(room, clear, out=tile.flag[:n]))
     if near.size:
         wn = widx.take(near)
@@ -747,30 +772,23 @@ def _word_step(words: Words, widx, X, S, thr, rising, alive, tile: _Tile) -> Non
                 mass += term
             least = mass.copy() if least is None else np.minimum(least, mass, out=least)
         # the lowest point inside the word, from the start state
-        low = np.log(least)
-        low += S.take(near)
-    S += _step(words.table, widx, X, tile)
-    np.greater(S, floor, out=alive)
+        inside = np.log(least)
+        inside += S.take(near)
+    rho = _step(words.table, widx, X, tile)
+    S += rho
+    low = tile.rows[0][:n]
+    np.copyto(low, S)
     if near.size:
-        np.minimum(low, S.take(near), out=low)
-        alive[near] = low > floor
-        if many:
-            _lower(thr, low, rising, near)
-    if many:
-        # a near path's threshold is now below its word-end S, so only far paths can move here
-        _lower(thr, S, rising)
+        low[near] = np.minimum(inside, S.take(near), out=inside)
+    return rho, low
 
 
 def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, sizes, seeds):
     """Killed walk: paths exit at the first step with ``S <= EXIT_TOL``.
 
     Runs one chunk of ``size`` paths per ``(size, seed)`` of ``sizes`` and
-    ``seeds`` and returns one result per chunk.  The chunks step as one
-    batch: each chunk's held paths are one contiguous segment of the state,
-    in chunk order, and each chunk draws its segment's uniforms from its own
-    substream, nothing once it holds no path.  Dropping paths keeps the
-    order, so the segments stay contiguous, and every chunk reports from its
-    own segment: its results are bit for bit those of the chunk run alone.
+    ``seeds`` and returns one result per chunk.  The chunks start as one
+    batch, and each reports from its own segment (see the module docstring).
 
     ``levels`` is a non-empty, strictly increasing sequence of finite start
     levels ``a_0 < ... < a_top``; one level is a one-element sequence.  The
@@ -791,10 +809,9 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     expectation), as ``(len(levels), len(n_values))`` arrays.  With
     ``want_samples`` (one level only) the survivor values come as well.
 
-    The walk steps by a word whenever the word ends by the next ``n``
-    (see ``_word_step``), and by a letter otherwise.  The held paths are the
-    first ``m`` entries of the state, uniform and mask arrays, which are
-    allocated once; dropping paths moves the survivors down in place.
+    The walk steps by a word whenever the word ends by the next ``n``, and
+    by a letter otherwise; a path is alive while its lowest ``S`` over the
+    step stays above the top level's threshold.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or not levels.size or not np.isfinite(levels).all() or np.any(np.diff(levels) <= 0.0):
@@ -806,59 +823,36 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     top = levels.size - 1
     rising = thresholds[::-1]
     floor = rising[0]
-    rngs = [np.random.default_rng(ss) for ss in seeds]
-    table = step_table(atom_stack)
-    guide = guide_table(cum_weights)
-    words = word_table(atom_stack, cum_weights)
-    b = 1 if words is None else words.length
-    held = list(sizes)  # each chunk's held paths
-    m = sum(held)
-    X = _start(atom_stack, x0, m)
-    S = np.full(m, levels[0])
-    thr = np.full(m, rising[-1]) if top else floor
-    state = (*X, S, thr) if top else (*X, S)
-    u = np.empty(m)
-    alive = np.empty(m, dtype=bool)
-    tile = _Tile(len(X), m)
-    counts = np.zeros((len(held), levels.size, len(n_values)), dtype=np.int64)
+    walk = _Walk(atom_stack, cum_weights, x0, sum(sizes))
+    walk.start(levels[0], sizes, seeds)
+    thr = np.full(walk.m, rising[-1]) if top else floor
+    state = (*walk.X, walk.S, thr) if top else (*walk.X, walk.S)
+    alive = np.empty(walk.m, dtype=bool)
+    counts = np.zeros((len(sizes), levels.size, len(n_values)), dtype=np.int64)
     sums = np.zeros(counts.shape)
     sums2 = np.zeros(counts.shape)
-    samples = [[np.empty(0)] * len(n_values) if want_samples else [] for _ in held]
-    step = 0
+    samples = [[np.empty(0)] * len(n_values) if want_samples else [] for _ in sizes]
     for pos, n in enumerate(n_values):
-        while step < n and m:
-            lo = 0
-            for rng, k in zip(rngs, held, strict=True):
-                if k:
-                    rng.random(k, out=u[lo : lo + k])
-                    lo += k
-            word = b > 1 and step + b <= n
-            for lo, hi in tile.spans(m):
-                Xt, St, at = [x[lo:hi] for x in X], S[lo:hi], alive[lo:hi]
-                tt = thr[lo:hi] if top else thr
-                if word:
-                    _word_step(words, _draw(words.guide, u[lo:hi], tile), Xt, St, tt, rising, at, tile)
-                else:
-                    St += _step(table, _draw(guide, u[lo:hi], tile), Xt, tile)
-                    np.greater(St, floor, out=at)
-                    if top:
-                        _lower(tt, St, rising)
-            step += b if word else 1
-            first = int(np.argmin(alive[:m]))  # the first dropped path, if any
+        while walk.step < n and walk.m:
+            for lo, hi, _, low in walk.tiles(walk.word(n), thr):
+                np.greater(low, floor, out=alive[lo:hi])
+                if top:
+                    _lower(thr[lo:hi], low, rising)
+            first = int(np.argmin(alive[: walk.m]))  # the first dropped path, if any
             if not alive[first]:
                 lo = 0
-                for c, k in enumerate(held):
-                    held[c] = np.count_nonzero(alive[lo : lo + k])
+                for c, k in enumerate(walk.held):
+                    walk.held[c] = np.count_nonzero(alive[lo : lo + k])
                     lo += k
                 # the paths before the first dropped one stay where they are
-                m = _compact(state, alive, first, m, tile)
-        step = n
+                walk.m = _compact(state, alive, first, walk.m, walk.tile)
+        walk.step = n
         # the reports copy out of the state, which the next step overwrites
         lo = 0
-        for c, k in enumerate(held):
+        for c, k in enumerate(walk.held):
             hi = lo + k
             for l, off in enumerate(shift):
-                value = (S[lo:hi] if l == top else S[lo:hi][thr[lo:hi] >= thresholds[l]]) + off
+                value = (walk.S[lo:hi] if l == top else walk.S[lo:hi][thr[lo:hi] >= thresholds[l]]) + off
                 counts[c, l, pos] = value.shape[0]
                 sums[c, l, pos] = value.sum()
                 sums2[c, l, pos] = np.square(value).sum()

@@ -10,10 +10,11 @@ fluctuation variance, increment covariances, and the martingale
 approximation ``M_n = S_n + Theta(X_n) - Theta(X_0)`` built from a tabulated
 potential, with ``sup_n |S_n - M_n| <= A = 2 sup |Theta|`` checked pathwise.
 
-Everything runs on the three chunked kernels of ``_batch``.  The killed walk
-``survival_chunk`` runs a tuple of start levels: one level for survival and
-the conditional endpoints, all the levels of ``estimate_V`` on one path set,
-and every ``HarmonicEstimate`` carries ``P(tau > n)`` from its own paths.
+Everything runs on the three walk kernels of ``_batch``, which share one
+walk loop.  The killed walk ``survival_chunk`` runs a tuple of start levels:
+one level for survival and the conditional endpoints, all the levels of
+``estimate_V`` on one path set, and every ``HarmonicEstimate`` carries
+``P(tau > n)`` from its own paths.
 The free walk ``walk_chunk`` feeds the variance, the covariances and
 ``simulate_paths``.  ``martingale_guards`` runs the free walk in
 ``martingale_chunk``, which reduces the two martingale guards while the

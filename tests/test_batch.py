@@ -826,6 +826,9 @@ MEMORY_BOUNDS = {
     ("d3k64", "survival 1 level"): 124.8,
     ("d3k64", "survival 8 levels"): 140.8,
     ("d3k64", "walk"): 45.3,
+    # the parent figure of the tiled kernel, whose first call this bounds:
+    # it fails when one chunk's state outlives the start of the next
+    ("reference", "martingale"): 32.0,
 }
 
 
@@ -836,6 +839,9 @@ def _memory_call(name: str, kernel: str):
     head = (law.atom_stack, law.cum_weights, SimplexVector.barycenter(law.dim).coords)
     if kernel == "walk":
         return _batch.walk_chunk, (*head, 0.0, 256, (256,), (), (), False)
+    if kernel == "martingale":
+        params = np.linspace(0.0, 1.0, 513)
+        return _batch.martingale_chunk, (*head, 1.0, 256, params, 0.1 * np.sin(2.0 * np.pi * params), 0.2)
     levels = (2.0 * scale,) if kernel == "survival 1 level" else tuple(scale * k for k in (0.5, 1, 2, 4, 8, 16, 32, 50))
     return _batch.survival_chunk, (*head, levels, (64, 256), False)
 
