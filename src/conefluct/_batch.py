@@ -727,18 +727,17 @@ def grid_interp(x, params: np.ndarray, values: np.ndarray, slopes: np.ndarray):
     return value[()]
 
 
-def _lower(thr: np.ndarray, low: np.ndarray, rising: np.ndarray, at: np.ndarray | None = None) -> None:
-    """Lower the live thresholds ``thr`` in place wherever a path's new low reaches its own.
+def _lower(thr: np.ndarray, low: np.ndarray, rising: np.ndarray) -> None:
+    """Lower the live thresholds ``thr`` in place wherever a path's new low ``low`` reaches its own.
 
-    ``low`` holds the lows of the paths ``at``, of every path when ``at`` is
-    None.  A path whose low is ``<=`` its threshold has lost that level; its
-    new threshold is the highest of ``rising`` (the thresholds in increasing
+    A path whose low is ``<=`` its threshold has lost that level; its new
+    threshold is the highest of ``rising`` (the thresholds in increasing
     order) below the low.  A low that reaches ``rising[0]`` kills the path,
     which is dropped before its threshold is read again.
     """
-    dip = np.flatnonzero(low <= (thr if at is None else thr.take(at)))
+    dip = np.flatnonzero(low <= thr)
     if dip.size:
-        thr[dip if at is None else at.take(dip)] = rising[np.searchsorted(rising, low.take(dip)) - 1]
+        thr[dip] = rising[np.searchsorted(rising, low.take(dip)) - 1]
 
 
 def _word_step(words: Words, widx, X, S, thr, tile: _Tile):
