@@ -665,18 +665,18 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
         pending = np.ones(size, dtype=bool)
         late = 0
         while walk.step < n:
-            for lo, hi, _, _ in walk.tiles(False):
-                k = hi - lo
+            for lo, hi, _, S in walk.tiles(False):
+                k, pend = hi - lo, pending[lo:hi]
                 M = _interp(walk.X[0][lo:hi], params, theta, slopes, tile.rows[1][:k], tile.scratch[:k], tile.idx[:k], tile.flag[:k])
-                M += walk.S[lo:hi]
+                M += S
                 M -= theta0
                 flag = tile.flag[:k]
-                pending[lo:hi] &= np.greater(walk.S[lo:hi], EXIT_TOL, out=flag)
+                pend &= np.greater(S, EXIT_TOL, out=flag)
                 # the pending paths that cross now are late
-                late += int(np.count_nonzero(pending[lo:hi]))
-                pending[lo:hi] &= np.logical_not(np.less_equal(M, shifted, out=flag), out=flag)
-                late -= int(np.count_nonzero(pending[lo:hi]))
-                np.subtract(walk.S[lo:hi], M, out=M)
+                late += int(np.count_nonzero(pend))
+                pend &= np.logical_not(np.less_equal(M, shifted, out=flag), out=flag)
+                late -= int(np.count_nonzero(pend))
+                np.subtract(S, M, out=M)
                 np.maximum(gap[lo:hi], np.abs(M, out=M), out=gap[lo:hi])
         out.append((gap, late))
     return out
