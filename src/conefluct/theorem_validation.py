@@ -131,7 +131,6 @@ class ExitAsymptoticsSection:
     top_half_in_band: bool
     flat: bool
     uniform_constant: float
-    doubling: dict | None
     verdict: bool
 
 
@@ -209,15 +208,12 @@ def validate_exit_asymptotics(
     V_stderr: float,
     sigma_hat: float,
     thresholds: ValidationThresholds = ValidationThresholds(),
-    doubling: dict | None = None,
 ) -> ExitAsymptoticsSection:
     """Check ``sqrt(n) p_hat(n)`` against ``2 V / (sigma sqrt(2 pi))``.
 
     The verdict requires every point in the top half of the n grid to have
     its CI intersect the ratio band, and the normalized values to show no
-    adjacent move beyond ``flat_z`` combined stderrs.  ``doubling``, when
-    given, is a precomputed consistency row ``{p_a, p_2a, V_a, V_2a, n}``
-    comparing survival gain to harmonic gain; it is reported, not judged.
+    adjacent move beyond ``flat_z`` combined stderrs.
     """
     if V_hat <= 0.0 or sigma_hat <= 0.0:
         raise ValueError("need positive V_hat and sigma_hat")
@@ -257,7 +253,6 @@ def validate_exit_asymptotics(
         top_half_in_band=top_ok,
         flat=flat,
         uniform_constant=uniform_constant,
-        doubling=doubling,
         verdict=top_ok and flat,
     )
 

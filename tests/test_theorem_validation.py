@@ -165,14 +165,6 @@ def test_exit_asymptotics_rejects_kinked_curve():
     assert not section.verdict
 
 
-def test_exit_asymptotics_passes_doubling_through():
-    n_values = [64, 128, 256, 512]
-    curve = _synthetic_curve(1.0, 0.5, n_values)
-    info = {"grid": "doubled"}
-    section = validate_exit_asymptotics(curve, 1.0, 0.01, 0.5, doubling=info)
-    assert section.doubling == info
-
-
 # ---------------------------------------------------------------------------
 # conditional law section
 
