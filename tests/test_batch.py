@@ -826,8 +826,8 @@ MEMORY_BOUNDS = {
     ("d3k64", "survival 1 level"): 124.8,
     ("d3k64", "survival 8 levels"): 140.8,
     ("d3k64", "walk"): 45.3,
-    # the parent figure of the tiled kernel, whose first call this bounds:
-    # it fails when one chunk's state outlives the start of the next
+    # the tiled kernel's figure before it shared the walk loop; the row
+    # fails when a chunk's state outlives the start of the next chunk
     ("reference", "martingale"): 32.0,
 }
 
