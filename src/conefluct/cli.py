@@ -11,11 +11,12 @@ round-trip).  A law file looks like::
     }
 
 Subcommands: ``check`` (hypothesis battery, nonzero exit on failure),
-``spectral`` (invariant weights, drift, variance, potential; d = 2 only;
-refuses laws that fail positivity), ``simulate`` (survival, killed
-expectations, conditional endpoints), ``validate`` (assembled verdict report,
-``--sigma-scale`` for negative-control runs), ``covariance`` (lagged
-increment covariances with the geometric-rate fit).
+``spectral`` (invariant weights, drift, variance, potential; d = 2 only, as
+the grid operators refuse any other d; refuses laws that fail positivity),
+``simulate`` (survival, killed expectations, conditional endpoints),
+``validate`` (assembled verdict report, ``--sigma-scale`` for
+negative-control runs), ``covariance`` (lagged increment covariances with
+the geometric-rate fit).
 
 ``validate`` runs the ``check`` battery first and, when it fails, stops with
 exit code 1 and the single verdict ``hypotheses: false``.  Otherwise it reuses
@@ -24,17 +25,21 @@ and the exit code is nonzero unless all pass.  Malformed laws and configs
 exit with code 2: ``_SCHEMA`` holds one row per config key with its
 default, the JSON types it takes and its range rule, and a refused value
 (unknown key, wrong type, not finite, out of range) is named by the key,
-environment variable or flag that set it.
+environment variable or flag that set it.  The spectral solvers' tolerances
+and iteration caps and the hypothesis battery's moment exponent, positivity
+search depth, drift tolerance and variance floor are not config keys: every
+command runs at the library defaults.
 
 Each command returns its exit code and its artifacts, and ``main`` writes
 them: nothing in ``--out`` is created, deleted or written until the command
 has finished.  A command that fails leaves ``--out`` as it was, so a failing
 ``--force`` rerun keeps the previous run.  Every run writes ``manifest.json``
-with the config hash, seed, law fingerprint and library versions.  The hash
-takes the law by its fingerprint, not its path, and leaves out the worker
-count and ``--out``, so identical (config, law, seed) runs produce
-byte-identical artifacts wherever the files live and whatever the worker
-count.  No timestamps are recorded.
+with the config hash, seed, law fingerprint and the conefluct and numpy
+versions; numpy is the only library the commands import.  The hash takes
+the law by its fingerprint, not its path, and leaves out the worker count
+and ``--out``, so identical (config, law, seed) runs produce byte-identical
+artifacts wherever the files live and whatever the worker count.  No
+timestamps are recorded.
 ``main`` runs each command inside one ``_batch.pool_scope``: its Monte Carlo
 stages share one worker pool, which is shut down when the command ends.
 Environment overrides: ``CONEFLUCT_SEED``, ``CONEFLUCT_WORKERS``,
@@ -55,11 +60,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, _batch
 from .matrix_core import SimplexVector
-from .matrix_law import ENUMERATION_BUDGET, MatrixLaw, check_P3, convolution_contraction, hypothesis_report
+from .matrix_law import ENUMERATION_BUDGET, P3_CAP, MatrixLaw, check_P3, convolution_contraction, hypothesis_report
 from .matrix_law import estimate_lyapunov  # noqa: F401  (unused; perfbench/tracing.py wraps it here)
 from .transfer_operator import (
     ConvergenceError,
@@ -199,11 +203,6 @@ _SCHEMA = (
     ("start.x", "barycenter", [0.5], None),
     ("start.a", 1.0, None, _at_least(0)),
     ("grid.resolution", 512, None, _at_least(2)),
-    ("spectral.nu_tol", 1e-10, None, _POSITIVE),
-    ("spectral.poisson_tol", 1e-10, None, _POSITIVE),
-    ("spectral.max_iter", 20000, None, _at_least(1)),
-    ("check.delta0", 1.0, None, _POSITIVE),
-    ("check.p3_cap", 16, None, _at_least(1)),
     ("check.n", 1024, None, _at_least(1)),
     ("check.paths", 20000, None, _VARIANCE),
     ("simulate.n_values", [64, 128, 256, 512, 1024], None, _STEPS),
@@ -292,6 +291,10 @@ def _merge(flat: dict, obj: dict, defaults: dict = _DEFAULTS, path: str = "") ->
     for key, value in obj.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
+            # an unknown section is named by its first leaf, the key a config sets
+            while isinstance(value, dict) and value:
+                key, value = next(iter(value.items()))
+                where = f"{where}.{key}"
             raise LawFormatError(f"config: unknown key {where!r}")
         if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
@@ -507,7 +510,6 @@ def _write_run(cfg: dict, law: MatrixLaw, command: str, stale: set, artifacts: d
             "versions": {
                 "conefluct": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "artifacts": sorted([*artifacts, "manifest.json"]),
         },
@@ -540,16 +542,10 @@ def cmd_check(cfg: dict, law: MatrixLaw):
 
 def _spectral_pipeline(cfg: dict, law: MatrixLaw):
     """The ``spectral.json`` summary, the invariant weights and the Poisson solution."""
-    if law.dim != 2:
-        raise DegenerateLawError(
-            f"spectral pipeline needs d = 2 (grid-parametrized simplex), got d = {law.dim}; "
-            "use 'simulate'/'covariance' (Monte Carlo) for higher dimensions"
-        )
-    sp = cfg["spectral"]
     grid = SimplexGrid(cfg["grid"]["resolution"])
-    nu = stationary_measure(law, grid, tol=sp["nu_tol"], max_iter=sp["max_iter"])
+    nu = stationary_measure(law, grid)
     gamma = lyapunov_exact(law, nu)
-    poisson = solve_poisson(law, nu, tol=sp["poisson_tol"], max_terms=sp["max_iter"])
+    poisson = solve_poisson(law, nu)
     summary = {
         "grid_resolution": grid.resolution,
         "gamma": gamma,
@@ -568,9 +564,8 @@ def _spectral_pipeline(cfg: dict, law: MatrixLaw):
 
 
 def cmd_spectral(cfg: dict, law: MatrixLaw):
-    cap = cfg["check"]["p3_cap"]
-    if check_P3(law, cap=cap) is None:
-        raise DegenerateLawError(f"positivity: no product of up to {cap} atoms is strictly positive; see 'check'")
+    if check_P3(law) is None:
+        raise DegenerateLawError(f"positivity: no product of up to {P3_CAP} atoms is strictly positive; see 'check'")
     summary, nu, poisson = _spectral_pipeline(cfg, law)
     print(f"gamma = {summary['gamma']:.6g}, sigma^2 = {summary['sigma2']:.6g}, A = {poisson.A:.6g}")
     return 0, {

@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# a V_n within max(stderr, this * V_n) of its predecessor is a plateau
+_PLATEAU_REL_TOL = 0.02
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +91,11 @@ class SurvivalCurve:
     paths: int
     start_a: float
     seed: object
+
+    @property
+    def stderr(self) -> np.ndarray:
+        """Standard errors of ``p_hat``: the 95% half-widths over the normal quantile."""
+        return self.ci_half_width / _Z95
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +255,6 @@ def estimate_V(
     seed,
     poisson: PoissonSolution | None = None,
     workers: int = 1,
-    rel_tol: float = 0.02,
 ) -> HarmonicEstimate | list[HarmonicEstimate]:
     """Estimate ``V(x, a)`` as the plateau of ``V_n = E[S_n; tau > n]``.
 
@@ -259,7 +265,7 @@ def estimate_V(
 
     Dead paths contribute zero to the killed expectation.  The plateau is
     the first schedule point whose estimate moved by less than
-    ``max(stderr, rel_tol * V_n)`` from its predecessor; without one the
+    ``max(stderr, 0.02 V_n)`` from its predecessor; without one the
     last estimate is returned and the result is flagged unconverged.  When a
     potential is supplied, the diagnostics quote the deterministic lower
     band ``a - A`` and the empirical upper envelope ``V_hat / (1 + a)``.
@@ -268,13 +274,13 @@ def estimate_V(
     levels = tuple(float(v) for v in np.atleast_1d(a))
     counts, sums, sums2, _ = _survival_reduce(law, x, levels, n_schedule, paths, seed, workers, False)
     estimates = [
-        _plateau(x, level, n_schedule, c, s, s2, paths, poisson, rel_tol)
+        _plateau(x, level, n_schedule, c, s, s2, paths, poisson)
         for level, c, s, s2 in zip(levels, counts, sums, sums2, strict=True)
     ]
     return estimates[0] if np.ndim(a) == 0 else estimates
 
 
-def _plateau(x, a, n_schedule, counts, sums, sums2, paths, poisson, rel_tol) -> HarmonicEstimate:
+def _plateau(x, a, n_schedule, counts, sums, sums2, paths, poisson) -> HarmonicEstimate:
     """One level's ``HarmonicEstimate`` from its survivor counts and sums."""
     est = sums / paths
     var = np.maximum(sums2 / paths - est**2, 0.0)
@@ -282,7 +288,7 @@ def _plateau(x, a, n_schedule, counts, sums, sums2, paths, poisson, rel_tol) -> 
     plateau_n = None
     pick = len(n_schedule) - 1
     for i in range(1, len(n_schedule)):
-        if abs(est[i] - est[i - 1]) < max(se[i], rel_tol * abs(est[i])):
+        if abs(est[i] - est[i - 1]) < max(se[i], _PLATEAU_REL_TOL * abs(est[i])):
             plateau_n = n_schedule[i]
             pick = i
             break

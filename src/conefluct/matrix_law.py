@@ -51,6 +51,12 @@ ENUMERATION_BUDGET = 200_000
 # most products ``convolution_contraction`` holds in one stack (the stack
 # exceeds it only when the law has more atoms than this)
 _PRODUCT_BLOCK = 4096
+# most product lengths ``check_P3`` searches for a strictly positive pattern
+P3_CAP = 16
+# the battery's moment exponent, drift tolerance and variance-proxy floor
+_DELTA0 = 1.0
+_GAMMA_TOL = 1e-3
+_SIGMA2_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +129,7 @@ def check_P1(law: MatrixLaw, delta0: float) -> float:
     return float(law.weights @ Ns**delta0)
 
 
-def check_P3(law: MatrixLaw, cap: int = 16):
+def check_P3(law: MatrixLaw, cap: int = P3_CAP):
     """Smallest n with positive mass on strictly positive products, or None.
 
     Works on boolean zero patterns: the set of patterns reachable by length-n
@@ -304,19 +310,18 @@ def hypothesis_report(
     law: MatrixLaw,
     x: SimplexVector | None = None,
     *,
-    delta0: float = 1.0,
-    p3_cap: int = 16,
     n: int = 1024,
     paths: int = 20_000,
-    gamma_tol: float = 1e-3,
-    sigma2_threshold: float = 1e-6,
     seed,
     workers: int = 1,
 ) -> HypothesisReport:
     """Run the full hypothesis battery from one start point.
 
     The drift and variance proxies share one endpoint sample of ``S_n``:
-    ``gamma_hat = mean(S_n) / n`` and ``sigma2_proxy = var(S_n) / n``.
+    ``gamma_hat = mean(S_n) / n`` and ``sigma2_proxy = var(S_n) / n``.  The
+    moment exponent, drift tolerance and variance-proxy floor are module
+    constants, recorded in the report; positivity is searched up to
+    ``P3_CAP`` atoms.
     """
     if x is None:
         x = SimplexVector.barycenter(law.dim)
@@ -325,14 +330,14 @@ def hypothesis_report(
     gamma_stderr = float(endpoints.std(ddof=1) / (n * math.sqrt(paths)))
     sigma2_proxy = float(endpoints.var(ddof=1) / n)
     return HypothesisReport(
-        delta0=delta0,
-        p1_moment=check_P1(law, delta0),
-        p3_n0=check_P3(law, cap=p3_cap),
+        delta0=_DELTA0,
+        p1_moment=check_P1(law, _DELTA0),
+        p3_n0=check_P3(law),
         p5_margin=check_P5(law),
         gamma_hat=gamma_hat,
         gamma_stderr=gamma_stderr,
-        gamma_tol=gamma_tol,
+        gamma_tol=_GAMMA_TOL,
         sigma2_proxy=sigma2_proxy,
-        sigma2_threshold=sigma2_threshold,
+        sigma2_threshold=_SIGMA2_THRESHOLD,
         p2_note=_P2_NOTE,
     )

@@ -219,7 +219,7 @@ def validate_exit_asymptotics(
         raise ValueError("need positive V_hat and sigma_hat")
     n = np.asarray(curve.n_values, dtype=float)
     p = np.asarray(curve.p_hat, dtype=float)
-    se_p = np.asarray(curve.ci_half_width, dtype=float) / 1.959963984540054
+    se_p = curve.stderr
     y = np.sqrt(n) * p
     se_y = np.sqrt(n) * se_p
     reference = 2.0 * V_hat / (sigma_hat * math.sqrt(2.0 * math.pi))

@@ -119,7 +119,7 @@ def test_criterion_02_exact_enumeration_vs_monte_carlo(ref_law, barycenter):
     curve = survival_probability(ref_law, barycenter, 1.0, n_values, paths, seed=214)
     worst_z = 0.0
     for i, n in enumerate(n_values):
-        se = max(curve.ci_half_width[i] / 1.959963984540054, 1e-12)
+        se = max(curve.stderr[i], 1e-12)
         worst_z = max(worst_z, abs(curve.p_hat[i] - oracle["survival"][n]) / se)
     assert worst_z <= 3.0, f"survival off by {worst_z:.2f} SE"
     est = estimate_V(ref_law, barycenter, 1.0, n_values, paths, seed=215)

@@ -198,12 +198,21 @@ _UNIT = "must lie in (0, 1)"
         ({"validate": {"martingale_horizon": 0}}, {}, {}, "'validate.martingale_horizon' = 0 must be >= 1"),
         ({"covariance": {"burn_in": 0}}, {}, {}, "'covariance.burn_in' = 0 must be >= 1"),
         ({"covariance": {"max_lag": 0}}, {}, {}, "'covariance.max_lag' = 0 must be >= 1"),
-        ({"spectral": {"max_iter": 0}}, {}, {}, "'spectral.max_iter' = 0 must be >= 1"),
-        ({"spectral": {"nu_tol": -1}}, {}, {}, "'spectral.nu_tol' = -1 must be positive"),
-        ({"spectral": {"poisson_tol": 0}}, {}, {}, "'spectral.poisson_tol' = 0 must be positive"),
+        # the spectral solvers' tolerances and iteration cap and the battery's
+        # moment exponent and positivity search depth are library constants:
+        # a config that sets one is refused as setting an unknown key, at a
+        # value the key once refused and at the default it once held
+        ({"spectral": {"max_iter": 0}}, {}, {}, "unknown key 'spectral.max_iter'"),
+        ({"spectral": {"nu_tol": -1}}, {}, {}, "unknown key 'spectral.nu_tol'"),
+        ({"spectral": {"poisson_tol": 0}}, {}, {}, "unknown key 'spectral.poisson_tol'"),
         ({"grid": {"resolution": 1}}, {}, {}, "'grid.resolution' = 1 must be >= 2"),
-        ({"check": {"delta0": 0}}, {}, {}, "'check.delta0' = 0 must be positive"),
-        ({"check": {"p3_cap": 0}}, {}, {}, "'check.p3_cap' = 0 must be >= 1"),
+        ({"check": {"delta0": 0}}, {}, {}, "unknown key 'check.delta0'"),
+        ({"check": {"p3_cap": 0}}, {}, {}, "unknown key 'check.p3_cap'"),
+        ({"spectral": {"nu_tol": 1e-10}}, {}, {}, "unknown key 'spectral.nu_tol'"),
+        ({"spectral": {"poisson_tol": 1e-10}}, {}, {}, "unknown key 'spectral.poisson_tol'"),
+        ({"spectral": {"max_iter": 20000}}, {}, {}, "unknown key 'spectral.max_iter'"),
+        ({"check": {"delta0": 1.0}}, {}, {}, "unknown key 'check.delta0'"),
+        ({"check": {"p3_cap": 16}}, {}, {}, "unknown key 'check.p3_cap'"),
         ({}, {}, {"seed": -1}, "--seed = -1 must be >= 0"),
         ({}, {"CONEFLUCT_SEED": "-1"}, {}, "CONEFLUCT_SEED = -1 must be >= 0"),
         # the verdict bands other than the KS check's are library constants,
@@ -234,7 +243,8 @@ _UNIT = "must lie in (0, 1)"
         "zero-conditional-paths", "zero-martingale-paths", "zero-check-n", "zero-in-n-values",
         "empty-v-schedule", "negative-conditional-n", "zero-sigma2-n", "zero-martingale-horizon",
         "zero-burn-in", "zero-max-lag", "zero-max-iter", "negative-nu-tol", "zero-poisson-tol",
-        "one-grid-node", "zero-delta0", "zero-p3-cap", "flag-seed-negative", "env-seed-negative",
+        "one-grid-node", "zero-delta0", "zero-p3-cap", "removed-nu-tol", "removed-poisson-tol",
+        "removed-max-iter", "removed-delta0", "removed-p3-cap", "flag-seed-negative", "env-seed-negative",
         "negative-sigma2-threshold", "negative-control-min-negative", "negative-control-min-one",
         "zero-ks-threshold", "ks-threshold-over-one", "zero-ratio-z", "negative-flat-z", "zero-bound-z",
         "zero-min-survivors", "negative-ks-rise-allowance", "reversed-ratio-band", "empty-ratio-band",
@@ -404,14 +414,15 @@ def test_spectral_sigma2_under_drift(tmp_path):
 
 
 def test_spectral_and_validate_load_no_scipy_solvers(config_path, tmp_path):
-    # the Poisson cross-check is plain numpy: loading scipy.sparse or
-    # scipy.linalg would add 0.1 s and 20 MB to every spectral and validate call
+    # the commands need numpy only: loading scipy.sparse or scipy.linalg
+    # would add 0.1 s and 20 MB to every spectral and validate call, and
+    # scipy is a test-only requirement
     script = (
         "import sys\n"
         "from conefluct.cli import main\n"
         f"assert main(['spectral', '--config', {str(config_path)!r}, '--out', {str(tmp_path / 's')!r}]) == 0\n"
         f"assert main(['validate', '--config', {str(config_path)!r}, '--out', {str(tmp_path / 'v')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(conefluct.__file__).resolve().parents[1])}
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)

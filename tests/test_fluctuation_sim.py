@@ -144,7 +144,7 @@ def test_survival_matches_enumeration(ref_law, barycenter):
     curve = survival_probability(ref_law, barycenter, 1.0, n_values, 20000, seed=21)
     assert np.all(np.diff(curve.p_hat) <= 0.0)
     for i, n in enumerate(n_values):
-        se = curve.ci_half_width[i] / 1.959963984540054
+        se = curve.stderr[i]
         assert curve.p_hat[i] == pytest.approx(oracle["survival"][n], abs=max(3.0 * se, 1e-12))
         assert curve.survivors[i] == round(curve.p_hat[i] * curve.paths)
 
