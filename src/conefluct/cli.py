@@ -737,7 +737,7 @@ def cmd_validate(cfg: dict, law: MatrixLaw):
     if sigma_scale == 1.0:
         conditional_section = section
     else:
-        negative_control = tval.negative_control(section, sigma_scale, thresholds)
+        negative_control = tval.negative_control(section, sigma_scale)
 
     a_grid, estimates, v_table = _v_table(cfg, law, x, sigma_hat)
     v_section = tval.check_V_properties(

@@ -110,7 +110,6 @@ class ValidationThresholds:
     flat_z: float = 3.0
     ks_threshold: float = 0.03
     ks_rise_allowance: float = 1.0
-    negative_control_min: float = 0.15
     min_survivors: int = 200
     bound_z: float = 3.0
     slope_band: tuple = (0.9, 1.1)
@@ -351,21 +350,18 @@ def check_V_properties(
     )
 
 
-def negative_control(
-    section: ConditionalLawSection,
-    sigma_scale: float,
-    thresholds: ValidationThresholds = ValidationThresholds(),
-) -> dict:
+def negative_control(section: ConditionalLawSection, sigma_scale: float) -> dict:
     """The conditional-law check rerun with sigma scaled by ``sigma_scale`` != 1.
 
     A wrong sigma must move the endpoints away from the Rayleigh law, so the
-    control passes when the final KS distance exceeds ``negative_control_min``.
+    control passes exactly when the conditional-law verdict at the scaled
+    sigma fails.
     """
     return {
         "sigma_scale": sigma_scale,
         "sigma_used": section.sigma_used,
         "final_ks": float(section.ks[-1]),
-        "pass": bool(section.ks[-1] > thresholds.negative_control_min),
+        "pass": not section.verdict,
     }
 
 

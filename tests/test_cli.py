@@ -308,9 +308,10 @@ def test_config_cannot_switch_a_verdict_off(tmp_path, law_path, ref_law, capsys)
     """The configs that turned a failing verdict into a pass are refused before any stage runs.
 
     Every atom of the reference law scaled by 1.05 drifts (gamma_hat about
-    0.049), so ``check`` fails it at the default drift tolerance; with
-    ``--sigma-scale 1.01`` the negative-control verdict fails at the default
-    KS floor, because that budget cannot tell sigma * 1.01 from sigma.
+    0.049), so ``check`` fails it at the default drift tolerance.  The
+    negative control has no KS floor of its own: it passes exactly when the
+    conditional-law verdict fails at the scaled sigma, so a config that sets
+    the floor it once had is refused like any removed key.
     """
     drifting = tmp_path / "drifting.json"
     save_law(MatrixLaw.from_entries([g.entries * 1.05 for g in ref_law.atoms], ref_law.weights), drifting)
