@@ -129,21 +129,21 @@ def check_P1(law: MatrixLaw, delta0: float) -> float:
     return float(law.weights @ Ns**delta0)
 
 
-def check_P3(law: MatrixLaw, cap: int = P3_CAP):
+def check_P3(law: MatrixLaw):
     """Smallest n with positive mass on strictly positive products, or None.
 
     Works on boolean zero patterns: the set of patterns reachable by length-n
     products is computed level by level.  The search stops when an all-positive
     pattern appears (returns n), when a level set repeats (the pattern
     dynamics are periodic, so positivity is never reached; returns None), or
-    at ``cap`` levels (returns None).
+    at ``P3_CAP`` levels (returns None).
     """
     pats = frozenset(g.entries.astype(bool).tobytes() for g in law.atoms)
     atom_pats = [g.entries > 0.0 for g in law.atoms]
     d = law.dim
     full = np.ones((d, d), dtype=bool).tobytes()
     seen = set()
-    for n in range(1, cap + 1):
+    for n in range(1, P3_CAP + 1):
         if full in pats:
             return n
         if pats in seen:
