@@ -195,6 +195,16 @@ def test_conditional_law_rejects_wrong_scale(rng):
     }
 
 
+def test_negative_control_reads_the_conditional_verdict(rng):
+    # a 10% sigma error moves the final KS only to about 0.07, but that is
+    # over the 0.03 bar: the conditional law fails, so the control passes
+    sigma = 0.42
+    samples = {256: rng.rayleigh(scale=sigma, size=50000)}
+    section = validate_conditional_law(samples, 1.1 * sigma)
+    assert 0.03 < section.ks[-1] < 0.15 and not section.verdict
+    assert negative_control(section, 1.1)["pass"]
+
+
 def test_conditional_law_requires_survivors(rng):
     sigma = 0.42
     samples = {64: rng.rayleigh(scale=sigma, size=5000), 4096: rng.rayleigh(scale=sigma, size=3)}
