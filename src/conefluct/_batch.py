@@ -45,8 +45,10 @@ has taken yet, and collects the results in chunk order.  Inside a
 the block ends, however it ends; the CLI opens one scope per command.  A
 call outside such a scope starts a pool of ``min(N, groups) - 1`` processes
 for itself, through the same code.  Which process runs a group moves no bit.
-The kernels are plain module-level functions over (atom stack, cumulative
-weights) arrays so they can be shipped to the pool.
+The pool machinery (``concurrent.futures`` and ``multiprocessing``) is
+imported by ``_executor`` at the first fork, so a run that forks nothing
+never loads it.  The kernels are plain module-level functions over (atom
+stack, cumulative weights) arrays so they can be shipped to the pool.
 
 The walk state is one contiguous (m,) array per simplex coordinate, in
 every dimension, and the step reads each atom entry as a (K,) array, so no
@@ -55,21 +57,26 @@ right over the coordinates; that order is part of the reproducibility
 contract.  For d = 2 each sum is a single addition, which commutes, so the
 d = 2 bits depend on no summation order.
 
-A kernel call holds full-length arrays only for its state (the coordinate
-rows, ``S`` and, with several levels, the thresholds), its uniforms and its
-alive mask.  The temporaries of the step itself are one tile long, at most
-``TILE_PATHS`` paths, in a ``_Tile`` of buffers allocated once per call: the
-draw writes the tile's atoms into an index row, each product is formed in
-place, ``y_i / mass`` goes straight back into the state and ``log(mass)``
-into a row that ``S`` then adds.  The exception is a killed walk's word
-step, whose near-path temporaries (``_word_step``) are allocated at every
-word step, each at most a tile long.  Neither the buffers nor the tile size
-can move a bit: every operation acts on each path alone, in the order the
+A kernel call holds full-length arrays only for its state: the coordinate
+rows and ``S``, allocated once per call and reused by every chunk the call
+starts, and, with several levels, the thresholds.  Everything else is one
+tile long, at most ``TILE_PATHS`` paths, in a ``_Tile`` of buffers allocated
+once per call: each chunk draws the tile's share of its segment's uniforms
+into a tile row (split draws of a generator give the bits of one whole
+draw), the draw writes the tile's atoms into an index row, each product is
+formed in place, ``y_i / mass`` goes straight back into the state and
+``log(mass)`` into a row that ``S`` then adds.  A killed walk's word step
+keeps its near paths' start points, words and prefix masses in tile rows
+(``_word_step``), and its exits and threshold drops are found among the near
+paths, by index (``_exits``); only the index lists are allocated, each as
+long as the paths it names.  Neither the buffers nor the tile size can move
+a bit: every operation acts on each path alone, in the order the
 whole-array expressions take, and IEEE addition and multiplication commute,
-so ``S += rho`` is ``S + rho`` and ``g *= x`` is ``g * x``.  The killed
-walk drops paths in place, a tile at a time: a tile's survivors are read
-into a tile buffer and written back no higher than they were read, so no
-read meets an entry already overwritten.
+so ``S += rho`` is ``S + rho`` and ``g *= x`` is ``g * x``.  The killed walk
+drops paths in place, each tile as soon as it has stepped: the tile's
+survivors are read into a tile buffer and written back no higher than they
+were read, below every tile still to step, so no read meets an entry
+already overwritten.
 
 The atom draw is an indexed search (Chen & Asau, AIIE Transactions 6, 1974)
 through a guide table sized to the stack (``guide_table``): it returns
@@ -112,7 +119,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import contextvars
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +189,13 @@ def _invoke(job):
     return fn(*args, sizes, seeds)
 
 
+def _executor(processes: int):
+    """A process pool of ``processes`` processes; the pool machinery is imported here, at the first fork."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=processes)
+
+
 class _Pool:
     """``workers - 1`` pool processes beside the calling process, started at first need."""
 
@@ -200,7 +213,7 @@ class _Pool:
             return [_invoke(job) for job in jobs]
         if self._executor is None:
             # with the fork start method every process is forked here, once
-            self._executor = ProcessPoolExecutor(max_workers=self.workers - 1)
+            self._executor = _executor(self.workers - 1)
         futures = [self._executor.submit(_invoke, job) for job in jobs[1:]]
         first = _invoke(jobs[0])
         # the pool takes jobs first to last, so this process takes them last first
@@ -302,7 +315,9 @@ class _Tile:
     ``narrow`` a row of the widest type ``guide_table`` gives its table
     (viewed as the table's type) and ``flag`` a mask row, each
     ``min(paths, TILE_PATHS)`` long; a tile of ``n`` paths works on their
-    first ``n`` entries.
+    first ``n`` entries.  A walk draws a tile's uniforms into ``rows[0]``,
+    which the draw reads and the step then overwrites.  ``near`` holds the
+    killed walk's near-path rows (``_word_step``), allocated at first use.
     """
 
     def __init__(self, d: int, paths: int):
@@ -312,6 +327,14 @@ class _Tile:
         self.idx = np.empty(self.size, dtype=np.intp)
         self.narrow = np.empty(self.size, dtype=np.uint32)
         self.flag = np.empty(self.size, dtype=bool)
+        self._near = None
+
+    @property
+    def near(self) -> tuple:
+        """Two float rows and an index row for the near paths of a word step."""
+        if self._near is None:
+            self._near = (np.empty(self.size), np.empty(self.size), np.empty(self.size, dtype=np.intp))
+        return self._near
 
     def spans(self, m: int) -> list:
         """The ``(lo, hi)`` bounds of the tiles over ``m`` paths, in path order."""
@@ -509,21 +532,24 @@ def projective_step(table, idx: np.ndarray, X: list):
     return X, rho
 
 
-def _compact(state: tuple, alive: np.ndarray, first: int, m: int, tile: _Tile) -> int:
-    """Move the paths ``alive`` marks among ``[first, m)`` of every state array down to ``first``, in place.
+def _compact(state: tuple, gone: np.ndarray, lo: int, hi: int, dst: int, tile: _Tile) -> int:
+    """Move the paths ``lo:hi`` of every state array down to ``dst``, less those ``gone`` indexes, in place.
 
-    Returns the new path count.  A tile of paths at a time is read into
-    ``tile.scratch`` and written back no higher than it was read, so no read
-    meets an entry an earlier write has overwritten.
+    ``gone`` holds increasing indices into the tile.  Returns the index past
+    the last path moved.  Each array's kept paths are read into
+    ``tile.scratch`` and written back from ``dst <= lo``, so no read meets an
+    entry this write has overwritten, nor any later tile's.
     """
-    dst = first
-    for lo, hi in tile.spans(m - first):
-        keep = np.flatnonzero(alive[first + lo : first + hi])
-        k = keep.shape[0]
-        for arr in state:
-            arr[dst : dst + k] = arr[first + lo : first + hi].take(keep, out=tile.scratch[:k], mode="clip")
-        dst += k
-    return dst
+    if not gone.size and dst == lo:
+        return hi
+    keep = tile.flag[: hi - lo]
+    keep.fill(True)
+    keep[gone] = False
+    keep = np.flatnonzero(keep)
+    k = keep.shape[0]
+    for arr in state:
+        arr[dst : dst + k] = arr[lo:hi].take(keep, out=tile.scratch[:k], mode="clip")
+    return dst + k
 
 
 class _Walk:
@@ -531,30 +557,34 @@ class _Walk:
 
     It builds the law's step and guide tables, its word stack (``words``
     None when the law steps by letters, or when the kernel reads every step
-    and asks for none) and one ``_Tile`` for ``paths`` paths.  ``start``
-    lays out a group of chunks; then, until the kernel is done, ``word``
-    picks the next step and ``tiles`` takes it.  The held paths are the
-    first ``m`` entries of the coordinate rows ``X``, of ``S`` and of the
-    uniforms ``u``, chunk c's the ``held[c]`` entries after the chunks
-    before it; a kernel that drops paths updates ``held`` and ``m``.
+    and asks for none), one ``_Tile`` and the state rows for ``paths``
+    paths, one per simplex coordinate and one for ``S``, which every
+    ``start`` of the call reuses.  ``start`` lays out a group of chunks;
+    then, until the kernel is done, ``word`` picks the next step and
+    ``tiles`` takes it.  The held paths are the first ``m`` entries of the
+    coordinate rows ``X`` and of ``S``, chunk c's the ``held[c]`` entries
+    after the chunks before it; a kernel that drops paths updates ``held``
+    and ``m``.
     """
 
     def __init__(self, atom_stack: np.ndarray, cum_weights: np.ndarray, x0, paths: int, words: bool = True):
-        self.atom_stack, self.x0 = atom_stack, x0
+        self.x0 = _start(atom_stack, x0, 1)  # one (1,) row per coordinate
         self.table = step_table(atom_stack)
         self.guide = guide_table(cum_weights)
         self.words = word_table(atom_stack, cum_weights) if words else None
         self.b = 1 if self.words is None else self.words.length
         self.tile = _Tile(atom_stack.shape[1], paths)
+        self.rows = [np.empty(paths) for _ in range(atom_stack.shape[1] + 1)]
 
     def start(self, a: float, sizes, seeds) -> None:
         """Start one chunk of ``size`` paths at ``(x0, a)`` per ``(size, seed)``, each on its own substream, at step 0."""
         self.rngs = [np.random.default_rng(ss) for ss in seeds]
         self.held = list(sizes)
         self.m = sum(self.held)
-        self.X = _start(self.atom_stack, self.x0, self.m)
-        self.S = np.full(self.m, float(a))
-        self.u = np.empty(self.m)
+        *self.X, self.S = [row[: self.m] for row in self.rows]
+        for x, c in zip(self.X, self.x0, strict=True):
+            x[:] = c
+        self.S.fill(a)
         self.step = 0
 
     def word(self, until: int, letters=()) -> bool:
@@ -563,34 +593,43 @@ class _Walk:
         return self.b > 1 and end <= until and end not in letters
 
     def tiles(self, word: bool, thr=None):
-        """Take the next step, a word or a letter, tile by tile; yields ``(lo, hi, rho, low)`` after each tile's step.
+        """Take the next step, a word or a letter, tile by tile; yields ``(lo, hi, rho, near, low)`` after each tile's step.
 
-        Each chunk first draws its segment's uniforms from its own
-        substream, nothing once it holds no path.  Paths ``lo:hi`` of ``X``
-        and ``S`` then hold the tile's images and ``rho`` its increments.
-        ``thr`` is the killed walk's live threshold, per held path or one
-        scalar; with it, ``low`` is each path's lowest ``S`` over the step
-        (``_word_step``), and otherwise the tile's ``S``.  ``rho`` and
-        ``low`` are views valid until the next tile.
+        Each tile's uniforms are drawn into ``tile.rows[0]`` from the
+        generators of the chunks whose segments it covers, in path order, so
+        each chunk draws its segment's uniforms from its own substream as one
+        draw of the whole segment would, and nothing once it holds no path.
+        Paths ``lo:hi`` of ``X`` and ``S`` then hold the tile's images and
+        ``rho`` its increments.  ``thr`` is the killed walk's live threshold,
+        per held path or one scalar.  With it, a word step yields the tile's
+        near paths as ``near`` and their lowest ``S`` over the word as
+        ``low`` (``_word_step``): no other path can reach its threshold
+        inside the word.  Otherwise ``near`` is None and ``low`` the tile's
+        ``S``.  ``rho``, ``near`` and ``low`` are valid until the next tile.
         """
-        lo = 0
-        for rng, k in zip(self.rngs, self.held, strict=True):
-            if k:
-                rng.random(k, out=self.u[lo : lo + k])
-                lo += k
         stack, guide = (self.words.table, self.words.guide) if word else (self.table, self.guide)
         self.step += self.b if word else 1
+        chunks = zip(self.rngs, self.held)
+        rng, left = None, 0
         for lo, hi in self.tile.spans(self.m):
-            idx = _draw(guide, self.u[lo:hi], self.tile)
+            u = self.tile.rows[0][: hi - lo]
+            at = 0
+            while at < hi - lo:
+                while not left:
+                    rng, left = next(chunks)
+                k = min(left, hi - lo - at)
+                rng.random(k, out=u[at : at + k])
+                at, left = at + k, left - k
+            idx = _draw(guide, u, self.tile)
             X, S = [x[lo:hi] for x in self.X], self.S[lo:hi]
             if word and thr is not None:
                 tt = thr[lo:hi] if isinstance(thr, np.ndarray) else thr
-                rho, low = _word_step(self.words, idx, X, S, tt, self.tile)
+                rho, near, low = _word_step(self.words, idx, X, S, tt, self.tile)
             else:
                 rho = _step(stack, idx, X, self.tile)
                 S += rho
-                low = S
-            yield lo, hi, rho, low
+                near, low = None, S
+            yield lo, hi, rho, near, low
 
 
 def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, want_points, sizes, seeds):
@@ -608,7 +647,8 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
 
     The walk steps by a word whenever it ends by the next recorded step
     and that step is not a ``rho_steps`` step, and by a letter otherwise.
-    The chunks start one after the other.
+    The chunks start one after the other, each in the state rows of the
+    one before.
     """
     walk = _Walk(atom_stack, cum_weights, x0, max(sizes))
     want_s = {step: i for i, step in enumerate(s_steps)}
@@ -627,7 +667,7 @@ def walk_chunk(atom_stack, cum_weights, x0, a, n, s_steps, rho_steps, x_steps, w
             x_rec[0] = walk.X[0]
         while walk.step < n:
             word = walk.word(reads[bisect.bisect_right(reads, walk.step)], want_rho)
-            for lo, hi, rho, _ in walk.tiles(word):
+            for lo, hi, rho, _, _ in walk.tiles(word):
                 if walk.step in want_rho:
                     rho_rec[want_rho[walk.step], lo:hi] = rho
             if walk.step in want_s:
@@ -650,22 +690,26 @@ def martingale_chunk(atom_stack, cum_weights, x0, a, n, params, theta, A, sizes,
     ``sup_n |S_n - M_n|``, a (size,) array, and ``late`` the count of paths
     whose first step with ``M_n <= -A + EXIT_TOL`` has no step ``<= n`` with
     ``S <= EXIT_TOL`` (the exit ordering fails).  Every step is read, so the
-    walk steps by letters only; memory is O(size), not O(size * n).
+    walk steps by letters only; memory is O(size), not O(size * n).  The
+    chunks start one after the other, each in the state rows and pending
+    mask of the one before.
     """
     walk = _Walk(atom_stack, cum_weights, x0, max(sizes), words=False)
     tile = walk.tile
     slopes = grid_slopes(params, theta)
     shifted = -A + EXIT_TOL
+    # per path: S has not exited and M has not crossed the shifted level
+    pending_row = np.empty(max(sizes), dtype=bool)
     out = []
     for size, ss in zip(sizes, seeds, strict=True):
         walk.start(a, [size], [ss])
         theta0 = grid_interp(walk.X[0][0], params, theta, slopes)
         gap = np.zeros(size)
-        # paths on which S has not exited and M has not crossed the shifted level
-        pending = np.ones(size, dtype=bool)
+        pending = pending_row[:size]
+        pending.fill(True)
         late = 0
         while walk.step < n:
-            for lo, hi, _, S in walk.tiles(False):
+            for lo, hi, _, _, S in walk.tiles(False):
                 k, pend = hi - lo, pending[lo:hi]
                 M = _interp(walk.X[0][lo:hi], params, theta, slopes, tile.rows[1][:k], tile.scratch[:k], tile.idx[:k], tile.flag[:k])
                 M += S
@@ -727,59 +771,82 @@ def grid_interp(x, params: np.ndarray, values: np.ndarray, slopes: np.ndarray):
     return value[()]
 
 
-def _lower(thr: np.ndarray, low: np.ndarray, rising: np.ndarray) -> None:
-    """Lower the live thresholds ``thr`` in place wherever a path's new low ``low`` reaches its own.
+def _exits(thr, near, low, rising: np.ndarray, tile: _Tile) -> np.ndarray:
+    """The exits of one killed-walk tile, by index into the tile; lowers the thresholds of the paths that dip.
 
-    A path whose low is ``<=`` its threshold has lost that level; its new
-    threshold is the highest of ``rising`` (the thresholds in increasing
-    order) below the low.  A low that reaches ``rising[0]`` kills the path,
-    which is dropped before its threshold is read again.
+    ``low`` is the lowest ``S`` over the step of the paths ``near`` indexes,
+    or of every path of the tile when ``near`` is None; no other path can
+    reach its threshold (see ``_Walk.tiles``).  ``thr`` is the tile's live
+    thresholds, or the one threshold of a single level.  A path whose low
+    is ``<=`` its threshold has lost that level; its new threshold is the
+    highest of ``rising`` (the thresholds in increasing order) below the
+    low.  A path whose low is not above ``rising[0]`` exits, and is dropped
+    before its threshold is read again.
     """
-    dip = np.flatnonzero(low <= thr)
-    if dip.size:
-        thr[dip] = rising[np.searchsorted(rising, low.take(dip)) - 1]
+    if isinstance(thr, np.ndarray):
+        own = thr if near is None else thr.take(near, out=tile.rows[0][: near.shape[0]], mode="clip")
+        dip = np.flatnonzero(np.less_equal(low, own, out=tile.flag[: low.shape[0]]))
+        p = dip.shape[0]
+        if not p:
+            return dip
+        low = low.take(dip, out=tile.rows[1][:p], mode="clip")
+        near = dip if near is None else near.take(dip, out=tile.idx[:p], mode="clip")
+        # the highest threshold below each low: rising[at - 1], and a low at
+        # or below rising[0] takes rising[-1], as "wrap" reads index -1
+        at = np.searchsorted(rising, low)
+        at -= 1
+        thr[near] = rising.take(at, out=tile.scratch[:p], mode="wrap")
+    flag = tile.flag[: low.shape[0]]
+    gone = np.flatnonzero(np.logical_not(np.greater(low, rising[0], out=flag), out=flag))
+    return gone if near is None else near.take(gone)
 
 
 def _word_step(words: Words, widx, X, S, thr, tile: _Tile):
-    """One killed-walk tile's step by the words ``widx``, in place (see the module docstring); returns ``rho`` and ``low``.
+    """One killed-walk tile's step by the words ``widx``, in place (see the module docstring); returns ``rho``, ``near`` and ``low``.
 
     ``X`` and ``S`` are the tile's state and ``thr`` each path's live
-    threshold, or one scalar.  ``rho`` holds the increments and ``low`` each
-    path's lowest ``S`` over the word: its word-end ``S``, lowered to the
-    in-word minimum for a path whose start ``S`` less the drop bound does
-    not clear ``thr`` by ``WORD_MARGIN`` (a near path).  Both are views of
-    the tile's buffers; the near paths' temporaries are allocated anew.
+    threshold, or one scalar.  ``rho`` holds the increments.  ``near``
+    indexes the near paths, those whose start ``S`` less the drop bound does
+    not clear ``thr`` by ``WORD_MARGIN``, and ``low`` holds their lowest
+    ``S`` over the word: the in-word minimum or the word-end ``S``,
+    whichever is lower.  ``rho`` and ``low`` are views of the tile's
+    buffers, and the near paths' temporaries are the tile's near rows;
+    ``near`` itself is allocated, one entry per near path.
     """
     n = widx.shape[0]
     room = words.drop.take(widx, out=tile.rows[0][:n], mode="clip")
     np.subtract(S, room, out=room)
     clear = np.add(thr, WORD_MARGIN, out=tile.rows[1][:n]) if isinstance(thr, np.ndarray) else thr + WORD_MARGIN
     near = np.flatnonzero(np.less_equal(room, clear, out=tile.flag[:n]))
-    if near.size:
-        wn = widx.take(near)
-        xn = [x.take(near) for x in X]
-        mass, term, least = np.empty(near.size), np.empty(near.size), None
+    k = near.shape[0]
+    least, term, wn = (row[:k] for row in tile.near)
+    if k:
+        # the near paths' words and start points, the latter in the rows room and clear are done with
+        widx.take(near, out=wn, mode="clip")
+        xn = [x.take(near, out=row[:k], mode="clip") for x, row in zip(X, tile.rows, strict=True)]
+        mass = tile.scratch[:k]
         # the least prefix mass c_j . x, folded one (near,) row per prefix j.
         # Word indices are in range, so "clip" changes no index; it lets take
         # write into ``out`` directly, where "raise" would buffer a copy
-        for rows in zip(*words.prefix):
+        for j, rows in enumerate(zip(*words.prefix)):
             rows[0].take(wn, out=mass, mode="clip")
             mass *= xn[0]
             for c, x in zip(rows[1:], xn[1:], strict=True):
                 c.take(wn, out=term, mode="clip")
                 term *= x
                 mass += term
-            least = mass.copy() if least is None else np.minimum(least, mass, out=least)
+            if j:
+                np.minimum(least, mass, out=least)
+            else:
+                np.copyto(least, mass)
         # the lowest point inside the word, from the start state
-        inside = np.log(least)
-        inside += S.take(near)
+        np.log(least, out=least)
+        least += S.take(near, out=term, mode="clip")
     rho = _step(words.table, widx, X, tile)
     S += rho
-    low = tile.rows[0][:n]
-    np.copyto(low, S)
-    if near.size:
-        low[near] = np.minimum(inside, S.take(near), out=inside)
-    return rho, low
+    if k:
+        np.minimum(least, S.take(near, out=term, mode="clip"), out=least)
+    return rho, near, least
 
 
 def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, sizes, seeds):
@@ -810,7 +877,9 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
 
     The walk steps by a word whenever the word ends by the next ``n``, and
     by a letter otherwise; a path is alive while its lowest ``S`` over the
-    step stays above the top level's threshold.
+    step stays above the top level's threshold.  Each tile's exits are
+    found by index (``_exits``), among the near paths on a word step, and
+    its survivors move down as soon as it has stepped (``_compact``).
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or not levels.size or not np.isfinite(levels).all() or np.any(np.diff(levels) <= 0.0):
@@ -821,30 +890,28 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     thresholds = EXIT_TOL - shift
     top = levels.size - 1
     rising = thresholds[::-1]
-    floor = rising[0]
     walk = _Walk(atom_stack, cum_weights, x0, sum(sizes))
     walk.start(levels[0], sizes, seeds)
-    thr = np.full(walk.m, rising[-1]) if top else floor
+    thr = np.full(walk.m, rising[-1]) if top else rising[0]
     state = (*walk.X, walk.S, thr) if top else (*walk.X, walk.S)
-    alive = np.empty(walk.m, dtype=bool)
     counts = np.zeros((len(sizes), levels.size, len(n_values)), dtype=np.int64)
     sums = np.zeros(counts.shape)
     sums2 = np.zeros(counts.shape)
     samples = [[np.empty(0)] * len(n_values) if want_samples else [] for _ in sizes]
     for pos, n in enumerate(n_values):
         while walk.step < n and walk.m:
-            for lo, hi, _, low in walk.tiles(walk.word(n), thr):
-                np.greater(low, floor, out=alive[lo:hi])
-                if top:
-                    _lower(thr[lo:hi], low, rising)
-            first = int(np.argmin(alive[: walk.m]))  # the first dropped path, if any
-            if not alive[first]:
-                lo = 0
-                for c, k in enumerate(walk.held):
-                    walk.held[c] = np.count_nonzero(alive[lo : lo + k])
-                    lo += k
-                # the paths before the first dropped one stay where they are
-                walk.m = _compact(state, alive, first, walk.m, walk.tile)
+            ends = np.cumsum(walk.held)
+            # the paths each chunk has dropped this step, counted up to its segment's end
+            dropped = np.zeros(len(sizes), dtype=np.intp)
+            dst = 0
+            for lo, hi, _, near, low in walk.tiles(walk.word(n), thr):
+                gone = _exits(thr[lo:hi] if top else thr, near, low, rising, walk.tile)
+                if gone.size:
+                    dropped += np.searchsorted(gone, ends - lo)
+                # the tiles still to step lie above dst, so the survivors move down at once
+                dst = _compact(state, gone, lo, hi, dst, walk.tile)
+            walk.held = [k - int(g) for k, g in zip(walk.held, np.diff(dropped, prepend=0), strict=True)]
+            walk.m = dst
         walk.step = n
         # the reports copy out of the state, which the next step overwrites
         lo = 0

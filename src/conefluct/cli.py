@@ -35,11 +35,14 @@ them: nothing in ``--out`` is created, deleted or written until the command
 has finished.  A command that fails leaves ``--out`` as it was, so a failing
 ``--force`` rerun keeps the previous run.  Every run writes ``manifest.json``
 with the config hash, seed, law fingerprint and the conefluct and numpy
-versions; numpy is the only library the commands import.  The hash takes
-the law by its fingerprint, not its path, and leaves out the worker count
-and ``--out``, so identical (config, law, seed) runs produce byte-identical
-artifacts wherever the files live and whatever the worker count.  No
-timestamps are recorded.
+versions; numpy is the only library outside the standard library that the
+commands import.  A command loads what it runs: ``spectral`` draws no random
+number, so it loads neither ``numpy.random`` nor, like every run at one
+worker, the process-pool machinery, which ``_batch`` imports at the first
+fork.  The hash takes the law by its fingerprint, not its path, and leaves
+out the worker count and ``--out``, so identical (config, law, seed) runs
+produce byte-identical artifacts wherever the files live and whatever the
+worker count.  No timestamps are recorded.
 ``main`` runs each command inside one ``_batch.pool_scope``: its Monte Carlo
 stages share one worker pool, which is shut down when the command ends.
 Environment overrides: ``CONEFLUCT_SEED``, ``CONEFLUCT_WORKERS``,
@@ -50,6 +53,7 @@ count that is not an integer exits with code 2 and names its variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import hashlib
@@ -396,7 +400,10 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, np.random.SeedSequence):
+    # a SeedSequence exists only once numpy.random is loaded, so a command
+    # that draws nothing (spectral) does not load it here
+    random = sys.modules.get("numpy.random")
+    if random is not None and isinstance(obj, random.SeedSequence):
         return {"entropy": _jsonable(obj.entropy), "spawn_key": _jsonable(list(obj.spawn_key))}
     if hasattr(obj, "__dataclass_fields__"):
         return {name: _jsonable(getattr(obj, name)) for name in obj.__dataclass_fields__}
@@ -441,13 +448,27 @@ def _csv_lines(cells: list) -> str:
     return text
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    rows = len(columns[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_lines([[name] for name in header]))
-        # a slice of rows at a time keeps the formatted text small
-        for s in range(0, rows, _CSV_ROWS):
-            fh.write(_csv_lines([_fmt_column(col[s : s + _CSV_ROWS]) for col in columns]))
+def _write_csv(tables: dict) -> None:
+    """Write each ``path: (header, columns)`` of ``tables`` as a CSV file; one table's columns have equal length.
+
+    The files are written side by side, a slice of rows at a time, which
+    keeps the formatted text small, and a column that several tables share
+    (spectral's grid) is formatted once per slice.
+    """
+    with contextlib.ExitStack() as stack:
+        files = []
+        for path, (header, columns) in tables.items():
+            fh = stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+            fh.write(_csv_lines([[name] for name in header]))
+            files.append((fh, columns, len(columns[0])))
+        for s in range(0, max((rows for _, _, rows in files), default=0), _CSV_ROWS):
+            cells = {}  # id(column) -> the slice's cells
+            for fh, columns, rows in files:
+                if s < rows:
+                    for col in columns:
+                        if id(col) not in cells:
+                            cells[id(col)] = _fmt_column(col[s : s + _CSV_ROWS])
+                    fh.write(_csv_lines([cells[id(col)] for col in columns]))
 
 
 def _listed_artifacts(out: Path) -> set:
@@ -495,10 +516,9 @@ def _write_run(cfg: dict, law: MatrixLaw, command: str, stale: set, artifacts: d
         if (out / name).is_file():
             (out / name).unlink()
     out.mkdir(parents=True, exist_ok=True)
+    _write_csv({out / name: payload for name, payload in artifacts.items() if name.endswith(".csv")})
     for name, payload in artifacts.items():
-        if name.endswith(".csv"):
-            _write_csv(out / name, *payload)
-        else:
+        if not name.endswith(".csv"):
             _write_json(out / name, payload)
     _write_json(
         out / "manifest.json",

@@ -417,18 +417,28 @@ def test_spectral_sigma2_under_drift(tmp_path):
 def test_spectral_and_validate_load_no_scipy_solvers(config_path, tmp_path):
     # the commands need numpy only: loading scipy.sparse or scipy.linalg
     # would add 0.1 s and 20 MB to every spectral and validate call, and
-    # scipy is a test-only requirement
+    # scipy is a test-only requirement.  A command also loads only what it
+    # runs: spectral draws no random number and forks nothing, so
+    # numpy.random and the pool machinery stay unloaded, and validate at
+    # one worker forks nothing either
+    watched = ("numpy.random", "concurrent.futures", "multiprocessing")
     script = (
         "import sys\n"
         "from conefluct.cli import main\n"
+        f"watched = {watched!r}\n"
+        "def loaded():\n"
+        "    print('loaded', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in watched))\n"
         f"assert main(['spectral', '--config', {str(config_path)!r}, '--out', {str(tmp_path / 's')!r}]) == 0\n"
-        f"assert main(['validate', '--config', {str(config_path)!r}, '--out', {str(tmp_path / 'v')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "loaded()\n"
+        f"assert main(['validate', '--config', {str(config_path)!r}, '--workers', '1', '--out', {str(tmp_path / 'v')!r}]) == 0\n"
+        "loaded()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(conefluct.__file__).resolve().parents[1])}
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    after_spectral, after_validate = [line for line in result.stdout.splitlines() if line.startswith("loaded ")]
+    assert after_spectral == "loaded []"
+    assert after_validate == "loaded ['numpy.random']"
 
 
 def test_hypothesis_failure_stops_spectral_and_validate(tmp_path, capsys):
@@ -613,16 +623,32 @@ def test_csv_bytes_match_csv_writer(tmp_path, rows):
         [True, 7, 0.25, np.float64(-0.0), None][:rows] + [1.5] * max(rows - 5, 0),
     )
     path = tmp_path / "t.csv"
-    _write_csv(path, ["a", "b", "c", "d"], columns)
+    _write_csv({path: (["a", "b", "c", "d"], columns)})
     assert path.read_bytes() == oracles.csv_bytes(["a", "b", "c", "d"], columns)
 
 
 @pytest.mark.parametrize("cell", ["1,5", 'say "x"', "a\rb", "a\nb", "a\r\nb"])
 def test_csv_writer_refuses_cells_csv_would_quote(tmp_path, cell):
     with pytest.raises(ValueError, match="CSV cell"):
-        _write_csv(tmp_path / "t.csv", ["a", "b"], (np.arange(3.0), ["x", cell, "z"]))
+        _write_csv({tmp_path / "t.csv": (["a", "b"], (np.arange(3.0), ["x", cell, "z"]))})
     with pytest.raises(ValueError, match="CSV cell"):
-        _write_csv(tmp_path / "h.csv", ["a", cell], (np.arange(3.0), np.arange(3)))
+        _write_csv({tmp_path / "h.csv": (["a", cell], (np.arange(3.0), np.arange(3)))})
+
+
+def test_csv_tables_written_side_by_side_match_csv_writer(tmp_path):
+    # two tables share their first column, as spectral's nu.csv and
+    # theta.csv share the grid; a third is shorter and one is empty, so the
+    # slices end at different rows
+    grid = np.linspace(0.0, 1.0, 2 * _CSV_ROWS + 3)
+    tables = {
+        tmp_path / "nu.csv": (["param", "weight"], (grid, np.sqrt(grid))),
+        tmp_path / "theta.csv": (["param", "value"], (grid, np.sin(grid))),
+        tmp_path / "short.csv": (["n", "x"], (np.arange(7), grid[:7])),
+        tmp_path / "empty.csv": (["n"], (np.arange(0),)),
+    }
+    _write_csv(tables)
+    for path, (header, columns) in tables.items():
+        assert path.read_bytes() == oracles.csv_bytes(header, columns)
 
 
 def test_validate_passes_and_reports(config_path, tmp_path, capsys):
@@ -710,7 +736,7 @@ def counted(monkeypatch):
     calls = []
     run_chunks = _batch.run_chunks
     monkeypatch.setattr(_CountingPool, "sizes", [])
-    monkeypatch.setattr(_batch, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_batch, "_executor", _CountingPool)
     monkeypatch.setattr(_batch, "run_chunks", lambda *args, **kwargs: calls.append(1) or run_chunks(*args, **kwargs))
     return _CountingPool.sizes, calls
 
