@@ -540,12 +540,16 @@ def _compact(state: tuple, gone: np.ndarray, lo: int, hi: int, dst: int, tile: _
     ``tile.scratch`` and written back from ``dst <= lo``, so no read meets an
     entry this write has overwritten, nor any later tile's.
     """
-    if not gone.size and dst == lo:
-        return hi
+    if dst == lo:
+        if not gone.size:
+            return hi
+        # the paths before the first dropped one stay where they are
+        skip = int(gone[0])
+        lo, dst, gone = lo + skip, lo + skip, gone - skip
     keep = tile.flag[: hi - lo]
     keep.fill(True)
     keep[gone] = False
-    keep = np.flatnonzero(keep)
+    keep = keep.nonzero()[0]
     k = keep.shape[0]
     for arr in state:
         arr[dst : dst + k] = arr[lo:hi].take(keep, out=tile.scratch[:k], mode="clip")
@@ -785,7 +789,7 @@ def _exits(thr, near, low, rising: np.ndarray, tile: _Tile) -> np.ndarray:
     """
     if isinstance(thr, np.ndarray):
         own = thr if near is None else thr.take(near, out=tile.rows[0][: near.shape[0]], mode="clip")
-        dip = np.flatnonzero(np.less_equal(low, own, out=tile.flag[: low.shape[0]]))
+        dip = np.less_equal(low, own, out=tile.flag[: low.shape[0]]).nonzero()[0]
         p = dip.shape[0]
         if not p:
             return dip
@@ -797,7 +801,7 @@ def _exits(thr, near, low, rising: np.ndarray, tile: _Tile) -> np.ndarray:
         at -= 1
         thr[near] = rising.take(at, out=tile.scratch[:p], mode="wrap")
     flag = tile.flag[: low.shape[0]]
-    gone = np.flatnonzero(np.logical_not(np.greater(low, rising[0], out=flag), out=flag))
+    gone = np.logical_not(np.greater(low, rising[0], out=flag), out=flag).nonzero()[0]
     return gone if near is None else near.take(gone)
 
 
@@ -817,7 +821,7 @@ def _word_step(words: Words, widx, X, S, thr, tile: _Tile):
     room = words.drop.take(widx, out=tile.rows[0][:n], mode="clip")
     np.subtract(S, room, out=room)
     clear = np.add(thr, WORD_MARGIN, out=tile.rows[1][:n]) if isinstance(thr, np.ndarray) else thr + WORD_MARGIN
-    near = np.flatnonzero(np.less_equal(room, clear, out=tile.flag[:n]))
+    near = np.less_equal(room, clear, out=tile.flag[:n]).nonzero()[0]
     k = near.shape[0]
     least, term, wn = (row[:k] for row in tile.near)
     if k:
@@ -900,9 +904,9 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     samples = [[np.empty(0)] * len(n_values) if want_samples else [] for _ in sizes]
     for pos, n in enumerate(n_values):
         while walk.step < n and walk.m:
-            ends = np.cumsum(walk.held)
-            # the paths each chunk has dropped this step, counted up to its segment's end
-            dropped = np.zeros(len(sizes), dtype=np.intp)
+            ends = np.cumsum(walk.held)  # each chunk's segment end
+            # the paths dropped this step, counted up to each segment's end
+            dropped = np.zeros_like(ends)
             dst = 0
             for lo, hi, _, near, low in walk.tiles(walk.word(n), thr):
                 gone = _exits(thr[lo:hi] if top else thr, near, low, rising, walk.tile)
@@ -910,8 +914,9 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
                     dropped += np.searchsorted(gone, ends - lo)
                 # the tiles still to step lie above dst, so the survivors move down at once
                 dst = _compact(state, gone, lo, hi, dst, walk.tile)
-            walk.held = [k - int(g) for k, g in zip(walk.held, np.diff(dropped, prepend=0), strict=True)]
-            walk.m = dst
+            if dst < walk.m:
+                walk.held = np.diff(ends - dropped, prepend=0).tolist()
+                walk.m = dst
         walk.step = n
         # the reports copy out of the state, which the next step overwrites
         lo = 0
