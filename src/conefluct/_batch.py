@@ -27,14 +27,21 @@ configuration, because changing it relays paths onto different substreams.
 one per worker and at most ``GROUP_PATHS`` paths each, one kernel call per
 group.  The free walks start a group's chunks one after the other: grouped,
 their state would be a whole group long, where per chunk it is one chunk
-long.  The killed walk starts the whole group as one batch: each chunk's
-held paths are one contiguous segment, and at every step each chunk draws
-its segment's uniforms from its own substream; every operation of the step
-acts on each path alone; dropping paths keeps their order, so the segments
-stay contiguous; and each chunk's counts, sums and samples are taken over
-its own segment.  A chunk's result therefore does not depend on the chunks
-that share its group, so neither the grouping, nor ``GROUP_PATHS``, nor the
-worker count can move a bit.
+long.  The killed walk steps a group in waves to its first report: one tile
+of chunks (``TILE_PATHS // CHUNK_PATHS``, at least one) starts at step 0
+right behind the survivors of the waves before it, steps alone to the first
+report, reports there and keeps its survivors where they are; from the first
+report on the whole group steps as one batch.  Most paths are gone by the
+first report, so the group's state is laid out no further than the first
+report's survivors plus one wave.  Each chunk's held paths are one
+contiguous segment, and at every step each chunk draws its segment's
+uniforms from its own substream; every operation of the step acts on each
+path alone; dropping paths keeps their order, and the waves lie in chunk
+order, so the segments stay contiguous and in chunk order; and each chunk's
+counts, sums and samples are taken over its own segment.  A chunk's result
+therefore does not depend on the chunks that share its group or its wave,
+so neither the grouping, nor the waves, nor ``GROUP_PATHS``, nor the worker
+count can move a bit.
 
 ``workers=N`` means N processes compute, the calling process included.
 ``run_chunks`` hands groups 1.. to a pool of ``N - 1`` processes, runs group
@@ -58,25 +65,28 @@ contract.  For d = 2 each sum is a single addition, which commutes, so the
 d = 2 bits depend on no summation order.
 
 A kernel call holds full-length arrays only for its state: the coordinate
-rows and ``S``, allocated once per call and reused by every chunk the call
-starts, and, with several levels, the thresholds.  Everything else is one
-tile long, at most ``TILE_PATHS`` paths, in a ``_Tile`` of buffers allocated
-once per call: each chunk draws the tile's share of its segment's uniforms
-into a tile row (split draws of a generator give the bits of one whole
-draw), the draw writes the tile's atoms into an index row, each product is
-formed in place, ``y_i / mass`` goes straight back into the state and
-``log(mass)`` into a row that ``S`` then adds.  A killed walk's word step
-keeps its near paths' start points, words and prefix masses in tile rows
-(``_word_step``), and its exits and threshold drops are found among the near
-paths, by index (``_exits``); only the index lists are allocated, each as
-long as the paths it names.  Neither the buffers nor the tile size can move
-a bit: every operation acts on each path alone, in the order the
-whole-array expressions take, and IEEE addition and multiplication commute,
-so ``S += rho`` is ``S + rho`` and ``g *= x`` is ``g * x``.  The killed walk
-drops paths in place, each tile as soon as it has stepped: the tile's
-survivors are read into a tile buffer and written back no higher than they
-were read, below every tile still to step, so no read meets an entry
-already overwritten.
+rows and ``S`` and, in the killed walk with several levels, the thresholds,
+allocated once per call and written only where paths are laid out.  The free
+walks reuse the first chunk-length stretch for every chunk they start; the
+killed walk writes each wave where it starts, behind the survivors of the
+waves before it, so the rows it touches are no longer than the first
+report's survivors plus one wave.  Everything else is one tile long, at most
+``TILE_PATHS`` paths, in a ``_Tile`` of buffers allocated once per call:
+each chunk draws the tile's share of its segment's uniforms into a tile row
+(split draws of a generator give the bits of one whole draw), the draw
+writes the tile's atoms into an index row, each product is formed in place,
+``y_i / mass`` goes straight back into the state and ``log(mass)`` into a
+row that ``S`` then adds.  A killed walk's word step keeps its near paths'
+start points, words and prefix masses in tile rows (``_word_step``), and its
+exits and threshold drops are found among the near paths, by index
+(``_exits``); only the index lists are allocated, each as long as the paths
+it names.  Neither the buffers nor the tile size can move a bit: every
+operation acts on each path alone, in the order the whole-array expressions
+take, and IEEE addition and multiplication commute, so ``S += rho`` is
+``S + rho`` and ``g *= x`` is ``g * x``.  The killed walk drops paths in
+place, each tile as soon as it has stepped: the tile's survivors are read
+into a tile buffer and written back no higher than they were read, below
+every tile still to step, so no read meets an entry already overwritten.
 
 The atom draw is an indexed search (Chen & Asau, AIIE Transactions 6, 1974)
 through a guide table sized to the stack (``guide_table``): it returns
@@ -562,34 +572,45 @@ class _Walk:
     It builds the law's step and guide tables, its word stack (``words``
     None when the law steps by letters, or when the kernel reads every step
     and asks for none), one ``_Tile`` and the state rows for ``paths``
-    paths, one per simplex coordinate and one for ``S``, which every
-    ``start`` of the call reuses.  ``start`` lays out a group of chunks;
-    then, until the kernel is done, ``word`` picks the next step and
-    ``tiles`` takes it.  The held paths are the first ``m`` entries of the
-    coordinate rows ``X`` and of ``S``, chunk c's the ``held[c]`` entries
-    after the chunks before it; a kernel that drops paths updates ``held``
-    and ``m``.
+    paths: one per simplex coordinate, one for ``S`` and ``extra`` more,
+    which every ``start`` of the call reuses.  A row is written only where
+    paths are laid out.  ``start`` lays out a group of chunks, and ``hold``
+    takes on chunks already stepped; then, until the kernel is done,
+    ``word`` picks the next step and ``tiles`` takes it.  ``state`` is the
+    rows' views where the held paths lie, the coordinate rows ``X``, then
+    ``S``, then the extra rows; the held paths are their first ``m``
+    entries, chunk c's the ``held[c]`` entries after the chunks before it.
+    A kernel that drops paths updates ``held`` and ``m``.
     """
 
-    def __init__(self, atom_stack: np.ndarray, cum_weights: np.ndarray, x0, paths: int, words: bool = True):
+    def __init__(
+        self, atom_stack: np.ndarray, cum_weights: np.ndarray, x0, paths: int, words: bool = True, extra: int = 0
+    ):
         self.x0 = _start(atom_stack, x0, 1)  # one (1,) row per coordinate
         self.table = step_table(atom_stack)
         self.guide = guide_table(cum_weights)
         self.words = word_table(atom_stack, cum_weights) if words else None
         self.b = 1 if self.words is None else self.words.length
         self.tile = _Tile(atom_stack.shape[1], paths)
-        self.rows = [np.empty(paths) for _ in range(atom_stack.shape[1] + 1)]
+        self.rows = [np.empty(paths) for _ in range(atom_stack.shape[1] + 1 + extra)]
 
-    def start(self, a: float, sizes, seeds) -> None:
-        """Start one chunk of ``size`` paths at ``(x0, a)`` per ``(size, seed)``, each on its own substream, at step 0."""
-        self.rngs = [np.random.default_rng(ss) for ss in seeds]
-        self.held = list(sizes)
-        self.m = sum(self.held)
-        *self.X, self.S = [row[: self.m] for row in self.rows]
+    def start(self, a: float, sizes, seeds, at: int = 0) -> None:
+        """Start one chunk of ``size`` paths at ``(x0, a)`` per ``(size, seed)``, each on its own substream, at step 0.
+
+        The chunks are laid out in the rows from ``at`` on.
+        """
+        self.hold([np.random.default_rng(ss) for ss in seeds], list(sizes), at)
         for x, c in zip(self.X, self.x0, strict=True):
             x[:] = c
         self.S.fill(a)
         self.step = 0
+
+    def hold(self, rngs: list, held: list, at: int = 0) -> None:
+        """Hold the chunks of generators ``rngs``, ``held[c]`` paths each, in the rows from ``at`` on, at their step."""
+        self.rngs, self.held, self.m = rngs, held, sum(held)
+        self.state = [row[at : at + self.m] for row in self.rows]
+        d = len(self.x0)
+        self.X, self.S = self.state[:d], self.state[d]
 
     def word(self, until: int, letters=()) -> bool:
         """Whether the next step is a word: its ``b`` letters end by ``until``, the next step the kernel reads, and not at a step of ``letters``."""
@@ -857,8 +878,13 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     """Killed walk: paths exit at the first step with ``S <= EXIT_TOL``.
 
     Runs one chunk of ``size`` paths per ``(size, seed)`` of ``sizes`` and
-    ``seeds`` and returns one result per chunk.  The chunks start as one
-    batch, and each reports from its own segment (see the module docstring).
+    ``seeds`` and returns one result per chunk, each reported from its own
+    segment (see the module docstring).  The chunks start in waves of one
+    tile of chunks: each wave is laid out right behind the survivors of the
+    waves before it and steps alone to the first ``n``, where it reports
+    and drops its dead, so no state row is written past the first report's
+    survivors plus one wave.  From the first ``n`` on, every chunk steps as
+    one batch.
 
     ``levels`` is a non-empty, strictly increasing sequence of finite start
     levels ``a_0 < ... < a_top``; one level is a one-element sequence.  The
@@ -894,40 +920,61 @@ def survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samples, 
     thresholds = EXIT_TOL - shift
     top = levels.size - 1
     rising = thresholds[::-1]
-    walk = _Walk(atom_stack, cum_weights, x0, sum(sizes))
-    walk.start(levels[0], sizes, seeds)
-    thr = np.full(walk.m, rising[-1]) if top else rising[0]
-    state = (*walk.X, walk.S, thr) if top else (*walk.X, walk.S)
+    # with several levels each path's live threshold is one more state row
+    walk = _Walk(atom_stack, cum_weights, x0, sum(sizes), extra=1 if top else 0)
     counts = np.zeros((len(sizes), levels.size, len(n_values)), dtype=np.int64)
     sums = np.zeros(counts.shape)
     sums2 = np.zeros(counts.shape)
     samples = [[np.empty(0)] * len(n_values) if want_samples else [] for _ in sizes]
-    for pos, n in enumerate(n_values):
-        while walk.step < n and walk.m:
-            ends = np.cumsum(walk.held)  # each chunk's segment end
-            # the paths dropped this step, counted up to each segment's end
-            dropped = np.zeros_like(ends)
-            dst = 0
-            for lo, hi, _, near, low in walk.tiles(walk.word(n), thr):
-                gone = _exits(thr[lo:hi] if top else thr, near, low, rising, walk.tile)
-                if gone.size:
-                    dropped += np.searchsorted(gone, ends - lo)
-                # the tiles still to step lie above dst, so the survivors move down at once
-                dst = _compact(state, gone, lo, hi, dst, walk.tile)
-            if dst < walk.m:
-                walk.held = np.diff(ends - dropped, prepend=0).tolist()
-                walk.m = dst
-        walk.step = n
-        # the reports copy out of the state, which the next step overwrites
-        lo = 0
-        for c, k in enumerate(walk.held):
-            hi = lo + k
-            for l, off in enumerate(shift):
-                value = (walk.S[lo:hi] if l == top else walk.S[lo:hi][thr[lo:hi] >= thresholds[l]]) + off
-                counts[c, l, pos] = value.shape[0]
-                sums[c, l, pos] = value.sum()
-                sums2[c, l, pos] = np.square(value).sum()
-            if want_samples:
-                samples[c][pos] = value
-            lo = hi
+
+    def run(first: int, reports: range) -> None:
+        """Step the held chunks, chunk ``first`` of the call on, to ``n_values[pos]`` for each ``pos`` of ``reports``.
+
+        Each chunk reports at each of those n.
+        """
+        thr = walk.state[-1] if top else rising[0]
+        for pos in reports:
+            n = n_values[pos]
+            while walk.step < n and walk.m:
+                ends = np.cumsum(walk.held)  # each chunk's segment end
+                # the paths dropped this step, counted up to each segment's end
+                dropped = np.zeros_like(ends)
+                dst = 0
+                for lo, hi, _, near, low in walk.tiles(walk.word(n), thr):
+                    gone = _exits(thr[lo:hi] if top else thr, near, low, rising, walk.tile)
+                    if gone.size:
+                        dropped += np.searchsorted(gone, ends - lo)
+                    # the tiles still to step lie above dst, so the survivors move down at once
+                    dst = _compact(walk.state, gone, lo, hi, dst, walk.tile)
+                if dst < walk.m:
+                    walk.held = np.diff(ends - dropped, prepend=0).tolist()
+                    walk.m = dst
+            walk.step = n
+            # the reports copy out of the state, which the next step overwrites
+            lo = 0
+            for c, k in enumerate(walk.held, first):
+                hi = lo + k
+                for l, off in enumerate(shift):
+                    value = (walk.S[lo:hi] if l == top else walk.S[lo:hi][thr[lo:hi] >= thresholds[l]]) + off
+                    counts[c, l, pos] = value.shape[0]
+                    sums[c, l, pos] = value.sum()
+                    sums2[c, l, pos] = np.square(value).sum()
+                if want_samples:
+                    samples[c][pos] = value
+                lo = hi
+
+    # the waves: one tile of chunks at a time starts right behind the
+    # survivors of the waves before it and steps alone to the first report
+    per = max(1, TILE_PATHS // CHUNK_PATHS)
+    rngs, held = [], []
+    for first in range(0, len(sizes), per):
+        walk.start(levels[0], sizes[first : first + per], seeds[first : first + per], sum(held))
+        if top:
+            walk.state[-1].fill(rising[-1])
+        run(first, range(min(1, len(n_values))))
+        rngs += walk.rngs
+        held += walk.held
+    # then the whole group as one batch
+    walk.hold(rngs, held)
+    run(0, range(1, len(n_values)))
     return list(zip(counts, sums, sums2, samples, strict=True))

@@ -475,11 +475,11 @@ def word_survival_chunk(atom_stack, cum_weights, x0, levels, n_values, want_samp
 # ---------------------------------------------------------------------------
 # the killed walk one chunk at a time
 #
-# ``_batch.survival_chunk`` steps a group of chunks as one batch.  These are
-# its kernel and word step as they ran one chunk per call, before chunks were
-# grouped and before the word step searched only the paths near the highest
-# threshold for their own; every chunk of a group must report these numbers
-# bit for bit.
+# ``_batch.survival_chunk`` steps a group of chunks in waves to its first
+# report and as one batch from there.  These are its kernel and word step as
+# they ran one chunk per call, before chunks were grouped and before the word
+# step searched only the paths near the highest threshold for their own; every
+# chunk of a group must report these numbers bit for bit.
 
 
 def chunk_word_step(words: _batch.Words, u, X, S, runmin, rising):

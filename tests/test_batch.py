@@ -493,9 +493,10 @@ def test_d2_step_follows_left_product(name):
 # ---------------------------------------------------------------------------
 # groups of chunks
 #
-# ``survival_chunk`` steps a group of chunks as one batch.  Each chunk must
-# report bit for bit what ``oracles.chunk_survival``, the kernel that ran one
-# chunk per call, reports for it: whatever the group, the law and the stepping
+# ``survival_chunk`` steps a group of chunks in waves to its first report and
+# as one batch from there.  Each chunk must report bit for bit what
+# ``oracles.chunk_survival``, the kernel that ran one chunk per call, reports
+# for it: whatever the group, the law and the stepping
 
 
 GROUP_LAWS = {
@@ -559,18 +560,79 @@ def test_grouped_survival_matches_chunk_oracle(name, many, sizes):
         assert np.any(counts[:, 0, -2] == 0)
 
 
+# The killed walk steps a group in waves of one tile of chunks, each alone to
+# the first report; the partitions below put the waves' edges elsewhere.  The
+# first report is at n = 1, at n = 3, which ends no word of b = 8 letters, so
+# the waves step by letters to it, and at n = 4096, past the last death of the
+# "few" chunks' paths, so every wave empties before it.  13 chunks is the shape
+# of validate's 200,000-path conditional stage
+PARTITION_REPORTS = {
+    "n1": ((1, 2, 3, 10, 50, 200, 400), "many"),
+    "n3": ((3, 10, 50, 400), "many"),
+    "dead": ((4096, 4100), "few"),
+}
+PARTITION_CHUNKS = {
+    "many": {
+        1: (3392,),
+        2: (_batch.CHUNK_PATHS, 3392),
+        3: (1, _batch.CHUNK_PATHS, 700),
+        13: tuple(_batch.chunk_layout(200_000)),
+    },
+    "few": {1: (5,), 2: (1, 4), 3: (3, 1, 5), 13: (1, 1, 5, 3, 2, 1, 4, 1, 1, 2, 3, 1, 1)},
+}
+PARTITION_LEVELS = {"1lv": (0.5,), "8lv": (0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8), "1lv-samples": (0.5,)}
+PARTITION_CASES = list(itertools.product(PARTITION_REPORTS, PARTITION_LEVELS, (1, 2, 3, 13)))
+
+
+def _splits(count: int) -> list:
+    """The chunk bounds of one group, of a group per chunk and of uneven groups of ``count`` chunks."""
+    cuts = [(), tuple(range(1, count)), (1,), (count - 1,), (count // 3, count // 2 + 1)]
+    return sorted({(0, *sorted({c for c in cut if 0 < c < count}), count) for cut in cuts})
+
+
 def test_grouped_survival_is_partition_invariant():
-    """One group, a group per chunk and uneven splits give the same results, bit for bit."""
+    """One group, a group per chunk and uneven splits give each chunk's one-chunk result, bit for bit."""
     law = _law("reference")
-    sizes = CHUNK_LISTS["tiny"]
-    seeds = np.random.SeedSequence(22).spawn(len(sizes))
-    head = (law.atom_stack, law.cum_weights, (0.5, 0.5), (0.5,), (1, 2, 3, 10, 50, 200, 400), True)
-    whole = _batch.survival_chunk(*head, list(sizes), seeds)
-    for bounds in ([0, 1, 2, 3, 4, 5, 6, 7, 8], [0, 3, 8], [0, 1, 6, 8], [0, 5, 6, 7, 8]):
-        parts = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            parts += _batch.survival_chunk(*head, list(sizes[lo:hi]), seeds[lo:hi])
-        _assert_same_chunks(parts, whole)
+    for reports, levels, count in PARTITION_CASES:
+        n_values, chunks = PARTITION_REPORTS[reports]
+        sizes = PARTITION_CHUNKS[chunks][count]
+        seeds = np.random.SeedSequence(24).spawn(len(sizes))
+        samples = levels.endswith("samples")
+        head = (law.atom_stack, law.cum_weights, (0.5, 0.5), PARTITION_LEVELS[levels], n_values, samples)
+        want = [oracles.chunk_survival(*head, size, ss) for size, ss in zip(sizes, seeds)]
+        first = sum(int(w[0][-1, 0]) for w in want)  # survivors at the first report, top level
+        assert first == 0 if reports == "dead" else first > 0, (reports, levels, count)
+        for bounds in _splits(count):
+            parts = []
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                parts += _batch.survival_chunk(*head, list(sizes[lo:hi]), seeds[lo:hi])
+            _assert_same_chunks(parts, want)
+
+
+@pytest.mark.parametrize("levels", [(1.0,), (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)], ids=["1lv", "8lv"])
+def test_killed_walk_writes_no_row_past_the_survivors_and_one_wave(monkeypatch, levels):
+    """Thirteen whole chunks from (barycenter, a = 1): no state row is written past the survivors at 64 and one tile."""
+    walks = []
+
+    class NanWalk(_batch._Walk):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            for row in self.rows:
+                row.fill(np.nan)
+            walks.append(self)
+
+    monkeypatch.setattr(_batch, "_Walk", NanWalk)
+    law = _law("reference")
+    sizes = [_batch.CHUNK_PATHS] * 13
+    seeds = np.random.SeedSequence(35).spawn(len(sizes))
+    got = _batch.survival_chunk(law.atom_stack, law.cum_weights, (0.5, 0.5), levels, (64, 256), False, sizes, seeds)
+    (walk,) = walks
+    survivors = sum(int(counts[-1, 0]) for counts, *_ in got)  # held at n = 64
+    bound = survivors + _batch.TILE_PATHS
+    assert len(walk.rows) == (3 if len(levels) == 1 else 4) and bound < sum(sizes)
+    for row in walk.rows:
+        assert row.shape == (sum(sizes),)
+        assert not np.isnan(row[:survivors]).any() and np.isnan(row[bound:]).all()
 
 
 def test_chunk_groups_cover_the_layout():
